@@ -27,7 +27,6 @@ from .partitions import (
     contains,
     hook_lengths,
     internal_corners,
-    make_partition,
     partitions_of,
     remove_corner,
     skew_hooks,
@@ -52,6 +51,6 @@ from .stability import (
     dim_poly_alt,
     r_primary,
 )
-from .tableaux import SkewShape, a_coeff, dim_syt, skew_syt_count
+from .tableaux import a_coeff, dim_syt, skew_syt_count
 
 __version__ = "0.1.0"

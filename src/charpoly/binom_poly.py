@@ -9,7 +9,6 @@ representation is unique and evaluation at integers stays in ``int``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Sequence
@@ -50,14 +49,6 @@ class BinomPoly:
 
     def __call__(self, x: int) -> int:
         return eval_poly(self, x)
-
-    def to_json(self) -> str:
-        return json.dumps({"shift": self.shift, "coeffs": list(self.coeffs)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinomPoly":
-        data = json.loads(text)
-        return cls(data["shift"], data["coeffs"])
 
 
 def eval_poly(p: BinomPoly, x: int) -> int:

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from pathlib import Path
 from typing import Sequence
 
 from . import stability
@@ -24,19 +22,6 @@ from .characters import CycleType, character_mn
 from .partitions import Partition
 from .stability import format_terms
 from .tableaux import a_coeff
-from .verification import Bounds, render_report, report_json_dict, run_suites
-
-
-def golden_dir() -> Path:
-    """Directory holding the byte-exact golden outputs.
-
-    Overridable through the CHARPOLY_GOLDEN_DIR environment variable;
-    defaults to the golden/ directory at the repository root.
-    """
-    env = os.environ.get("CHARPOLY_GOLDEN_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[2] / "golden"
 
 
 def parse_partition(text: str) -> Partition:
@@ -189,11 +174,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import Bounds, render_report, report_json_dict, run_suites
+
     bounds = Bounds(max_k=args.max_k, max_r=args.max_r, n_window=args.n_window)
     started = time.monotonic()
     results = run_suites(bounds, jobs=args.jobs)
     elapsed = time.monotonic() - started
-    ok = all(r.ok for r in results if not r.report_only)
+    ok = all(r.ok for r in results)
     if args.format == "json":
         print(json.dumps(report_json_dict(results), separators=(",", ":")))
     else:

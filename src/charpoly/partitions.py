@@ -75,11 +75,6 @@ class SkewHook(NamedTuple):
     complement: Partition
 
 
-def make_partition(parts: Iterable[int]) -> Partition:
-    """Build a canonical :class:`Partition` from raw user input."""
-    return Partition(parts)
-
-
 def transpose(lam: Partition) -> Partition:
     """Transpose (conjugate) partition: column lengths of ``lam``."""
     if not lam:

@@ -9,7 +9,6 @@ coefficient formulas generate, and is thread-safe).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
@@ -20,22 +19,6 @@ from .partitions import (
     internal_corners,
     remove_corner,
 )
-
-
-@dataclass(frozen=True)
-class SkewShape:
-    """A pair inner <= outer of nested partitions."""
-
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self):
-        if not contains(self.outer, self.inner):
-            raise ValueError(f"{self.inner} is not contained in {self.outer}")
-
-    @property
-    def size(self) -> int:
-        return self.outer.size - self.inner.size
 
 
 def dim_syt(mu: Partition) -> int:

@@ -6,7 +6,6 @@ tables are compared byte-for-byte against golden files.
 
 import time
 
-from charpoly.cli import golden_dir
 from charpoly.partitions import Partition
 from charpoly.stability import Family, r_primary
 from charpoly.verification import (
@@ -38,12 +37,12 @@ def _assert_ok(result):
     return result.checks
 
 
-def test_criterion_1_worked_table_golden(run_cli):
+def test_criterion_1_worked_table_golden(run_cli, golden):
     started = time.monotonic()
     code, text_out, _ = run_cli("table", "--lambda", "3,3", "--r-list", "2,3,4,5")
     elapsed = time.monotonic() - started
     assert code == 0
-    assert text_out == (golden_dir() / "table_33.txt").read_text()
+    assert text_out == (golden / "table_33.txt").read_text()
     assert "b=[5,5,3,1,0,0,0]" in text_out
     assert "b=[5,5,2,1,1,1,0]" in text_out
     assert "b=[5,5,2,0,-1,-1,0]" in text_out
@@ -53,20 +52,20 @@ def test_criterion_1_worked_table_golden(run_cli):
     _, latex_out, _ = run_cli(
         "table", "--lambda", "3,3", "--r-list", "2,3,4,5", "--format", "latex"
     )
-    assert latex_out == (golden_dir() / "table_33.tex").read_text()
+    assert latex_out == (golden / "table_33.tex").read_text()
     _, json_out, _ = run_cli(
         "table", "--lambda", "3,3", "--r-list", "2,3,4,5", "--format", "json"
     )
-    assert json_out == (golden_dir() / "table_33.json").read_text()
+    assert json_out == (golden / "table_33.json").read_text()
 
     assert elapsed < 1.0, f"table took {elapsed:.2f}s"
     _report(1, "worked-example table", f"3 formats byte-exact, {elapsed:.2f}s")
 
 
-def test_criterion_2_three_primary_golden(run_cli):
+def test_criterion_2_three_primary_golden(run_cli, golden):
     code, out, _ = run_cli("primaries", "--r", "3", "--max-h", "8")
     assert code == 0
-    assert out == (golden_dir() / "primaries_r3.txt").read_text()
+    assert out == (golden / "primaries_r3.txt").read_text()
 
     # family-level sign pattern: columns, (3), (2,1), (2,2), (4,1^v),
     # (3,2,1^v), (2,2,2,1^v) carry signs +,+,+,-,+,+,-,+,-

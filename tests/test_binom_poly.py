@@ -104,8 +104,3 @@ class TestInterpolate:
             got = coeffs[m] if m < len(coeffs) else 0
             assert got == delta
 
-
-def test_json_round_trip():
-    p = BinomPoly(3, [1, 0, -2])
-    assert BinomPoly.from_json(p.to_json()) == p
-    assert p.to_json() == '{"shift": 3, "coeffs": [1, 0, -2]}'

@@ -1,13 +1,19 @@
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from charpoly.cli import golden_dir, main, parse_partition
+from charpoly.cli import main, parse_partition
 from charpoly.partitions import NotWeaklyDecreasing, Partition
 from charpoly.stability import SignedPartition
 import charpoly.stability as stability
+import charpoly.verification as verification
+
+REFERENCE_REPORTS = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference").glob("verify-*.txt")
+)
 
 
 def load_schema(name):
@@ -57,15 +63,15 @@ class TestExpand:
 
 
 class TestPrimaries:
-    def test_r3_golden(self, run_cli):
+    def test_r3_golden(self, run_cli, golden):
         code, out, _ = run_cli("primaries", "--r", "3", "--max-h", "8")
         assert code == 0
-        assert out == (golden_dir() / "primaries_r3.txt").read_text()
+        assert out == (golden / "primaries_r3.txt").read_text()
 
-    def test_r3_json_golden_and_schema(self, run_cli):
+    def test_r3_json_golden_and_schema(self, run_cli, golden):
         code, out, _ = run_cli("primaries", "--r", "3", "--max-h", "8", "--format", "json")
         assert code == 0
-        assert out == (golden_dir() / "primaries_r3.json").read_text()
+        assert out == (golden / "primaries_r3.json").read_text()
         jsonschema.validate(json.loads(out), load_schema("primaries.schema.json"))
 
     def test_r1_has_gap_at_one(self, run_cli):
@@ -114,24 +120,24 @@ class TestChar:
 
 
 class TestTable:
-    def test_text_golden(self, run_cli):
+    def test_text_golden(self, run_cli, golden):
         code, out, _ = run_cli("table", "--lambda", "3,3", "--r-list", "2,3,4,5")
         assert code == 0
-        assert out == (golden_dir() / "table_33.txt").read_text()
+        assert out == (golden / "table_33.txt").read_text()
 
-    def test_latex_golden(self, run_cli):
+    def test_latex_golden(self, run_cli, golden):
         code, out, _ = run_cli(
             "table", "--lambda", "3,3", "--r-list", "2,3,4,5", "--format", "latex"
         )
         assert code == 0
-        assert out == (golden_dir() / "table_33.tex").read_text()
+        assert out == (golden / "table_33.tex").read_text()
 
-    def test_json_golden_and_schema(self, run_cli):
+    def test_json_golden_and_schema(self, run_cli, golden):
         code, out, _ = run_cli(
             "table", "--lambda", "3,3", "--r-list", "2,3,4,5", "--format", "json"
         )
         assert code == 0
-        assert out == (golden_dir() / "table_33.json").read_text()
+        assert out == (golden / "table_33.json").read_text()
         jsonschema.validate(json.loads(out), load_schema("table.schema.json"))
 
     def test_empty_partition_rows(self, run_cli):
@@ -216,9 +222,40 @@ class TestVerify:
         assert "FAIL" in out
         assert "lam=" in out
 
+    def test_every_accepted_bound_runs(self):
+        # every bound the CLI accepts must run; --max-r >= 7 once raised SizeMismatch
+        for max_k in range(1, 5):
+            for max_r in range(1, 10):
+                for n_window in (1, 2):
+                    bounds = verification.Bounds(max_k, max_r, n_window)
+                    results = verification.run_suites(bounds)
+                    assert all(r.ok for r in results), (bounds, results)
 
-def test_golden_dir_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv("CHARPOLY_GOLDEN_DIR", str(tmp_path))
-    assert golden_dir() == tmp_path
-    monkeypatch.delenv("CHARPOLY_GOLDEN_DIR")
-    assert golden_dir().name == "golden"
+    def test_band_disagreement_is_described_not_fatal(self, monkeypatch, capsys):
+        real = verification.character_recpart
+
+        def off_in_band(lam, ct):
+            # wrong only below k + lam_1 + 6, the window of recpart_band
+            value = real(lam, ct)
+            return value + 1 if ct.n < lam.size + (lam[0] if lam else 0) + 6 else value
+
+        monkeypatch.setattr(verification, "character_recpart", off_in_band)
+        code = main(["verify", "--max-k", "4", "--max-r", "3", "--n-window", "1",
+                     "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, load_schema("verify.schema.json"))
+        props = {p["name"]: p for p in doc["properties"]}
+        band = props["recpart_band"]
+        assert (code, doc["ok"], band["ok"]) == (0, True, True)
+        assert band["disagreements"] == band["checks"] > 3
+        assert len(band["failures"]) == 3
+        assert all(f.startswith("lam=") and "recpart" in f for f in band["failures"])
+        assert props["recpart_vs_mn"]["disagreements"] == 0
+
+    @pytest.mark.parametrize("reference", REFERENCE_REPORTS, ids=lambda p: p.stem)
+    def test_matches_reference_report(self, reference, capsys):
+        max_k, max_r, n_window = reference.stem.split("-")[1:]
+        code = main(["verify", "--max-k", max_k, "--max-r", max_r, "--n-window", n_window])
+        strip = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
+        assert code == 0
+        assert strip(capsys.readouterr().out) == strip(reference.read_text())

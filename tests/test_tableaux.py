@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charpoly.partitions import Partition, partitions_of, transpose
-from charpoly.tableaux import SkewShape, a_coeff, dim_syt, skew_syt_count
+from charpoly.tableaux import a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
     check_column_removal_difference,
@@ -80,16 +80,6 @@ class TestACoeff:
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
             a_coeff(Partition([2]), -1)
-
-
-class TestSkewShape:
-    def test_size(self):
-        shape = SkewShape(Partition([3, 3]), Partition([1, 1]))
-        assert shape.size == 4
-
-    def test_rejects_non_contained(self):
-        with pytest.raises(ValueError):
-            SkewShape(Partition([2]), Partition([1, 1]))
 
 
 def test_degenerate_column_removal():
