@@ -3,8 +3,9 @@
 Three independent evaluators:
 
 * ``character_mn`` -- the Murnaghan--Nakayama recursion, peeling border
-  strips for one cycle at a time; this is the ground truth everything
-  else is checked against.
+  strips for one non-trivial cycle at a time and ending, once only fixed
+  points are left, at the dimension by the hook formula; this is the
+  ground truth everything else is checked against.
 * ``character_frobenius_transposition`` -- Frobenius's closed formula for
   the value at a transposition.
 * ``character_recpart`` -- the vertical-strip expansion of the character
@@ -19,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .partitions import (
     Partition,
-    partitions_of,
     skew_hooks,
     transpose,
     vertical_strip_inners,
@@ -63,9 +63,9 @@ class CycleType:
 
 @cache
 def _mn(mu: Partition, cycles: tuple[int, ...]) -> int:
-    if not cycles:
-        assert not mu
-        return 1
+    if cycles.count(1) == len(cycles):
+        # only fixed points left: the character at the identity
+        return dim_syt(mu)
     r, rest = cycles[0], cycles[1:]
     total = 0
     for hook in skew_hooks(mu, r):
@@ -79,7 +79,8 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
     cycle type ``ct``, by the Murnaghan--Nakayama rule.
 
     Cycles are peeled in weakly decreasing length order; the value is
-    independent of that order.
+    independent of that order.  The fixed points are not peeled: the
+    recursion depth is the number of cycles of length at least 2.
     """
     mu = Partition(mu)
     if mu.size != ct.n:
@@ -108,9 +109,10 @@ def character_recpart(lam: Partition, ct: CycleType) -> int:
     where k = |lam| and n is the size of ``ct``.
 
     Sums, over inner partitions kappa whose complement in ``lam`` is a
-    vertical strip, signed characters of kappa times binomials in the
-    cycle multiplicities.  Requires n >= k + lam_1 so that (n - k, lam)
-    is a partition in the stable range.
+    vertical strip and over the cycle types alpha of |kappa| that are
+    sub-multisets of ``ct``, signed characters of kappa at alpha times
+    binomials in the cycle multiplicities.  Requires n >= k + lam_1 so
+    that (n - k, lam) is a partition in the stable range.
     """
     lam = Partition(lam)
     k = lam.size
@@ -123,16 +125,28 @@ def character_recpart(lam: Partition, ct: CycleType) -> int:
     total = 0
     for kappa in vertical_strip_inners(lam):
         sign = -1 if (k - kappa.size) % 2 else 1
-        for alpha in partitions_of(kappa.size):
-            weight = 1
-            for i, a_i in Counter(alpha).items():
-                weight *= comb(x.get(i, 0), a_i)
-                if weight == 0:
-                    break
-            if weight == 0:
-                continue
+        for alpha, weight in _sub_multisets(x, kappa.size):
             total += sign * weight * character_mn(kappa, CycleType(alpha))
     return total
+
+
+def _sub_multisets(x: dict[int, int], size: int) -> Iterator[tuple[list[int], int]]:
+    """Sub-multisets alpha of the cycle lengths with multiplicities ``x``,
+    of total ``size``, each with its count prod_i C(x_i, a_i) of ways to
+    choose a_i of the x_i cycles of length i."""
+    lengths = sorted(x, reverse=True)
+
+    def rec(idx: int, remaining: int, alpha: list[int], weight: int):
+        if remaining == 0:
+            yield alpha, weight
+            return
+        if idx == len(lengths):
+            return
+        i = lengths[idx]
+        for a_i in range(min(x[i], remaining // i), -1, -1):
+            yield from rec(idx + 1, remaining - a_i * i, alpha + [i] * a_i, weight * comb(x[i], a_i))
+
+    yield from rec(0, size, [], 1)
 
 
 def centralizer_order(ct: CycleType) -> int:

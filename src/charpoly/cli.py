@@ -6,7 +6,9 @@ expansion table of one partition over several cycle lengths, plus the
 dimension row), and ``verify`` (the invariant sweeps).
 
 Exit codes: 0 on success, 1 when ``verify`` finds a counterexample, 2 on
-usage errors (malformed partitions, size mismatches, bad bounds).
+usage errors (malformed partitions or integers, size mismatches, bad
+bounds or cycle lengths), 3 on any other exception, which is an internal
+error and is reported as one ``internal error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,10 +20,21 @@ import time
 from typing import Sequence
 
 from . import stability
-from .characters import CycleType, character_mn
-from .partitions import Partition
+from .characters import CycleType, SizeMismatch, character_mn
+from .partitions import NotWeaklyDecreasing, Partition
 from .stability import format_terms
 from .tableaux import a_coeff
+
+
+class UsageError(ValueError):
+    """A command-line value that is not of the accepted form."""
+
+
+def _parse_ints(text: str) -> list[int]:
+    try:
+        return [int(piece) for piece in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 def parse_partition(text: str) -> Partition:
@@ -29,7 +42,7 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return Partition()
-    return Partition(int(piece) for piece in text.split(","))
+    return Partition(_parse_ints(text))
 
 
 def _positive_int(text: str) -> int:
@@ -138,9 +151,9 @@ def _stable_tail_start(lam: Partition, r_list: list[int]) -> int | None:
 
 def cmd_table(args) -> int:
     lam = parse_partition(args.lam)
-    r_list = [int(piece) for piece in args.r_list.split(",")]
+    r_list = _parse_ints(args.r_list)
     if any(r < 1 for r in r_list):
-        raise ValueError(f"cycle lengths must be >= 1, got {r_list}")
+        raise UsageError(f"cycle lengths must be >= 1, got {r_list}")
     k = lam.size
     expansions = [stability.char_poly(lam, r) for r in r_list]
     dim = stability.dim_poly(lam)
@@ -242,9 +255,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (NotWeaklyDecreasing, SizeMismatch, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -28,12 +28,15 @@ class Partition(tuple):
 
     The constructor canonicalizes: trailing zeros are stripped and the
     empty partition is ``Partition()``.  Negative parts or an increase
-    between adjacent parts raise :class:`NotWeaklyDecreasing`.
+    between adjacent parts raise :class:`NotWeaklyDecreasing`.  A value
+    that already is a ``Partition`` is returned as it is.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is cls:
+            return parts
         parts = tuple(parts)
         for i, p in enumerate(parts):
             if p < 0:

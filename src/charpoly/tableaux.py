@@ -1,24 +1,18 @@
 """Counting standard Young tableaux of straight and skew shapes.
 
-``dim_syt`` uses the hook length formula; ``skew_syt_count`` counts
-monotone paths in the Young lattice by the corner-removal recursion
-f(outer \\ inner) = sum over internal corners v of f((outer - v) \\ inner),
-memoized globally (the cache is shared by the many queries the
-coefficient formulas generate, and is thread-safe).
+``dim_syt`` uses the hook length formula; ``skew_syt_count`` uses
+Aitken's determinant f(outer \\ inner) = N! det[1 / (outer_i - inner_j
+- i + j)!] (Aitken 1943; Stanley, EC2 Cor. 7.16.3), taken in integers
+by fraction-free elimination.  Counts are memoized globally, one entry
+per distinct (outer, inner) pair asked for.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
-from .partitions import (
-    Partition,
-    contains,
-    hook_lengths,
-    internal_corners,
-    remove_corner,
-)
+from .partitions import Partition, contains, hook_lengths, transpose
 
 
 def dim_syt(mu: Partition) -> int:
@@ -36,21 +30,54 @@ def dim_syt(mu: Partition) -> int:
     return n_fact // prod
 
 
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Fraction-free: every division is exact.  A zero pivot is replaced by
+    swapping in a lower row; ``m`` is overwritten.
+    """
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1] if n else 1
+
+
 @cache
 def _skew_count(outer: Partition, inner: Partition) -> int:
     if not contains(outer, inner):
         return 0
-    if outer == inner:
-        return 1
-    return sum(
-        _skew_count(remove_corner(outer, v), inner) for v in internal_corners(outer)
-    )
+    if outer and len(outer) > outer[0]:
+        # the conjugate shape has the same count and a smaller matrix
+        outer, inner = transpose(outer), transpose(inner)
+    ell = len(outer)
+    # row i of Aitken's matrix times a_i!, so entry (i, j) is the falling
+    # factorial a_i! / (a_i - b_j)!, which vanishes for b_j > a_i
+    a = [p - i + ell for i, p in enumerate(outer, 1)]
+    b = [q - j + ell for j, q in enumerate(inner + (0,) * (ell - len(inner)), 1)]
+    fact_a = [factorial(ai) for ai in a]
+    m = [[fi // factorial(ai - bj) if bj <= ai else 0 for bj in b] for ai, fi in zip(a, fact_a)]
+    scale = prod(fact_a)
+    num = factorial(outer.size - inner.size) * _det(m)
+    assert num % scale == 0, f"Aitken determinant not integral for {outer} / {inner}"
+    return num // scale
 
 
 def skew_syt_count(outer: Partition, inner: Partition) -> int:
     """Number of standard Young tableaux of skew shape outer \\ inner.
 
-    Counts monotone Young-lattice paths from ``inner`` up to ``outer``;
     0 when ``inner`` is not contained in ``outer``, 1 when they coincide.
     """
     return _skew_count(Partition(outer), Partition(inner))

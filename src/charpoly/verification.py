@@ -6,7 +6,7 @@ reports a pass/fail count plus the first counterexamples.  The two
 but not relied upon; they report disagreements without failing a run.
 
 The oracles here recompute from definitions, independent of the
-library's recursions, and exist only for cross-checking: tableau
+library's formulas, and exist only for cross-checking: tableau
 backtracking for skew counts, border strips as connected skew shapes
 lam / mu with no 2x2 block, and, for characters and the stable-range
 polynomials, the Frobenius and vertical-strip evaluators, interpolation
@@ -300,7 +300,7 @@ def check_dim_equals_skew_over_empty(bounds: Bounds) -> SuiteResult:
     for lam in _shapes_upto(bounds.max_k + 4):
         res.expect(
             dim_syt(lam) == skew_syt_count(lam, Partition()),
-            lambda lam=lam: f"lam={list(lam)}: hook formula != path count",
+            lambda lam=lam: f"lam={list(lam)}: hook formula != skew count",
         )
     return res
 
@@ -313,9 +313,10 @@ def check_mn_identity_is_dimension(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("mn_identity_is_dimension")
     for mu in _shapes_upto(bounds.max_k + 2):
         got = character_mn(mu, CycleType([1] * mu.size))
+        want = syt_count_backtracking(mu, Partition())
         res.expect(
-            got == dim_syt(mu),
-            lambda mu=mu, got=got: f"mu={list(mu)}: MN at identity {got} != dim {dim_syt(mu)}",
+            got == want,
+            lambda mu=mu, got=got, want=want: f"mu={list(mu)}: MN at identity {got} != tableaux {want}",
         )
     return res
 

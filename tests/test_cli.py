@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from charpoly.characters import CycleType, character_recpart
 from charpoly.cli import main, parse_partition
 from charpoly.partitions import NotWeaklyDecreasing, Partition
 from charpoly.stability import SignedPartition
@@ -117,6 +118,35 @@ class TestChar:
         code, _, err = run_cli("char", "--mu", "2,1", "--ct", "4")
         assert code == 2
         assert "error" in err.lower()
+
+    def test_many_fixed_points(self, run_cli):
+        # peeling one fixed point per recursion level overflowed the stack near n = 1100
+        ct = CycleType([3] + [1] * 1997)
+        code, out, err = run_cli("char", "--mu", "1994,3,3", "--ct", ",".join(map(str, ct.cycles)))
+        assert (code, err) == (0, "")
+        assert int(out) == character_recpart(Partition([3, 3]), ct)
+
+
+class TestExitCodes:
+    def test_bad_integer_exits_2(self, run_cli):
+        code, _, err = run_cli("table", "--lambda", "3,3", "--r-list", "2,x")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_nonpositive_cycle_length_exits_2(self, run_cli):
+        code, _, err = run_cli("table", "--lambda", "3,3", "--r-list", "2,0")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_internal_error_exits_3(self, monkeypatch, capsys):
+        def broken(lam, r):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(stability, "char_poly", broken)
+        code = main(["expand", "--lambda", "3,3", "--r", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "internal error: ValueError: library bug\n"
 
 
 class TestTable:

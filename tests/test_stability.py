@@ -1,5 +1,6 @@
 import pytest
 
+from charpoly.characters import CycleType, character_mn
 from charpoly.binom_poly import BinomPoly, binomial, eval_poly, reshift
 from charpoly.partitions import Partition, partitions_of
 from charpoly.stability import (
@@ -148,6 +149,15 @@ class TestCharPoly:
         assert exp.to_json() == (
             '{"lambda":[3,3],"r":2,"k":6,"shift":2,"b":[5,5,3,1,0,0,0]}'
         )
+
+    def test_staircase_nine(self):
+        # out of reach of the old corner recursion (about 20 s); Aitken's determinant is fast
+        lam = Partition(range(9, 0, -1))
+        exp = char_poly(lam, 3)
+        assert exp.b[0] == dim_syt(lam)
+        n = lam.size + lam[0] + 3
+        want = character_mn(Partition([n - lam.size] + list(lam)), CycleType([3] + [1] * (n - 3)))
+        assert eval_poly(exp.poly, n) == want
 
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from charpoly.partitions import Partition, partitions_of, transpose
-from charpoly.tableaux import a_coeff, dim_syt, skew_syt_count
+from charpoly.partitions import (
+    Partition,
+    internal_corners,
+    partitions_of,
+    remove_corner,
+    transpose,
+)
+from charpoly.tableaux import _det, a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
     check_column_removal_difference,
@@ -60,6 +66,25 @@ class TestSkewCount:
     @given(small_parts_st, small_parts_st)
     def test_matches_backtracking(self, outer, inner):
         assert skew_syt_count(outer, inner) == syt_count_backtracking(outer, inner)
+
+
+class TestDeterminant:
+    def test_small_matrices(self):
+        assert _det([]) == 1
+        assert _det([[7]]) == 7
+        assert _det([[2, 3], [4, 5]]) == -2
+        assert _det([[1, 2], [2, 4]]) == 0
+
+    def test_zero_pivot_swaps_rows(self):
+        assert _det([[0, 1], [1, 0]]) == -1
+        assert _det([[0, 2, 1], [3, 0, 1], [1, 1, 0]]) == 5
+        assert _det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == -10
+
+    def test_large_staircase(self):
+        lam, nu = Partition(range(20, 0, -1)), Partition([3, 1, 1])
+        assert skew_syt_count(lam, Partition()) == dim_syt(lam)
+        smaller = [remove_corner(lam, v) for v in internal_corners(lam)]
+        assert skew_syt_count(lam, nu) == sum(skew_syt_count(m, nu) for m in smaller)
 
 
 class TestACoeff:
