@@ -198,6 +198,8 @@ def cmd_verify(args) -> int:
         print(json.dumps(report_json_dict(results), separators=(",", ":")))
     else:
         print(render_report(results))
+        for r in results:
+            print(f"# suite {r.name} {r.seconds:.3f}s")
         print(f"# elapsed: {elapsed:.2f}s")
     return 0 if ok else 1
 

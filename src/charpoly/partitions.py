@@ -8,6 +8,7 @@ pure, so everything is safe to share between threads and to memoize.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -80,16 +81,16 @@ class SkewHook(NamedTuple):
 
 def transpose(lam: Partition) -> Partition:
     """Transpose (conjugate) partition: column lengths of ``lam``."""
-    if not lam:
-        return Partition()
-    return Partition(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    cols: list[int] = []
+    for i in range(len(lam), 0, -1):
+        below = lam[i] if i < len(lam) else 0
+        cols += [i] * (lam[i - 1] - below)
+    return Partition(cols)
 
 
 def contains(lam: Partition, nu: Partition) -> bool:
     """True iff the diagram of ``nu`` fits inside the diagram of ``lam``."""
-    if len(nu) > len(lam):
-        return False
-    return all(nu[i] <= lam[i] for i in range(len(nu)))
+    return len(nu) <= len(lam) and all(map(operator.le, nu, lam))
 
 
 def internal_corners(lam: Partition) -> list[Cell]:
@@ -126,59 +127,45 @@ def hook_lengths(lam: Partition) -> dict[Cell, int]:
     }
 
 
-def boundary_cells(lam: Partition) -> list[Cell]:
-    """Boundary (rim) of ``lam``: cells (i, j) with (i+1, j+1) outside.
-
-    Returned in rim order, from the bottom-left cell to the end of the
-    first row; consecutive cells share an edge and the diagonal j - i
-    increases by one at each step.
-    """
-    cells = []
-    for i in range(1, len(lam) + 1):
-        lo = max(1, lam[i] if i < len(lam) else 0)
-        cells.extend(Cell(i, j) for j in range(lo, lam[i - 1] + 1))
-    cells.sort(key=lambda c: c.col - c.row)
-    return cells
-
-
-def _strip_complement(lam: Partition, window: list[Cell]) -> Partition | None:
-    """Partition left after removing ``window``, or None if not left-aligned."""
-    last = {}
-    first = {}
-    for c in window:
-        first[c.row] = min(first.get(c.row, c.col), c.col)
-        last[c.row] = max(last.get(c.row, c.col), c.col)
-    parts = list(lam)
-    for i, hi in last.items():
-        if hi != lam[i - 1]:
-            return None
-        parts[i - 1] = first[i] - 1
-    for i in range(len(parts) - 1):
-        if parts[i + 1] > parts[i]:
-            return None
-    return Partition(parts)
-
-
 def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
     """All border strips of ``lam`` with exactly ``r`` cells.
 
-    Enumerated by sliding an r-cell window along the rim and keeping the
-    windows whose removal leaves a partition.  For r = 1 this is the set
-    of internal corners with leg length 0.  Sorted lexicographically by
-    topmost-then-leftmost cell.
+    Found on the beta-set of ``lam`` (James--Kerber 1981, 2.7): with
+    l = len(lam), row i carries the bead beta_i = lam_i - i + l.  A strip
+    whose top cell is in row i exists iff beta_i - r >= 0 is not a bead;
+    moving the bead there removes it.  Its leg length is the number of
+    beads strictly between beta_i - r and beta_i, the beads of rows
+    i+1 .. i+leg.  In the complement each row k from i to i+leg-1
+    becomes lam_{k+1} - 1, and row i+leg takes its length from position
+    beta_i - r.  Each hook's cells run along the rim from the
+    bottom-left one; hooks are listed by increasing top row.  For
+    r = 1 these are the internal corners with leg length 0.
     """
     if r < 1:
         raise ValueError(f"hook size must be positive, got {r}")
-    rim = boundary_cells(lam)
+    lam = Partition(lam)
+    ell = len(lam)
+    beta = [p - i + ell - 1 for i, p in enumerate(lam)]
+    beads = set(beta)
     hooks = []
-    for start in range(len(rim) - r + 1):
-        window = rim[start : start + r]
-        comp = _strip_complement(lam, window)
-        if comp is None:
+    for top, b in enumerate(beta):
+        pos = b - r
+        if pos < 0:
+            break
+        if pos in beads:
             continue
-        rows = {c.row for c in window}
-        hooks.append(SkewHook(tuple(window), len(rows) - 1, comp))
-    hooks.sort(key=lambda h: min(h.cells))
+        bottom = top
+        while bottom + 1 < ell and beta[bottom + 1] > pos:
+            bottom += 1
+        inner = [q - 1 for q in lam[top + 1 : bottom + 1]]
+        inner.append(pos - ell + 1 + bottom)
+        cells = tuple(
+            Cell(row + 1, col)
+            for row in range(bottom, top - 1, -1)
+            for col in range(inner[row - top] + 1, lam[row] + 1)
+        )
+        comp = Partition(lam[:top] + tuple(inner) + lam[bottom + 1 :])
+        hooks.append(SkewHook(cells, bottom - top, comp))
     return hooks
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -48,8 +49,9 @@ class SignedPartition:
     family: Family
 
 
-def r_primary(r: int, h: int) -> list[SignedPartition]:
-    """The r-primary partitions of ``h`` with their r-signs.
+@cache
+def r_primary(r: int, h: int) -> tuple[SignedPartition, ...]:
+    """The r-primary partitions of ``h`` with their r-signs, as a tuple.
 
     Three disjoint families:
 
@@ -61,7 +63,8 @@ def r_primary(r: int, h: int) -> list[SignedPartition]:
 
     Listed columns first, then the second family by increasing v, then
     the third by increasing u.  There are 1 of them for h < r, r - 1 for
-    r <= h < 2r, and r for h >= 2r.
+    r <= h < 2r, and r for h >= 2r.  Memoized on (r, h), since every
+    coefficient b[h] asks for them again.
     """
     if r < 1:
         raise ValueError(f"cycle length must be positive, got {r}")
@@ -80,7 +83,7 @@ def r_primary(r: int, h: int) -> list[SignedPartition]:
         for u in range(min(r - 1, rem) + 1):
             nu = Partition([r + 1 - u] + [2] * u + [1] * (rem - u))
             out.append(SignedPartition(nu, (-1) ** (r - u), Family.TYPE_THREE))
-    return out
+    return tuple(out)
 
 
 def coeff_b(lam: Partition, h: int, r: int) -> int:

@@ -10,7 +10,7 @@ per distinct (outer, inner) pair asked for.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, prod
+from math import factorial, perm, prod
 
 from .partitions import Partition, contains, hook_lengths, transpose
 
@@ -67,9 +67,8 @@ def _skew_count(outer: Partition, inner: Partition) -> int:
     # factorial a_i! / (a_i - b_j)!, which vanishes for b_j > a_i
     a = [p - i + ell for i, p in enumerate(outer, 1)]
     b = [q - j + ell for j, q in enumerate(inner + (0,) * (ell - len(inner)), 1)]
-    fact_a = [factorial(ai) for ai in a]
-    m = [[fi // factorial(ai - bj) if bj <= ai else 0 for bj in b] for ai, fi in zip(a, fact_a)]
-    scale = prod(fact_a)
+    m = [[perm(ai, bj) for bj in b] for ai in a]
+    scale = prod(map(factorial, a))
     num = factorial(outer.size - inner.size) * _det(m)
     assert num % scale == 0, f"Aitken determinant not integral for {outer} / {inner}"
     return num // scale

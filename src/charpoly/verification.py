@@ -16,6 +16,7 @@ of Murnaghan--Nakayama values and the peel-order and orthogonality laws.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Callable, Iterator, Sequence
@@ -56,13 +57,15 @@ class Bounds:
 @dataclass
 class SuiteResult:
     """Outcome of one suite: ``disagreements`` counts every failing check,
-    ``failures`` describes the first few of them."""
+    ``failures`` describes the first few of them, ``seconds`` is the time
+    the suite took."""
 
     name: str
     checks: int = 0
     failures: list[str] = field(default_factory=list)
     report_only: bool = False
     disagreements: int = 0
+    seconds: float = 0.0
 
     _MAX_RECORDED = 3
 
@@ -708,7 +711,10 @@ SUITES: list[tuple[str, Callable[[Bounds], SuiteResult]]] = [
 def _run_one(args: tuple[str, Bounds]) -> SuiteResult:
     name, bounds = args
     func = dict(SUITES)[name]
-    return func(bounds)
+    started = time.perf_counter()
+    res = func(bounds)
+    res.seconds = time.perf_counter() - started
+    return res
 
 
 def run_suites(

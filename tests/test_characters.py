@@ -102,6 +102,13 @@ class TestFrobenius:
         with pytest.raises(TooSmall):
             character_frobenius_transposition(Partition([1]))
 
+    @pytest.mark.parametrize("parts", [(1994, 3, 3), (1000, 1000)])
+    def test_long_rims_match_mn(self, parts):
+        # MN peels the 2-cycle off a rim of about 2000 cells; Frobenius uses no strips
+        mu = Partition(parts)
+        ct = CycleType([2] + [1] * (mu.size - 2))
+        assert character_mn(mu, ct) == character_frobenius_transposition(mu)
+
 
 class TestRecpart:
     def test_empty_partition_constant(self):

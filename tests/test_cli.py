@@ -1,4 +1,5 @@
 import json
+import re
 from importlib.resources import files
 from pathlib import Path
 
@@ -219,6 +220,18 @@ class TestVerify:
         _, par, _ = run_cli(*base, "--jobs", "2")
         strip = lambda out: [l for l in out.splitlines() if not l.startswith("#")]
         assert strip(seq) == strip(par)
+
+    def test_suite_seconds_in_text_mode(self, run_cli):
+        code, out, _ = run_cli(
+            "verify", "--max-k", "2", "--max-r", "2", "--n-window", "1"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        suites = [l.split()[2] for l in lines if l.startswith("# suite ")]
+        assert suites == [name for name, _ in verification.SUITES]
+        assert all(re.fullmatch(r"# suite \S+ \d+\.\d{3}s", l)
+                   for l in lines if l.startswith("# suite "))
+        assert lines[-1].startswith("# elapsed: ")
 
     def test_json_report_schema(self, run_cli):
         code, out, _ = run_cli(

@@ -152,6 +152,25 @@ class TestSkewHooks:
     def test_too_large(self):
         assert skew_hooks(Partition([3, 3]), 7) == []
 
+    def test_beta_set_order(self):
+        # beads of (5,2,2,2) sit at 8, 4, 3, 2; moving each down by 3
+        # lands on 5, 1, 0 (free) or -1 (off the abacus)
+        hooks = skew_hooks(Partition([5, 2, 2, 2]), 3)
+        assert [(h.leg_length, h.complement) for h in hooks] == [
+            (0, Partition([2, 2, 2, 2])),
+            (2, Partition([5, 1, 1, 1])),
+            (1, Partition([5, 2, 1])),
+        ]
+        assert [h.cells for h in hooks] == [
+            (Cell(1, 3), Cell(1, 4), Cell(1, 5)),
+            (Cell(4, 2), Cell(3, 2), Cell(2, 2)),
+            (Cell(4, 1), Cell(4, 2), Cell(3, 2)),
+        ]
+        for h in hooks:
+            # rim order: each step goes up or right, one diagonal further
+            for a, b in zip(h.cells, h.cells[1:]):
+                assert (b.row, b.col) in ((a.row - 1, a.col), (a.row, a.col + 1))
+
     def test_size_one_is_corners(self):
         for lam in partitions_of(6):
             hooks = skew_hooks(lam, 1)
