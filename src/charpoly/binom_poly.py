@@ -9,7 +9,6 @@ representation is unique and evaluation at integers stays in ``int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Sequence
 
@@ -29,18 +28,34 @@ def binomial(a: int, m: int) -> int:
     return num // factorial(m)
 
 
-@dataclass(frozen=True)
 class BinomPoly:
-    """Coefficients over the basis {C(x - shift, m)}_m, trailing zeros stripped."""
+    """Coefficients over the basis {C(x - shift, m)}_m, trailing zeros stripped.
 
-    shift: int
-    coeffs: tuple[int, ...] = ()
+    Immutable and hashable; equal when shift and coefficients are.
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    __slots__ = ("shift", "coeffs")
+
+    def __init__(self, shift: int, coeffs: Sequence[int] = ()):
+        coeffs = tuple(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
+        object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not BinomPoly:
+            return NotImplemented
+        return self.shift == other.shift and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.shift, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"BinomPoly(shift={self.shift!r}, coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:

@@ -16,8 +16,6 @@ Three independent evaluators:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 from typing import Iterable, Iterator
@@ -43,14 +41,30 @@ class OutOfStableRange(ValueError):
     """n is below the validity threshold of the stable-range formula."""
 
 
-@dataclass(frozen=True)
 class CycleType:
-    """Cycle type of a permutation: all cycle lengths, fixed points included."""
+    """Cycle type of a permutation: all cycle lengths, fixed points included.
 
-    cycles: Partition
+    Immutable and hashable; the lengths are kept as a sorted Partition.
+    """
+
+    __slots__ = ("cycles",)
 
     def __init__(self, cycles: Iterable[int] = ()):
         object.__setattr__(self, "cycles", Partition(sorted(cycles, reverse=True)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not CycleType:
+            return NotImplemented
+        return self.cycles == other.cycles
+
+    def __hash__(self) -> int:
+        return hash(self.cycles)
+
+    def __repr__(self) -> str:
+        return f"CycleType(cycles={self.cycles!r})"
 
     @property
     def n(self) -> int:
@@ -91,17 +105,17 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
 def character_frobenius_transposition(mu: Partition) -> int:
     """Character of shape ``mu`` at a transposition, by Frobenius's formula.
 
-    Computed as an exact rational f^mu / C(n,2) * sum_i [C(mu_i,2) -
-    C(mu^t_i,2)], asserted to be an integer.
+    Computed as f^mu * sum_i [C(mu_i,2) - C(mu^t_i,2)] / C(n,2) in
+    integers, asserting that the division is exact.
     """
     mu = Partition(mu)
     n = mu.size
     if n < 2:
         raise TooSmall(f"need n >= 2 for a transposition, got n = {n}")
     row_sum = sum(comb(p, 2) for p in mu) - sum(comb(q, 2) for q in transpose(mu))
-    value = Fraction(dim_syt(mu), comb(n, 2)) * row_sum
-    assert value.denominator == 1, f"non-integer character for {mu}"
-    return int(value)
+    value, rem = divmod(dim_syt(mu) * row_sum, comb(n, 2))
+    assert rem == 0, f"non-integer character for {mu}"
+    return value
 
 
 def character_recpart(lam: Partition, ct: CycleType) -> int:

@@ -14,7 +14,6 @@ error and is reported as one ``internal error: ...`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Sequence
@@ -91,6 +90,8 @@ def cmd_primaries(args) -> int:
         for sp in stability.r_primary(args.r, h):
             rows.append((h, sp))
     if args.format == "json":
+        import json
+
         doc = {
             "r": args.r,
             "max_h": args.max_h,
@@ -159,6 +160,8 @@ def cmd_table(args) -> int:
     dim = stability.dim_poly(lam)
     a_vec = [a_coeff(lam, h) for h in range(k + 1)]
     if args.format == "json":
+        import json
+
         doc = {
             "lambda": list(lam),
             "k": k,
@@ -195,6 +198,8 @@ def cmd_verify(args) -> int:
     elapsed = time.monotonic() - started
     ok = all(r.ok for r in results)
     if args.format == "json":
+        import json
+
         print(json.dumps(report_json_dict(results), separators=(",", ":")))
     else:
         print(render_report(results))

@@ -39,16 +39,18 @@ class Partition(tuple):
         if type(parts) is cls:
             return parts
         parts = tuple(parts)
-        for i, p in enumerate(parts):
-            if p < 0:
-                raise NotWeaklyDecreasing(f"negative part {p} in {parts}")
-            if i + 1 < len(parts) and parts[i + 1] > p:
-                raise NotWeaklyDecreasing(
-                    f"parts {p}, {parts[i + 1]} increase in {parts}"
-                )
+        # one C-level pass; the loop only finds the first fault for the message
+        if parts and not (parts[-1] >= 0 and all(map(operator.ge, parts, parts[1:]))):
+            for i, p in enumerate(parts):
+                if p < 0:
+                    raise NotWeaklyDecreasing(f"negative part {p} in {parts}")
+                if i + 1 < len(parts) and parts[i + 1] > p:
+                    raise NotWeaklyDecreasing(
+                        f"parts {p}, {parts[i + 1]} increase in {parts}"
+                    )
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        return super().__new__(cls, parts)
+        return tuple.__new__(cls, parts)
 
     @property
     def size(self) -> int:
@@ -62,6 +64,12 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition{tuple(self)!r}" if self else "Partition()"
+
+
+def _known_valid(parts: Iterable[int]) -> Partition:
+    """``parts`` as a Partition without validation, for callers that build
+    weakly decreasing positive parts with no trailing zero."""
+    return tuple.__new__(Partition, parts)
 
 
 class Cell(NamedTuple):
@@ -85,7 +93,7 @@ def transpose(lam: Partition) -> Partition:
     for i in range(len(lam), 0, -1):
         below = lam[i] if i < len(lam) else 0
         cols += [i] * (lam[i - 1] - below)
-    return Partition(cols)
+    return _known_valid(cols)
 
 
 def contains(lam: Partition, nu: Partition) -> bool:
@@ -143,7 +151,8 @@ def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
     """
     if r < 1:
         raise ValueError(f"hook size must be positive, got {r}")
-    lam = Partition(lam)
+    if type(lam) is not Partition:
+        lam = Partition(lam)
     ell = len(lam)
     beta = [p - i + ell - 1 for i, p in enumerate(lam)]
     beads = set(beta)
@@ -164,7 +173,10 @@ def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
             for row in range(bottom, top - 1, -1)
             for col in range(inner[row - top] + 1, lam[row] + 1)
         )
-        comp = Partition(lam[:top] + tuple(inner) + lam[bottom + 1 :])
+        # a zero can only end the complement, when the strip reaches the last row
+        while inner and not inner[-1]:
+            inner.pop()
+        comp = _known_valid(lam[:top] + tuple(inner) + lam[bottom + 1 :])
         hooks.append(SkewHook(cells, bottom - top, comp))
     return hooks
 
@@ -191,7 +203,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
     def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:
-            yield Partition(prefix)
+            yield _known_valid(prefix)
             return
         for part in range(min(cap, remaining), 0, -1):
             prefix.append(part)
@@ -205,7 +217,7 @@ def subpartitions(lam: Partition) -> Iterator[Partition]:
     """Generate every partition contained in ``lam``."""
 
     def rec(i: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        yield Partition(prefix)
+        yield _known_valid(prefix)
         if i >= len(lam):
             return
         for part in range(1, min(cap, lam[i]) + 1):

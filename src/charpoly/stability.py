@@ -16,12 +16,10 @@ verification suites.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .binom_poly import BinomPoly
 from .partitions import Partition, contains, transpose
@@ -40,8 +38,7 @@ class Family(Enum):
     TYPE_THREE = "type3"
 
 
-@dataclass(frozen=True)
-class SignedPartition:
+class SignedPartition(NamedTuple):
     """An r-primary partition with its r-sign."""
 
     partition: Partition
@@ -112,8 +109,7 @@ def coeff_b_transposition_split(lam: Partition, h: int) -> tuple[int, int]:
     return plus, minus
 
 
-@dataclass(frozen=True)
-class CharPolyExpansion:
+class CharPolyExpansion(NamedTuple):
     """The shift-r coefficient vector b[0..k] for a partition of k."""
 
     lam: Partition
@@ -147,6 +143,8 @@ class CharPolyExpansion:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 

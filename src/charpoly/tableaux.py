@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial, perm, prod
 
-from .partitions import Partition, contains, hook_lengths, transpose
+from .partitions import Partition, contains, transpose
 
 
 def dim_syt(mu: Partition) -> int:
@@ -21,13 +21,12 @@ def dim_syt(mu: Partition) -> int:
     Equals the dimension of the corresponding irreducible representation;
     dim_syt of the empty partition is 1.
     """
-    hooks = hook_lengths(mu)
-    prod = 1
-    for h in hooks.values():
-        prod *= h
+    cols = transpose(mu)
+    # the hook of cell (i, j), 0-based, is arm + leg + 1
+    hooks = prod(p - j + cols[j] - i - 1 for i, p in enumerate(mu) for j in range(p))
     n_fact = factorial(mu.size)
-    assert n_fact % prod == 0, f"hook product does not divide {mu.size}!"
-    return n_fact // prod
+    assert n_fact % hooks == 0, f"hook product does not divide {mu.size}!"
+    return n_fact // hooks
 
 
 def _det(m: list[list[int]]) -> int:
@@ -79,7 +78,11 @@ def skew_syt_count(outer: Partition, inner: Partition) -> int:
 
     0 when ``inner`` is not contained in ``outer``, 1 when they coincide.
     """
-    return _skew_count(Partition(outer), Partition(inner))
+    if type(outer) is not Partition:
+        outer = Partition(outer)
+    if type(inner) is not Partition:
+        inner = Partition(inner)
+    return _skew_count(outer, inner)
 
 
 def a_coeff(lam: Partition, h: int) -> int:

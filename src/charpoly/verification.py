@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .binom_poly import BinomPoly, eval_poly, interpolate, reshift
 from .characters import (
@@ -45,8 +44,7 @@ from .tableaux import a_coeff, dim_syt, skew_syt_count
 from . import stability
 
 
-@dataclass
-class Bounds:
+class Bounds(NamedTuple):
     """Sweep bounds; the defaults reproduce the full acceptance sweep."""
 
     max_k: int = 8
@@ -54,20 +52,20 @@ class Bounds:
     n_window: int = 7
 
 
-@dataclass
 class SuiteResult:
     """Outcome of one suite: ``disagreements`` counts every failing check,
     ``failures`` describes the first few of them, ``seconds`` is the time
     the suite took."""
 
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
-    report_only: bool = False
-    disagreements: int = 0
-    seconds: float = 0.0
-
     _MAX_RECORDED = 3
+
+    def __init__(self, name: str, *, report_only: bool = False):
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
+        self.report_only = report_only
+        self.disagreements = 0
+        self.seconds = 0.0
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,6 @@
 from math import comb
 
+import pytest
 from hypothesis import given, strategies as st
 
 from charpoly.binom_poly import BinomPoly, binomial, eval_poly, interpolate, reshift
@@ -48,6 +49,14 @@ class TestEval:
 
     def test_trailing_zeros_normalized(self):
         assert BinomPoly(1, [2, 0, 0]) == BinomPoly(1, [2])
+
+    def test_value_type(self):
+        p, q = BinomPoly(0, [1, 2, 0, 0]), BinomPoly(0, (1, 2))
+        assert p == q and hash(p) == hash(q)
+        assert p != BinomPoly(1, (1, 2))
+        assert repr(p) == "BinomPoly(shift=0, coeffs=(1, 2))"
+        with pytest.raises(AttributeError):
+            p.shift = 1
 
 
 class TestReshift:

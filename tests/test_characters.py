@@ -34,6 +34,14 @@ class TestCycleType:
     def test_canonical(self):
         assert CycleType([1, 1, 3]).cycles == Partition([3, 1, 1])
 
+    def test_value_type(self):
+        a, b = CycleType([1, 2, 1]), CycleType([2, 1, 1])
+        assert a == b and hash(a) == hash(b)
+        assert a != CycleType([2, 2])
+        assert repr(a) == "CycleType(cycles=Partition(2, 1, 1))"
+        with pytest.raises(AttributeError):
+            a.cycles = Partition([3])
+
     def test_centralizer(self):
         # (2,1,1) in S_4: z = 2 * 1!^... = 2 * 1 * 2! = 4
         assert centralizer_order(CycleType([2, 1, 1])) == 4
@@ -101,6 +109,10 @@ class TestFrobenius:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             character_frobenius_transposition(Partition([1]))
+
+    def test_returns_int(self):
+        for lam in partitions_of(6):
+            assert type(character_frobenius_transposition(lam)) is int
 
     @pytest.mark.parametrize("parts", [(1994, 3, 3), (1000, 1000)])
     def test_long_rims_match_mn(self, parts):

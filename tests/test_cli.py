@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -20,6 +22,26 @@ REFERENCE_REPORTS = sorted(
 
 def load_schema(name):
     return json.loads((files("charpoly") / "schemas" / name).read_text())
+
+
+def _modules_after(statement):
+    """Names of the modules a fresh interpreter holds after ``statement``."""
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return set(proc.stdout.split())
+
+
+class TestImportBudget:
+    def test_cli_import_skips_unused_modules(self):
+        loaded = _modules_after("import charpoly.cli")
+        assert "charpoly.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json"}
+
+    def test_verification_import_skips_dataclasses(self):
+        loaded = _modules_after("import charpoly.verification")
+        assert "charpoly.verification" in loaded
+        assert "dataclasses" not in loaded
 
 
 class TestParsePartition:
@@ -232,6 +254,14 @@ class TestVerify:
         assert all(re.fullmatch(r"# suite \S+ \d+\.\d{3}s", l)
                    for l in lines if l.startswith("# suite "))
         assert lines[-1].startswith("# elapsed: ")
+
+    def test_suite_result_starts_empty(self):
+        a, b = verification.SuiteResult("x"), verification.SuiteResult("y")
+        assert (a.checks, a.failures, a.report_only, a.disagreements) == (0, [], False, 0)
+        assert a.ok
+        a.expect(False, lambda: "first")
+        assert a.failures == ["first"] and not a.ok
+        assert b.failures == []
 
     def test_json_report_schema(self, run_cli):
         code, out, _ = run_cli(

@@ -56,6 +56,15 @@ class TestMakePartition:
         with pytest.raises(NotWeaklyDecreasing):
             Partition([3, -1])
 
+    def test_error_messages(self):
+        with pytest.raises(NotWeaklyDecreasing, match=r"^negative part -1 in \(3, -1\)$"):
+            Partition([3, -1])
+        with pytest.raises(NotWeaklyDecreasing, match=r"^parts 1, 2 increase in \(3, 1, 2\)$"):
+            Partition([3, 1, 2])
+        # the first problem in row order is reported
+        with pytest.raises(NotWeaklyDecreasing, match=r"^parts 0, 1 increase in \(2, 0, 1, -1\)$"):
+            Partition([2, 0, 1, -1])
+
 
 class TestTranspose:
     def test_rectangle(self):
@@ -171,6 +180,18 @@ class TestSkewHooks:
             for a, b in zip(h.cells, h.cells[1:]):
                 assert (b.row, b.col) in ((a.row - 1, a.col), (a.row, a.col + 1))
 
+    def test_complements_are_canonical(self):
+        assert skew_hooks(Partition([1]), 1)[0].complement == Partition()
+        assert skew_hooks(Partition([1]), 1)[0].complement.length == 0
+        assert [h.complement for h in skew_hooks(Partition([3, 1, 1]), 5)] == [Partition()]
+        for k in range(9):
+            for lam in partitions_of(k):
+                for r in range(1, k + 1):
+                    for h in skew_hooks(lam, r):
+                        assert type(h.complement) is Partition
+                        assert 0 not in h.complement
+                        assert h.complement == Partition(list(h.complement))
+
     def test_size_one_is_corners(self):
         for lam in partitions_of(6):
             hooks = skew_hooks(lam, 1)
@@ -223,6 +244,13 @@ def test_partitions_of_order_and_count():
         Partition([1, 1, 1, 1]),
     ]
     assert len(list(partitions_of(8))) == 22
+
+
+def test_generated_partitions_have_the_type():
+    lam = Partition([4, 2, 2, 1])
+    produced = [transpose(lam), transpose(Partition()), *partitions_of(6), *subpartitions(lam)]
+    assert all(type(nu) is Partition for nu in produced)
+    assert all(nu == Partition(list(nu)) for nu in produced)
 
 
 def test_subpartitions_contained_and_complete():
