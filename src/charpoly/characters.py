@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator
 
 from .partitions import (
@@ -162,11 +162,3 @@ def _sub_multisets(x: dict[int, int], size: int) -> Iterator[tuple[list[int], in
 
     yield from rec(0, size, [], 1)
 
-
-def centralizer_order(ct: CycleType) -> int:
-    """Order of the centralizer of a permutation of cycle type ``ct``:
-    prod_i i^{x_i} x_i!."""
-    z = 1
-    for i, x_i in ct.multiplicities().items():
-        z *= i**x_i * factorial(x_i)
-    return z

@@ -122,30 +122,40 @@ def cmd_primaries(args) -> int:
     return 0
 
 
+def _parse_cycle_type(text: str) -> CycleType:
+    """Parse a descending comma list of cycle lengths, each at least 1."""
+    text = text.strip()
+    lengths = _parse_ints(text) if text else []
+    cycles = Partition(lengths)
+    if 0 in lengths:
+        raise UsageError(f"cycle lengths must be >= 1, got {lengths}")
+    return CycleType(cycles)
+
+
 def cmd_char(args) -> int:
     mu = parse_partition(args.mu)
-    ct = CycleType(parse_partition(args.ct))
-    print(character_mn(mu, ct))
+    print(character_mn(mu, _parse_cycle_type(args.ct)))
     return 0
 
 
-def _stable_tail_start(lam: Partition, r_list: list[int]) -> int | None:
-    """Index in r_list where a provably infinite run of identical
-    coefficient vectors starts, or None.
+def _stable_tail_start(
+    lam: Partition, expansions: Sequence[stability.CharPolyExpansion]
+) -> int | None:
+    """Index in ``expansions`` (ascending in r) where a provably infinite
+    run of identical coefficient vectors starts, or None.
 
     The vectors stabilize for every cycle length above the tail value
     exactly when they already match through k + 1, since past k the
-    vector is the plain tableau-count one.
+    vector is the plain tableau-count one.  Only the cycle lengths up to
+    k + 1 missing from ``expansions`` are expanded.
     """
-    k = lam.size
-    vectors = [stability.char_poly(lam, r).b for r in r_list]
-    start = len(r_list) - 1
-    while start > 0 and vectors[start - 1] == vectors[-1]:
+    start = len(expansions) - 1
+    while start > 0 and expansions[start - 1].b == expansions[-1].b:
         start -= 1
-    r_start = r_list[start]
-    reference = vectors[start]
-    for r in range(r_start, max(r_start, k + 1) + 1):
-        if stability.char_poly(lam, r).b != reference:
+    r_start, reference = expansions[start].r, expansions[start].b
+    known = {exp.r for exp in expansions[start:]}
+    for r in range(r_start + 1, lam.size + 2):
+        if r not in known and stability.char_poly(lam, r).b != reference:
             return None
     return start
 
@@ -157,11 +167,10 @@ def cmd_table(args) -> int:
         raise UsageError(f"cycle lengths must be >= 1, got {r_list}")
     k = lam.size
     expansions = [stability.char_poly(lam, r) for r in r_list]
-    dim = stability.dim_poly(lam)
-    a_vec = [a_coeff(lam, h) for h in range(k + 1)]
     if args.format == "json":
         import json
 
+        dim = stability.dim_poly(lam)
         doc = {
             "lambda": list(lam),
             "k": k,
@@ -171,7 +180,7 @@ def cmd_table(args) -> int:
         print(json.dumps(doc, separators=(",", ":")))
     elif args.format == "latex":
         ascending = all(a < b for a, b in zip(r_list, r_list[1:]))
-        tail = _stable_tail_start(lam, r_list) if ascending and len(r_list) > 1 else None
+        tail = _stable_tail_start(lam, expansions) if ascending and len(r_list) > 1 else None
         for idx, exp in enumerate(expansions):
             if tail is not None and idx == tail:
                 print(stability.latex_expansion_line(exp, collapsed_from=exp.r))
@@ -183,6 +192,7 @@ def cmd_table(args) -> int:
         for exp in expansions:
             terms = format_terms(exp.b, f"n-{exp.r}")
             print(f"r={exp.r} shift={exp.shift} b={_fmt_parts(exp.b)} chi = {terms}")
+        a_vec = [a_coeff(lam, h) for h in range(k + 1)]
         print(
             f"dim shift=0 a={_fmt_parts(a_vec)} f = {format_terms(a_vec, 'n')}"
         )

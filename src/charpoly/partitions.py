@@ -16,14 +16,6 @@ class NotWeaklyDecreasing(ValueError):
     """Raised when an input sequence is not a valid partition."""
 
 
-class EmptyPartition(ValueError):
-    """Raised when an operation needs a non-empty partition."""
-
-
-class NotACorner(ValueError):
-    """Raised when a cell is not an internal corner of the partition."""
-
-
 class Partition(tuple):
     """A partition as a weakly decreasing tuple of positive integers.
 
@@ -99,40 +91,6 @@ def transpose(lam: Partition) -> Partition:
 def contains(lam: Partition, nu: Partition) -> bool:
     """True iff the diagram of ``nu`` fits inside the diagram of ``lam``."""
     return len(nu) <= len(lam) and all(map(operator.le, nu, lam))
-
-
-def internal_corners(lam: Partition) -> list[Cell]:
-    """Cells removable from ``lam``, in increasing row order.
-
-    These are exactly the boxes of hook length 1.
-    """
-    if not lam:
-        raise EmptyPartition("the empty partition has no corners")
-    corners = []
-    for i, p in enumerate(lam):
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        if p > below:
-            corners.append(Cell(i + 1, p))
-    return corners
-
-
-def remove_corner(lam: Partition, v: Cell) -> Partition:
-    """Partition obtained by removing the internal corner ``v`` from ``lam``."""
-    if v not in internal_corners(lam):
-        raise NotACorner(f"{v} is not an internal corner of {lam}")
-    parts = list(lam)
-    parts[v.row - 1] -= 1
-    return Partition(parts)
-
-
-def hook_lengths(lam: Partition) -> dict[Cell, int]:
-    """Hook length of every cell: arm + leg + 1."""
-    t = transpose(lam)
-    return {
-        Cell(i, j): (lam[i - 1] - j) + (t[j - 1] - i) + 1
-        for i in range(1, len(lam) + 1)
-        for j in range(1, lam[i - 1] + 1)
-    }
 
 
 def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:

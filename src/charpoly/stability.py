@@ -8,26 +8,21 @@ polynomial in n.  Written as
 
 each coefficient ``b[h]`` is a signed count of skew standard tableaux of
 ``lam`` over the r-primary partitions of h.  This module builds those
-coefficient vectors, the two expansions of the plain dimension (shift 0
-and shift 1), the transposition closed forms, and the constant-term
-rules, each with an independent second derivation used by the
-verification suites.
+coefficient vectors, the plain-basis dimension polynomial (whose shift-1
+form is the r = 1 expansion) and their text and LaTeX renderings, one
+algorithm each; the second derivations that check them live in
+``verification``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from math import comb
 from typing import NamedTuple, Sequence
 
 from .binom_poly import BinomPoly
-from .partitions import Partition, contains, transpose
-from .tableaux import a_coeff, dim_syt, skew_syt_count
-
-
-class CaseNotDefined(ValueError):
-    """Raised when a transposition closed form is queried below its k range."""
+from .partitions import Partition
+from .tableaux import a_coeff, skew_syt_count
 
 
 class Family(Enum):
@@ -92,23 +87,6 @@ def coeff_b(lam: Partition, h: int, r: int) -> int:
     )
 
 
-def coeff_b_transposition_split(lam: Partition, h: int) -> tuple[int, int]:
-    """The two transposition half-coefficients (b_plus, b_minus).
-
-    For h <= 3, b_plus counts skew tableaux over the single row (h) and
-    b_minus is 0; for h >= 4 they count over (3, 1^(h-3)) and
-    (2, 2, 1^(h-4)).  Their difference is coeff_b(lam, h, 2).
-    """
-    lam = Partition(lam)
-    if h < 0:
-        raise ValueError(f"h must be nonnegative, got {h}")
-    if h <= 3:
-        return skew_syt_count(lam, Partition([h] if h else [])), 0
-    plus = skew_syt_count(lam, Partition([3] + [1] * (h - 3)))
-    minus = skew_syt_count(lam, Partition([2, 2] + [1] * (h - 4)))
-    return plus, minus
-
-
 class CharPolyExpansion(NamedTuple):
     """The shift-r coefficient vector b[0..k] for a partition of k."""
 
@@ -169,104 +147,6 @@ def dim_poly(lam: Partition) -> BinomPoly:
         a = a_coeff(lam, h)
         coeffs[k - h] = a if h % 2 == 0 else -a
     return BinomPoly(0, coeffs)
-
-
-def dim_poly_alt(lam: Partition) -> BinomPoly:
-    """Second dimension formula, in the shift-1 basis: the r = 1 case of
-    the cycle expansion.  Function-equal to dim_poly."""
-    return char_poly(lam, 1).poly
-
-
-def constant_coeff(lam: Partition, r: int) -> int:
-    """The constant-term coefficient b[k] for ``lam`` of k: the r-sign
-    when ``lam`` is r-primary, else 0."""
-    lam = Partition(lam)
-    for sp in r_primary(r, lam.size):
-        if sp.partition == lam:
-            return sp.sign
-    return 0
-
-
-def _complement_is_vertical_strip(lam: Partition, kappa: Partition) -> bool:
-    return all(
-        lam[i] - (kappa[i] if i < len(kappa) else 0) in (0, 1)
-        for i in range(len(lam))
-    )
-
-
-def constant_coeff_vertical_strip(lam: Partition, r: int) -> int:
-    """Second derivation of the constant term, from the vertical-strip
-    expansion of the character.
-
-    Only the empty inner partition and the hooks (i, 1^(r-i)) survive for
-    a single r-cycle with no fixed points: the former contributes 1 when
-    ``lam`` is itself a vertical strip (a column), and each fitting hook
-    whose complement in ``lam`` is a vertical strip contributes (-1)^i.
-    """
-    lam = Partition(lam)
-    if r < 1:
-        raise ValueError(f"cycle length must be positive, got {r}")
-    total = 1 if all(p <= 1 for p in lam) else 0
-    for i in range(1, r + 1):
-        kappa = Partition([i] + [1] * (r - i))
-        if not contains(lam, kappa):
-            continue
-        if _complement_is_vertical_strip(lam, kappa):
-            total += -1 if i % 2 else 1
-    return total
-
-
-_BASIS2_MIN_K = {1: 0, 2: 2, 3: 3, 4: 4}
-
-
-def basis2_partition(case: int, k: int) -> Partition:
-    """The partition of k handled by the given transposition closed form:
-    (1^k), (2, 1^{k-2}), (3, 1^{k-3}) or (2, 2, 1^{k-4})."""
-    if case not in _BASIS2_MIN_K:
-        raise ValueError(f"case must be 1..4, got {case}")
-    if k < _BASIS2_MIN_K[case]:
-        raise CaseNotDefined(f"case {case} needs k >= {_BASIS2_MIN_K[case]}, got {k}")
-    head = {1: [], 2: [2], 3: [3], 4: [2, 2]}[case]
-    return Partition(head + [1] * (k - sum(head)))
-
-
-def basis2_closed_form(case: int, k: int) -> tuple[int, ...]:
-    """Coefficient vector b[0..k] of one of the four transposition closed
-    forms, transcribed term by term (including the explicit zero at h = 3
-    in case 4)."""
-    if case not in _BASIS2_MIN_K:
-        raise ValueError(f"case must be 1..4, got {case}")
-    if k < _BASIS2_MIN_K[case]:
-        raise CaseNotDefined(f"case {case} needs k >= {_BASIS2_MIN_K[case]}, got {k}")
-    b = [0] * (k + 1)
-    if case == 1:
-        b[0] = 1
-        if k >= 1:
-            b[1] = 1
-    elif case == 2:
-        b[0] = b[1] = k - 1
-        b[2] = 1
-    elif case == 3:
-        b[0] = b[1] = comb(k - 1, 2)
-        b[2] = k - 2
-        for h in range(3, k + 1):
-            b[h] = 1
-    else:
-        b[0] = b[1] = k * (k - 3) // 2
-        b[2] = k - 3
-        b[3] = 0
-        for h in range(4, k + 1):
-            b[h] = -1
-    return tuple(b)
-
-
-def basis2_closed_forms(k: int) -> dict[int, tuple[Partition, tuple[int, ...]]]:
-    """All transposition closed forms defined at this k, keyed by case."""
-    out = {}
-    for case in (1, 2, 3, 4):
-        if k >= _BASIS2_MIN_K[case]:
-            out[case] = (basis2_partition(case, k), basis2_closed_form(case, k))
-    return out
 
 
 def shape_in_n(lam: Partition) -> str:

@@ -11,31 +11,34 @@ backtracking for skew counts, border strips as connected skew shapes
 lam / mu with no 2x2 block, and, for characters and the stable-range
 polynomials, the Frobenius and vertical-strip evaluators, interpolation
 of Murnaghan--Nakayama values and the peel-order and orthogonality laws.
+
+The second derivations that only the suites use live here too, each next
+to its suite: internal corners and corner removal (branching rules),
+hook lengths cell by cell, centralizer orders, the constant term from
+the r-signs and from vertical strips, the four transposition closed
+forms and the two-sided split of the transposition coefficients.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .binom_poly import BinomPoly, eval_poly, interpolate, reshift
 from .characters import (
     CycleType,
     _mn,
-    centralizer_order,
     character_frobenius_transposition,
     character_mn,
     character_recpart,
 )
 from .partitions import (
+    Cell,
     Partition,
     contains,
-    hook_lengths,
-    internal_corners,
     partitions_of,
-    remove_corner,
     skew_hooks,
     subpartitions,
     transpose,
@@ -171,6 +174,48 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
 # partition-level suites
 
 
+class EmptyPartition(ValueError):
+    """Raised when an operation needs a non-empty partition."""
+
+
+class NotACorner(ValueError):
+    """Raised when a cell is not an internal corner of the partition."""
+
+
+def internal_corners(lam: Partition) -> list[Cell]:
+    """Cells removable from ``lam``, in increasing row order.
+
+    These are exactly the boxes of hook length 1.
+    """
+    if not lam:
+        raise EmptyPartition("the empty partition has no corners")
+    corners = []
+    for i, p in enumerate(lam):
+        below = lam[i + 1] if i + 1 < len(lam) else 0
+        if p > below:
+            corners.append(Cell(i + 1, p))
+    return corners
+
+
+def remove_corner(lam: Partition, v: Cell) -> Partition:
+    """Partition obtained by removing the internal corner ``v`` from ``lam``."""
+    if v not in internal_corners(lam):
+        raise NotACorner(f"{v} is not an internal corner of {lam}")
+    parts = list(lam)
+    parts[v.row - 1] -= 1
+    return Partition(parts)
+
+
+def hook_lengths(lam: Partition) -> dict[Cell, int]:
+    """Hook length of every cell: arm + leg + 1."""
+    t = transpose(lam)
+    return {
+        Cell(i, j): (lam[i - 1] - j) + (t[j - 1] - i) + 1
+        for i in range(1, len(lam) + 1)
+        for j in range(1, lam[i - 1] + 1)
+    }
+
+
 def check_partition_corner_count(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("partition_corner_count")
     for lam in _shapes_upto(bounds.max_k + 4):
@@ -228,12 +273,9 @@ def check_skew_hook_bruteforce(bounds: Bounds) -> SuiteResult:
 def check_hook_product_divides_factorial(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("hook_product_divides_factorial")
     for lam in _shapes_upto(bounds.max_k + 4):
-        prod = 1
-        for h in hook_lengths(lam).values():
-            prod *= h
         res.expect(
-            factorial(lam.size) % prod == 0,
-            lambda lam=lam: f"lam={list(lam)}: hook product does not divide size!",
+            dim_syt(lam) * prod(hook_lengths(lam).values()) == factorial(lam.size),
+            lambda lam=lam: f"lam={list(lam)}: dim times hook product != size!",
         )
     return res
 
@@ -379,6 +421,15 @@ def check_mn_peel_order(bounds: Bounds) -> SuiteResult:
                     ),
                 )
     return res
+
+
+def centralizer_order(ct: CycleType) -> int:
+    """Order of the centralizer of a permutation of cycle type ``ct``:
+    prod_i i^{x_i} x_i!."""
+    z = 1
+    for i, x_i in ct.multiplicities().items():
+        z *= i**x_i * factorial(x_i)
+    return z
 
 
 def check_column_orthogonality(bounds: Bounds) -> SuiteResult:
@@ -626,12 +677,42 @@ def check_frobenius_route(bounds: Bounds) -> SuiteResult:
     return res
 
 
+def constant_coeff(lam: Partition, r: int) -> int:
+    """The constant-term coefficient b[k] for ``lam`` of k: the r-sign
+    when ``lam`` is r-primary, else 0."""
+    lam = Partition(lam)
+    return next((sp.sign for sp in stability.r_primary(r, lam.size) if sp.partition == lam), 0)
+
+
+def constant_coeff_vertical_strip(lam: Partition, r: int) -> int:
+    """Second derivation of the constant term, from the vertical-strip
+    expansion of the character.
+
+    Only the empty inner partition and the hooks (i, 1^(r-i)) survive for
+    a single r-cycle with no fixed points: the former contributes 1 when
+    ``lam`` is itself a vertical strip (a column), and each fitting hook
+    whose complement in ``lam`` is a vertical strip contributes (-1)^i.
+    """
+    lam = Partition(lam)
+    if r < 1:
+        raise ValueError(f"cycle length must be positive, got {r}")
+    total = 1 if all(p <= 1 for p in lam) else 0
+    for i in range(1, r + 1):
+        kappa = Partition([i] + [1] * (r - i))
+        # lam / kappa must be a vertical strip: at most one box per row
+        if contains(lam, kappa) and all(
+            p - (kappa[j] if j < len(kappa) else 0) <= 1 for j, p in enumerate(lam)
+        ):
+            total += -1 if i % 2 else 1
+    return total
+
+
 def check_constant_coeff_routes(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("constant_coeff_routes")
     for lam in _shapes_upto(bounds.max_k + 1):
         for r in range(1, bounds.max_r + 1):
-            via_primary = stability.constant_coeff(lam, r)
-            via_strips = stability.constant_coeff_vertical_strip(lam, r)
+            via_primary = constant_coeff(lam, r)
+            via_strips = constant_coeff_vertical_strip(lam, r)
             via_main = stability.coeff_b(lam, lam.size, r)
             res.expect(
                 via_primary == via_strips == via_main,
@@ -642,10 +723,68 @@ def check_constant_coeff_routes(bounds: Bounds) -> SuiteResult:
     return res
 
 
+class CaseNotDefined(ValueError):
+    """Raised when a transposition closed form is queried below its k range."""
+
+
+_BASIS2_MIN_K = {1: 0, 2: 2, 3: 3, 4: 4}
+
+
+def _check_basis2_case(case: int, k: int) -> None:
+    if case not in _BASIS2_MIN_K:
+        raise ValueError(f"case must be 1..4, got {case}")
+    if k < _BASIS2_MIN_K[case]:
+        raise CaseNotDefined(f"case {case} needs k >= {_BASIS2_MIN_K[case]}, got {k}")
+
+
+def basis2_partition(case: int, k: int) -> Partition:
+    """The partition of k handled by the given transposition closed form:
+    (1^k), (2, 1^{k-2}), (3, 1^{k-3}) or (2, 2, 1^{k-4})."""
+    _check_basis2_case(case, k)
+    head = {1: [], 2: [2], 3: [3], 4: [2, 2]}[case]
+    return Partition(head + [1] * (k - sum(head)))
+
+
+def basis2_closed_form(case: int, k: int) -> tuple[int, ...]:
+    """Coefficient vector b[0..k] of one of the four transposition closed
+    forms, transcribed term by term (including the explicit zero at h = 3
+    in case 4)."""
+    _check_basis2_case(case, k)
+    b = [0] * (k + 1)
+    if case == 1:
+        b[0] = 1
+        if k >= 1:
+            b[1] = 1
+    elif case == 2:
+        b[0] = b[1] = k - 1
+        b[2] = 1
+    elif case == 3:
+        b[0] = b[1] = comb(k - 1, 2)
+        b[2] = k - 2
+        for h in range(3, k + 1):
+            b[h] = 1
+    else:
+        b[0] = b[1] = k * (k - 3) // 2
+        b[2] = k - 3
+        b[3] = 0
+        for h in range(4, k + 1):
+            b[h] = -1
+    return tuple(b)
+
+
+def basis2_closed_forms(k: int) -> dict[int, tuple[Partition, tuple[int, ...]]]:
+    """All transposition closed forms defined at this k, keyed by case."""
+    out = {}
+    for case in (1, 2, 3, 4):
+        if k >= _BASIS2_MIN_K[case]:
+            out[case] = (basis2_partition(case, k), basis2_closed_form(case, k))
+    return out
+
+
 def check_basis2_forms(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("basis2_forms")
     for k in range(bounds.max_k + 5):
-        for case, (lam, b) in stability.basis2_closed_forms(k).items():
+        for case, (lam, b) in basis2_closed_forms(k).items():
             got = stability.char_poly(lam, 2).b
             res.expect(
                 got == b,
@@ -656,11 +795,28 @@ def check_basis2_forms(bounds: Bounds) -> SuiteResult:
     return res
 
 
+def coeff_b_transposition_split(lam: Partition, h: int) -> tuple[int, int]:
+    """The two transposition half-coefficients (b_plus, b_minus).
+
+    For h <= 3, b_plus counts skew tableaux over the single row (h) and
+    b_minus is 0; for h >= 4 they count over (3, 1^(h-3)) and
+    (2, 2, 1^(h-4)).  Their difference is coeff_b(lam, h, 2).
+    """
+    lam = Partition(lam)
+    if h < 0:
+        raise ValueError(f"h must be nonnegative, got {h}")
+    if h <= 3:
+        return skew_syt_count(lam, Partition([h] if h else [])), 0
+    plus = skew_syt_count(lam, Partition([3] + [1] * (h - 3)))
+    minus = skew_syt_count(lam, Partition([2, 2] + [1] * (h - 4)))
+    return plus, minus
+
+
 def check_transposition_split(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("transposition_split")
     for lam in _shapes_upto(bounds.max_k):
         for h in range(lam.size + 2):
-            plus, minus = stability.coeff_b_transposition_split(lam, h)
+            plus, minus = coeff_b_transposition_split(lam, h)
             got = stability.coeff_b(lam, h, 2)
             res.expect(
                 plus - minus == got,

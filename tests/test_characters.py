@@ -7,7 +7,6 @@ from charpoly.characters import (
     SizeMismatch,
     TooSmall,
     _mn,
-    centralizer_order,
     character_frobenius_transposition,
     character_mn,
     character_recpart,
@@ -16,6 +15,7 @@ from charpoly.partitions import Partition, partitions_of
 from charpoly.tableaux import dim_syt
 from charpoly.verification import (
     Bounds,
+    centralizer_order,
     check_column_orthogonality,
     check_frobenius_vs_mn,
     check_mn_identity_is_dimension,

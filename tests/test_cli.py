@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charpoly.characters import CycleType, character_recpart
 from charpoly.cli import main, parse_partition
@@ -37,6 +40,10 @@ class TestImportBudget:
         loaded = _modules_after("import charpoly.cli")
         assert "charpoly.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json"}
+
+    def test_cli_import_skips_verification(self):
+        # the oracles load only when ``verify`` runs
+        assert "charpoly.verification" not in _modules_after("import charpoly.cli")
 
     def test_verification_import_skips_dataclasses(self):
         loaded = _modules_after("import charpoly.verification")
@@ -161,6 +168,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_zero_cycle_length_exits_2(self, run_cli):
+        # a zero must not vanish as a trailing partition part
+        code, out, err = run_cli("char", "--mu", "3", "--ct", "3,0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_internal_error_exits_3(self, monkeypatch, capsys):
         def broken(lam, r):
             raise ValueError("library bug")
@@ -170,6 +183,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "internal error: ValueError: library bug\n"
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@st.composite
+def _char_args(draw):
+    """(mu, ct) texts for ``char`` with |mu| <= 30: cycle types summing to
+    |mu| or not, unordered, with zeros or negatives, or not integers."""
+    mu = sorted(draw(st.lists(st.integers(1, 12), max_size=8).filter(lambda xs: sum(xs) <= 30)),
+                reverse=True)
+    cycles = []
+    left = sum(mu)
+    while left:
+        cycles.append(draw(st.integers(1, left)))
+        left -= cycles[-1]
+    cycles = draw(st.permutations(cycles)) if draw(st.booleans()) else sorted(cycles, reverse=True)
+    cycles += draw(st.lists(st.integers(-2, 3), max_size=2))
+    ct = ",".join(map(str, cycles))
+    ct = draw(st.one_of(st.just(ct), st.text(alphabet="0123,- x", max_size=8)))
+    return ",".join(map(str, mu)), ct
+
+
+class TestCharFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_char_args())
+    def test_exit_is_success_or_usage_error(self, args):
+        mu, ct = args
+        assert _quiet_main(["char", f"--mu={mu}", f"--ct={ct}"]) in (0, 2)
 
 
 class TestTable:
@@ -204,6 +248,23 @@ class TestTable:
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["b"] == [1, 1, 0]
+
+    @pytest.mark.parametrize("lam, r_list, calls", [
+        ("6,5,4,3,2,1", "1,2,3,4,5,6,7,8", 9),
+        ("3,3", "2,3,4,5", 6),
+    ])
+    def test_latex_expands_each_r_once(self, monkeypatch, lam, r_list, calls):
+        # one char_poly per listed r plus each missing r the tail check needs
+        seen = []
+        real = stability.char_poly
+
+        def counting(lam, r):
+            seen.append(r)
+            return real(lam, r)
+
+        monkeypatch.setattr(stability, "char_poly", counting)
+        assert _quiet_main(["table", "--lambda", lam, "--r-list", r_list, "--format", "latex"]) == 0
+        assert len(seen) == len(set(seen)) == calls
 
     def test_collapse_marks_stable_tail(self, run_cli):
         _, out, _ = run_cli(

@@ -3,15 +3,10 @@ from hypothesis import given, strategies as st
 
 from charpoly.partitions import (
     Cell,
-    EmptyPartition,
-    NotACorner,
     NotWeaklyDecreasing,
     Partition,
     contains,
-    hook_lengths,
-    internal_corners,
     partitions_of,
-    remove_corner,
     skew_hooks,
     subpartitions,
     transpose,
@@ -19,11 +14,16 @@ from charpoly.partitions import (
 )
 from charpoly.verification import (
     Bounds,
+    EmptyPartition,
+    NotACorner,
     border_strips_bruteforce,
     check_hook_product_divides_factorial,
     check_partition_contains_transpose,
     check_partition_corner_count,
     check_skew_hook_bruteforce,
+    hook_lengths,
+    internal_corners,
+    remove_corner,
 )
 
 parts_st = st.lists(st.integers(1, 6), max_size=6).map(

@@ -4,18 +4,10 @@ from charpoly.characters import CycleType, character_mn
 from charpoly.binom_poly import BinomPoly, binomial, eval_poly, reshift
 from charpoly.partitions import Partition, partitions_of
 from charpoly.stability import (
-    CaseNotDefined,
     Family,
-    basis2_closed_form,
-    basis2_closed_forms,
-    basis2_partition,
     char_poly,
     coeff_b,
-    coeff_b_transposition_split,
-    constant_coeff,
-    constant_coeff_vertical_strip,
     dim_poly,
-    dim_poly_alt,
     format_terms,
     latex_dimension_line,
     latex_expansion_line,
@@ -24,6 +16,10 @@ from charpoly.stability import (
 from charpoly.tableaux import a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
+    CaseNotDefined,
+    basis2_closed_form,
+    basis2_closed_forms,
+    basis2_partition,
     check_basis2_forms,
     check_coefficient_recurrence,
     check_constant_coeff_routes,
@@ -37,6 +33,9 @@ from charpoly.verification import (
     check_transpose_small_h,
     check_transposition_split,
     check_vanishing_bound,
+    coeff_b_transposition_split,
+    constant_coeff,
+    constant_coeff_vertical_strip,
 )
 
 
@@ -178,20 +177,20 @@ class TestDimPoly:
 
     def test_empty(self):
         assert dim_poly(Partition()) == BinomPoly(0, [1])
-        assert dim_poly_alt(Partition()) == BinomPoly(1, [1])
+        assert char_poly(Partition(), 1).poly == BinomPoly(1, [1])
 
     def test_alt_worked_example(self):
         # 5C(n-1,6) - 3C(n-1,4) + 2C(n-1,3)
-        assert dim_poly_alt(Partition([3, 3])) == BinomPoly(1, [0, 0, 0, 2, -3, 0, 5])
+        assert char_poly(Partition([3, 3]), 1).poly == BinomPoly(1, [0, 0, 0, 2, -3, 0, 5])
 
     def test_alt_single_column(self):
         for k in range(7):
-            assert dim_poly_alt(Partition([1] * k)) == BinomPoly(1, [0] * k + [1])
+            assert char_poly(Partition([1] * k), 1).poly == BinomPoly(1, [0] * k + [1])
 
     def test_alt_equals_dim_everywhere(self):
         for k in range(6):
             for lam in partitions_of(k):
-                p, q = dim_poly(lam), dim_poly_alt(lam)
+                p, q = dim_poly(lam), char_poly(lam, 1).poly
                 assert all(eval_poly(p, n) == eval_poly(q, n) for n in range(0, 25))
 
     def test_matches_hook_formula(self):

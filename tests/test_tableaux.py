@@ -1,13 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from charpoly.partitions import (
-    Partition,
-    internal_corners,
-    partitions_of,
-    remove_corner,
-    transpose,
-)
+from charpoly.partitions import Partition, partitions_of, transpose
 from charpoly.tableaux import _det, a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
@@ -16,6 +10,8 @@ from charpoly.verification import (
     check_skew_count_vs_backtracking,
     check_skew_recursion,
     check_syt_branching,
+    internal_corners,
+    remove_corner,
     syt_count_backtracking,
 )
 
