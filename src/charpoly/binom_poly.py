@@ -62,9 +62,6 @@ class BinomPoly:
         """Largest m with a nonzero coefficient; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def __call__(self, x: int) -> int:
-        return eval_poly(self, x)
-
 
 def eval_poly(p: BinomPoly, x: int) -> int:
     """Evaluate ``p`` at the integer ``x``."""

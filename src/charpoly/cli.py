@@ -78,7 +78,7 @@ def cmd_expand(args) -> int:
     elif args.format == "latex":
         print(stability.latex_expansion_line(exp))
     else:
-        print(f"lambda={_fmt_parts(lam)} r={exp.r} k={exp.k} shift={exp.shift}")
+        print(f"lambda={_fmt_parts(lam)} r={exp.r} k={exp.k} shift={exp.r}")
         print(f"b = {_fmt_parts(exp.b)}")
         print(f"chi = {format_terms(exp.b, f'n-{exp.r}')}")
     return 0
@@ -123,13 +123,12 @@ def cmd_primaries(args) -> int:
 
 
 def _parse_cycle_type(text: str) -> CycleType:
-    """Parse a descending comma list of cycle lengths, each at least 1."""
+    """Parse a comma list of cycle lengths in any order, each at least 1."""
     text = text.strip()
     lengths = _parse_ints(text) if text else []
-    cycles = Partition(lengths)
-    if 0 in lengths:
+    if any(c < 1 for c in lengths):
         raise UsageError(f"cycle lengths must be >= 1, got {lengths}")
-    return CycleType(cycles)
+    return CycleType(lengths)
 
 
 def cmd_char(args) -> int:
@@ -166,7 +165,9 @@ def cmd_table(args) -> int:
     if any(r < 1 for r in r_list):
         raise UsageError(f"cycle lengths must be >= 1, got {r_list}")
     k = lam.size
-    expansions = [stability.char_poly(lam, r) for r in r_list]
+    # one expansion per distinct r, one row per listed r
+    by_r = {r: stability.char_poly(lam, r) for r in dict.fromkeys(r_list)}
+    expansions = [by_r[r] for r in r_list]
     if args.format == "json":
         import json
 
@@ -191,7 +192,7 @@ def cmd_table(args) -> int:
         print(f"lambda={_fmt_parts(lam)} k={k}")
         for exp in expansions:
             terms = format_terms(exp.b, f"n-{exp.r}")
-            print(f"r={exp.r} shift={exp.shift} b={_fmt_parts(exp.b)} chi = {terms}")
+            print(f"r={exp.r} shift={exp.r} b={_fmt_parts(exp.b)} chi = {terms}")
         a_vec = [a_coeff(lam, h) for h in range(k + 1)]
         print(
             f"dim shift=0 a={_fmt_parts(a_vec)} f = {format_terms(a_vec, 'n')}"

@@ -1,14 +1,14 @@
-"""Partitions, Young diagrams, and shape-level combinatorics.
+"""Partitions and shape-level combinatorics: transpose, containment,
+border strips on the beta-set, vertical strips and enumeration.
 
-Conventions: English notation, 1-based (row, col) coordinates, rows
-indexed downward.  A cell (i, j) belongs to the diagram of ``lam`` iff
-``j <= lam[i-1]``.  All values here are immutable and all functions are
-pure, so everything is safe to share between threads and to memoize.
+All values here are immutable and all functions are pure, so everything
+is safe to share between threads and to memoize.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -64,17 +64,10 @@ def _known_valid(parts: Iterable[int]) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
-class Cell(NamedTuple):
-    """A box of a Young diagram, 1-based (row, col)."""
-
-    row: int
-    col: int
-
-
 class SkewHook(NamedTuple):
-    """A border strip: connected boundary cells whose removal leaves a partition."""
+    """A border strip as Murnaghan--Nakayama reads it: its leg length (the
+    number of rows it spans, minus one) and the partition it leaves."""
 
-    cells: tuple[Cell, ...]
     leg_length: int
     complement: Partition
 
@@ -96,46 +89,33 @@ def contains(lam: Partition, nu: Partition) -> bool:
 def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
     """All border strips of ``lam`` with exactly ``r`` cells.
 
-    Found on the beta-set of ``lam`` (James--Kerber 1981, 2.7): with
-    l = len(lam), row i carries the bead beta_i = lam_i - i + l.  A strip
-    whose top cell is in row i exists iff beta_i - r >= 0 is not a bead;
-    moving the bead there removes it.  Its leg length is the number of
-    beads strictly between beta_i - r and beta_i, the beads of rows
-    i+1 .. i+leg.  In the complement each row k from i to i+leg-1
-    becomes lam_{k+1} - 1, and row i+leg takes its length from position
-    beta_i - r.  Each hook's cells run along the rim from the
-    bottom-left one; hooks are listed by increasing top row.  For
+    Found on the beta-set of ``lam`` (James--Kerber 1981, 2.7): the j-th
+    row from the bottom carries the bead lam_{l-j} + j, j = 0 .. l-1.
+    A strip exists for each bead b with b - r >= 0 not a bead, and moving
+    the bead there removes it.  Its leg length is the number of beads
+    strictly between b - r and b; the complement is the moved beta-set
+    minus the staircase 0, 1, .., l-1, with zero parts dropped.  Hooks
+    are listed by increasing top row, i.e. by decreasing bead.  For
     r = 1 these are the internal corners with leg length 0.
     """
     if r < 1:
         raise ValueError(f"hook size must be positive, got {r}")
     if type(lam) is not Partition:
         lam = Partition(lam)
-    ell = len(lam)
-    beta = [p - i + ell - 1 for i, p in enumerate(lam)]
-    beads = set(beta)
+    beta = [p + j for j, p in enumerate(reversed(lam))]
     hooks = []
-    for top, b in enumerate(beta):
-        pos = b - r
+    for t in range(len(beta) - 1, -1, -1):
+        pos = beta[t] - r
         if pos < 0:
             break
-        if pos in beads:
+        below = bisect_left(beta, pos)  # beads under pos; beta ascends
+        if beta[below] == pos:
             continue
-        bottom = top
-        while bottom + 1 < ell and beta[bottom + 1] > pos:
-            bottom += 1
-        inner = [q - 1 for q in lam[top + 1 : bottom + 1]]
-        inner.append(pos - ell + 1 + bottom)
-        cells = tuple(
-            Cell(row + 1, col)
-            for row in range(bottom, top - 1, -1)
-            for col in range(inner[row - top] + 1, lam[row] + 1)
-        )
-        # a zero can only end the complement, when the strip reaches the last row
-        while inner and not inner[-1]:
-            inner.pop()
-        comp = _known_valid(lam[:top] + tuple(inner) + lam[bottom + 1 :])
-        hooks.append(SkewHook(cells, bottom - top, comp))
+        moved = beta[:below] + [pos] + beta[below:t] + beta[t + 1 :]
+        parts = [c - j for j, c in enumerate(moved)]
+        # read bottom-up the parts increase, so any zeros come first
+        comp = _known_valid(reversed(parts[parts.count(0) :]))
+        hooks.append(SkewHook(t - below, comp))
     return hooks
 
 

@@ -99,10 +99,6 @@ class CharPolyExpansion(NamedTuple):
         return self.lam.size
 
     @property
-    def shift(self) -> int:
-        return self.r
-
-    @property
     def poly(self) -> BinomPoly:
         """The expansion as a polynomial: c[k - h] = (-1)^h b[h]."""
         k = self.k
@@ -116,7 +112,7 @@ class CharPolyExpansion(NamedTuple):
             "lambda": list(self.lam),
             "r": self.r,
             "k": self.k,
-            "shift": self.shift,
+            "shift": self.r,
             "b": list(self.b),
         }
 

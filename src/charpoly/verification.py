@@ -13,10 +13,10 @@ polynomials, the Frobenius and vertical-strip evaluators, interpolation
 of Murnaghan--Nakayama values and the peel-order and orthogonality laws.
 
 The second derivations that only the suites use live here too, each next
-to its suite: internal corners and corner removal (branching rules),
-hook lengths cell by cell, centralizer orders, the constant term from
-the r-signs and from vertical strips, the four transposition closed
-forms and the two-sided split of the transposition coefficients.
+to its suite: cells, internal corners and corner removal (branching
+rules), hook lengths cell by cell, centralizer orders, the constant
+term from the r-signs and from vertical strips, the four transposition
+closed forms and the two-sided split of the transposition coefficients.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .characters import (
     character_recpart,
 )
 from .partitions import (
-    Cell,
     Partition,
     contains,
     partitions_of,
@@ -143,8 +142,9 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
 
     A border strip is lam / mu for a partition mu contained in ``lam``
     whose skew shape is non-empty, edge-connected and holds no 2x2 block.
-    Walks every mu once; returns {r: {(frozenset of (row, col), leg
-    length, mu)}} with a (possibly empty) set for each r in 1..|lam|.
+    Walks every mu once; returns {r: {(leg length, mu)}} with a (possibly
+    empty) set for each r in 1..|lam|, the leg length being the number of
+    rows the strip spans, minus one.
     """
     lam = Partition(lam)
     found: dict[int, set[tuple]] = {r: set() for r in range(1, lam.size + 1)}
@@ -166,7 +166,7 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
                     queue.append(nb)
         if seen == cells:
             legs = len({i for i, _ in cells}) - 1
-            found[len(cells)].add((frozenset(cells), legs, mu))
+            found[len(cells)].add((legs, mu))
     return found
 
 
@@ -180,6 +180,14 @@ class EmptyPartition(ValueError):
 
 class NotACorner(ValueError):
     """Raised when a cell is not an internal corner of the partition."""
+
+
+class Cell(NamedTuple):
+    """A box of a Young diagram: 1-based (row, col), rows counted downward
+    (English notation), so (i, j) lies in ``lam`` iff j <= lam[i-1]."""
+
+    row: int
+    col: int
 
 
 def internal_corners(lam: Partition) -> list[Cell]:
@@ -252,19 +260,16 @@ def check_skew_hook_bruteforce(bounds: Bounds) -> SuiteResult:
         for r in range(1, lam.size + 1):
             hooks = skew_hooks(lam, r)
             for hook in hooks:
+                comp = hook.complement
+                rows = sum(p > (comp[i] if i < len(comp) else 0) for i, p in enumerate(lam))
                 res.expect(
-                    len(hook.cells) == r
-                    and hook.complement.size == lam.size - r
-                    and contains(lam, hook.complement)
-                    and hook.leg_length == len({c.row for c in hook.cells}) - 1,
+                    comp.size == lam.size - r
+                    and contains(lam, comp)
+                    and hook.leg_length == rows - 1,
                     lambda lam=lam, r=r, hook=hook: f"lam={list(lam)} r={r}: malformed hook {hook}",
                 )
-            got = {
-                (frozenset((c.row, c.col) for c in h.cells), h.leg_length, h.complement)
-                for h in hooks
-            }
             res.expect(
-                got == strips[r],
+                set(hooks) == strips[r],
                 lambda lam=lam, r=r: f"lam={list(lam)} r={r}: hook set differs from brute force",
             )
     return res

@@ -51,6 +51,28 @@ class TestImportBudget:
         assert "dataclasses" not in loaded
 
 
+class TestBenchmarkImports:
+    def test_benchmark_scripts_run_on_this_library(self):
+        # perfbench/ is a frozen copy that imports library names; a change
+        # that drops one of them must fail here, not in the benchmark run
+        root = Path(__file__).resolve().parents[1]
+        code = f"""
+import sys
+sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
+import checks, spans, worker
+spans.Tracer().install()
+requests = [["char", "--mu", "4,3,3", "--ct", "2,2,1,1,1,1,1,1"],
+            ["expand", "--lambda", "3,3", "--r", "2", "--format", "json"]]
+_, _, results = worker.run_requests(requests)
+for argv, res in zip(requests, results):
+    problem = checks.check(argv, res["code"], res["out"])
+    assert problem is None, (argv, problem, res["err"])
+worker.cache_stats()
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestParsePartition:
     def test_basic(self):
         assert parse_partition("3,3") == Partition([3, 3])
@@ -144,6 +166,14 @@ class TestChar:
         code, out, _ = run_cli("char", "--mu", "2,1,1", "--ct", "4")
         assert (code, out.strip()) == (0, "1")
 
+    def test_cycle_lengths_in_any_order(self, run_cli):
+        # a cycle type is a multiset of lengths: --ct need not descend
+        for mu, ct in (("2,1", "1,2"), ("3,1", "1,2,1")):
+            descending = ",".join(sorted(ct.split(","), key=int, reverse=True))
+            code, out, err = run_cli("char", "--mu", mu, "--ct", ct)
+            assert (code, err) == (0, "")
+            assert (code, out, err) == run_cli("char", "--mu", mu, "--ct", descending)
+
     def test_size_mismatch_exits_2(self, run_cli):
         code, _, err = run_cli("char", "--mu", "2,1", "--ct", "4")
         assert code == 2
@@ -185,9 +215,16 @@ class TestExitCodes:
         assert err == "internal error: ValueError: library bug\n"
 
 
+def _captured_main(argv):
+    """(exit code, stdout) of ``main(argv)`` run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 def _quiet_main(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    return _captured_main(argv)[0]
 
 
 @st.composite
@@ -213,7 +250,12 @@ class TestCharFuzz:
     @given(_char_args())
     def test_exit_is_success_or_usage_error(self, args):
         mu, ct = args
-        assert _quiet_main(["char", f"--mu={mu}", f"--ct={ct}"]) in (0, 2)
+        got = _captured_main(["char", f"--mu={mu}", f"--ct={ct}"])
+        assert got[0] in (0, 2)
+        if re.fullmatch(r"[1-9]\d*(,[1-9]\d*)*", ct):
+            # a valid cycle type in any order reads as its descending form
+            descending = ",".join(sorted(ct.split(","), key=int, reverse=True))
+            assert _captured_main(["char", f"--mu={mu}", f"--ct={descending}"]) == got
 
 
 class TestTable:
@@ -265,6 +307,24 @@ class TestTable:
         monkeypatch.setattr(stability, "char_poly", counting)
         assert _quiet_main(["table", "--lambda", lam, "--r-list", r_list, "--format", "latex"]) == 0
         assert len(seen) == len(set(seen)) == calls
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_repeated_r_expands_once(self, monkeypatch, fmt):
+        seen = []
+        real = stability.char_poly
+
+        def counting(lam, r):
+            seen.append(r)
+            return real(lam, r)
+
+        monkeypatch.setattr(stability, "char_poly", counting)
+        argv = ["table", "--lambda", "3,3", "--r-list", "2,2,2,3", "--format", fmt]
+        code, out = _captured_main(argv)
+        assert code == 0
+        assert seen == [2, 3]
+        # still one row per listed r
+        row = {"text": "\nr=2 ", "json": '"r":2,', "latex": "\\sigma_{2}"}[fmt]
+        assert out.count(row) == 3
 
     def test_collapse_marks_stable_tail(self, run_cli):
         _, out, _ = run_cli(

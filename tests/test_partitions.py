@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from charpoly import partitions
 from charpoly.partitions import (
-    Cell,
     NotWeaklyDecreasing,
     Partition,
+    SkewHook,
     contains,
     partitions_of,
     skew_hooks,
@@ -14,6 +15,7 @@ from charpoly.partitions import (
 )
 from charpoly.verification import (
     Bounds,
+    Cell,
     EmptyPartition,
     NotACorner,
     border_strips_bruteforce,
@@ -143,14 +145,15 @@ class TestHookLengths:
 
 
 class TestSkewHooks:
+    def test_hook_is_leg_and_complement(self):
+        assert SkewHook._fields == ("leg_length", "complement")
+        assert not hasattr(partitions, "Cell")
+
     def test_dominoes_of_rectangle(self):
         hooks = skew_hooks(Partition([3, 3]), 2)
-        as_sets = {
-            (frozenset(h.cells), h.leg_length, h.complement) for h in hooks
-        }
-        assert as_sets == {
-            (frozenset({Cell(2, 2), Cell(2, 3)}), 0, Partition([3, 1])),
-            (frozenset({Cell(1, 3), Cell(2, 3)}), 1, Partition([2, 2])),
+        assert {(h.leg_length, h.complement) for h in hooks} == {
+            (0, Partition([3, 1])),
+            (1, Partition([2, 2])),
         }
 
     def test_full_column(self):
@@ -170,15 +173,6 @@ class TestSkewHooks:
             (2, Partition([5, 1, 1, 1])),
             (1, Partition([5, 2, 1])),
         ]
-        assert [h.cells for h in hooks] == [
-            (Cell(1, 3), Cell(1, 4), Cell(1, 5)),
-            (Cell(4, 2), Cell(3, 2), Cell(2, 2)),
-            (Cell(4, 1), Cell(4, 2), Cell(3, 2)),
-        ]
-        for h in hooks:
-            # rim order: each step goes up or right, one diagonal further
-            for a, b in zip(h.cells, h.cells[1:]):
-                assert (b.row, b.col) in ((a.row - 1, a.col), (a.row, a.col + 1))
 
     def test_complements_are_canonical(self):
         assert skew_hooks(Partition([1]), 1)[0].complement == Partition()
@@ -195,15 +189,14 @@ class TestSkewHooks:
     def test_size_one_is_corners(self):
         for lam in partitions_of(6):
             hooks = skew_hooks(lam, 1)
-            assert [h.cells[0] for h in hooks] == internal_corners(lam)
+            assert [h.complement for h in hooks] == [
+                remove_corner(lam, v) for v in internal_corners(lam)
+            ]
             assert all(h.leg_length == 0 for h in hooks)
 
     @given(parts_st, st.integers(1, 6))
     def test_matches_bruteforce(self, lam, r):
-        got = {
-            (frozenset((c.row, c.col) for c in h.cells), h.leg_length, h.complement)
-            for h in skew_hooks(lam, r)
-        }
+        got = {(h.leg_length, h.complement) for h in skew_hooks(lam, r)}
         assert got == border_strips_bruteforce(lam).get(r, set())
 
 
