@@ -10,7 +10,10 @@ Three independent evaluators:
   the value at a transposition.
 * ``character_recpart`` -- the vertical-strip expansion of the character
   of (n-k, lam) at an arbitrary permutation, in terms of characters of
-  partitions of at most |lam| and binomials in the cycle counts.
+  partitions of at most |lam| and binomials in the cycle counts.  For a
+  fixed lam and a fixed set of non-trivial cycles (the support) it is a
+  polynomial in n, built once by ``recpart_poly`` over the binomials in
+  the number of fixed points and then evaluated at n.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import cache
 from math import comb
 from typing import Iterable, Iterator
 
+from .binom_poly import BinomPoly, eval_poly
 from .partitions import (
     Partition,
     skew_hooks,
@@ -118,15 +122,38 @@ def character_frobenius_transposition(mu: Partition) -> int:
     return value
 
 
+def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
+    """Character of shape (n - k, lam), k = |lam|, at the cycles ``support``
+    (all of length at least 2) plus n - |support| fixed points, as a
+    polynomial in n over the basis C(n - |support|, j).
+
+    The j-th coefficient sums, over the inner partitions kappa whose
+    complement in ``lam`` is a vertical strip and over the sub-multisets
+    beta of ``support`` with |beta| + j = |kappa|, the signed character
+    of kappa at beta plus j fixed points times the number of ways to
+    choose beta among the support's cycles.  Its value at n is the
+    character for n >= max(k + lam_1, |support|).
+    """
+    lam, support = Partition(lam), CycleType(support)
+    if 1 in support.cycles:
+        raise ValueError(f"support must hold cycles of length >= 2, got {list(support.cycles)}")
+    x = support.multiplicities()
+    coeffs = [0] * (lam.size + 1)
+    for kappa in vertical_strip_inners(lam):
+        sign = -1 if (lam.size - kappa.size) % 2 else 1
+        for j in range(kappa.size + 1):
+            for beta, weight in _sub_multisets(x, kappa.size - j):
+                coeffs[j] += sign * weight * character_mn(kappa, CycleType(beta + [1] * j))
+    return BinomPoly(support.n, coeffs)
+
+
 def character_recpart(lam: Partition, ct: CycleType) -> int:
     """Character of shape (n - k, lam) at a permutation of cycle type ``ct``,
     where k = |lam| and n is the size of ``ct``.
 
-    Sums, over inner partitions kappa whose complement in ``lam`` is a
-    vertical strip and over the cycle types alpha of |kappa| that are
-    sub-multisets of ``ct``, signed characters of kappa at alpha times
-    binomials in the cycle multiplicities.  Requires n >= k + lam_1 so
-    that (n - k, lam) is a partition in the stable range.
+    Evaluates ``recpart_poly`` at the cycles of ``ct`` of length at least
+    2, at n.  Requires n >= k + lam_1 so that (n - k, lam) is a partition
+    in the stable range.
     """
     lam = Partition(lam)
     k = lam.size
@@ -135,13 +162,7 @@ def character_recpart(lam: Partition, ct: CycleType) -> int:
         raise OutOfStableRange(
             f"need n >= {k + (lam[0] if lam else 0)} for lam = {lam}, got n = {n}"
         )
-    x = ct.multiplicities()
-    total = 0
-    for kappa in vertical_strip_inners(lam):
-        sign = -1 if (k - kappa.size) % 2 else 1
-        for alpha, weight in _sub_multisets(x, kappa.size):
-            total += sign * weight * character_mn(kappa, CycleType(alpha))
-    return total
+    return eval_poly(recpart_poly(lam, [c for c in ct.cycles if c >= 2]), n)
 
 
 def _sub_multisets(x: dict[int, int], size: int) -> Iterator[tuple[list[int], int]]:

@@ -10,7 +10,9 @@ from charpoly.characters import (
     character_frobenius_transposition,
     character_mn,
     character_recpart,
+    recpart_poly,
 )
+from charpoly.binom_poly import BinomPoly
 from charpoly.partitions import Partition, partitions_of
 from charpoly.tableaux import dim_syt
 from charpoly.verification import (
@@ -144,6 +146,19 @@ class TestRecpart:
     def test_out_of_range(self):
         with pytest.raises(OutOfStableRange):
             character_recpart(Partition([3, 3]), CycleType([4, 2, 2]))
+
+    @pytest.mark.parametrize("lam, support, want", [
+        ((1,), (), BinomPoly(0, (-1, 1))),
+        ((1,), (2,), BinomPoly(2, (-1, 1))),
+        ((1, 1), (2,), BinomPoly(2, (0, -1, 1))),
+        ((), (3, 2), BinomPoly(5, (1,))),
+    ])
+    def test_poly_per_support(self, lam, support, want):
+        assert recpart_poly(Partition(lam), support) == want
+
+    def test_poly_support_excludes_fixed_points(self):
+        with pytest.raises(ValueError):
+            recpart_poly(Partition([1]), (2, 1))
 
 
 def test_invariant_sweeps():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from importlib.resources import files
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -364,6 +365,32 @@ class TestVerify:
         strip = lambda out: [l for l in out.splitlines() if not l.startswith("#")]
         assert strip(seq) == strip(par)
 
+    def test_jobs_capped_at_one_process_per_suite(self, monkeypatch):
+        # a fake pool: never start real processes for a large --jobs
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        bounds = verification.Bounds(3, 2, 2)
+        many = verification.run_suites(bounds, jobs=10_000)
+        one = verification.run_suites(bounds, jobs=1)
+        assert started == [len(verification.SUITES)]
+        assert verification.render_report(many) == verification.render_report(one)
+
     def test_suite_seconds_in_text_mode(self, run_cli):
         code, out, _ = run_cli(
             "verify", "--max-k", "2", "--max-r", "2", "--n-window", "1"
@@ -426,14 +453,21 @@ class TestVerify:
                     assert all(r.ok for r in results), (bounds, results)
 
     def test_band_disagreement_is_described_not_fatal(self, monkeypatch, capsys):
-        real = verification.character_recpart
+        real_poly, real_eval = verification.recpart_poly, verification.eval_poly
 
-        def off_in_band(lam, ct):
+        def marked_poly(lam, support):
+            # the recpart polynomial, tagged with the end of the band window
+            p = real_poly(lam, support)
+            return SimpleNamespace(shift=p.shift, coeffs=p.coeffs,
+                                   band_end=lam.size + (lam[0] if lam else 0) + 6)
+
+        def off_in_band(p, n):
             # wrong only below k + lam_1 + 6, the window of recpart_band
-            value = real(lam, ct)
-            return value + 1 if ct.n < lam.size + (lam[0] if lam else 0) + 6 else value
+            value = real_eval(p, n)
+            return value + 1 if n < getattr(p, "band_end", n) else value
 
-        monkeypatch.setattr(verification, "character_recpart", off_in_band)
+        monkeypatch.setattr(verification, "recpart_poly", marked_poly)
+        monkeypatch.setattr(verification, "eval_poly", off_in_band)
         code = main(["verify", "--max-k", "4", "--max-r", "3", "--n-window", "1",
                      "--format", "json"])
         doc = json.loads(capsys.readouterr().out)

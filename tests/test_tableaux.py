@@ -18,10 +18,6 @@ from charpoly.verification import (
 parts_st = st.lists(st.integers(1, 5), max_size=5).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
-# the raw backtracking enumerator visits every tableau, so keep its inputs small
-small_parts_st = st.lists(st.integers(1, 4), max_size=4).map(
-    lambda xs: Partition(sorted(xs, reverse=True))
-).filter(lambda lam: lam.size <= 8)
 
 
 class TestDimSyt:
@@ -59,9 +55,17 @@ class TestSkewCount:
         assert skew_syt_count(Partition([3, 3]), Partition([4])) == 0
         assert skew_syt_count(Partition([2]), Partition([1, 1])) == 0
 
-    @given(small_parts_st, small_parts_st)
+    @given(parts_st, parts_st)
     def test_matches_backtracking(self, outer, inner):
         assert skew_syt_count(outer, inner) == syt_count_backtracking(outer, inner)
+
+    def test_backtracking_memoizes_on_filled_cells(self):
+        # 1.1e9 tableaux: one at a time this would not finish; over the
+        # down-sets of the staircase it is a few hundred states
+        stair = Partition([6, 5, 4, 3, 2, 1])
+        assert syt_count_backtracking(stair, Partition()) == dim_syt(stair) == 1_100_742_656
+        outer, inner = Partition([7, 6, 5, 4, 3, 2, 1]), Partition([2, 1])
+        assert syt_count_backtracking(outer, inner) == skew_syt_count(outer, inner)
 
 
 class TestDeterminant:
