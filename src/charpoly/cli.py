@@ -271,6 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in list(vars(args).items()):
+        if value == []:
+            # argparse in some Python versions drops an option's lone "--"
+            # value ("--ct=--") and leaves []; put back what was typed
+            setattr(args, name, "--")
     try:
         return args.func(args)
     except (NotWeaklyDecreasing, SizeMismatch, UsageError) as exc:

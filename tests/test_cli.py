@@ -205,6 +205,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [["char", "--mu=", "--ct=--"],
+                                      ["char", "--mu=--", "--ct=1"],
+                                      ["table", "--lambda=3", "--r-list=--"]])
+    def test_lone_double_dash_value_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_internal_error_exits_3(self, monkeypatch, capsys):
         def broken(lam, r):
             raise ValueError("library bug")
