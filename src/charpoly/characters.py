@@ -1,19 +1,20 @@
 """Exact symmetric-group character evaluation.
 
-Three independent evaluators:
+Every value here comes from one step, the Murnaghan--Nakayama strip
+peel: remove the r-cell border strips with sign (-1)^leg, then count the
+shape that is left by the hook formula.  Fixed points are never peeled.
 
 * ``character_mn`` -- the Murnaghan--Nakayama recursion, peeling border
-  strips for one non-trivial cycle at a time and ending, once only fixed
-  points are left, at the dimension by the hook formula; this is the
-  ground truth everything else is checked against.
+  strips for one non-trivial cycle at a time and ending at the hook
+  formula on what is left; this is the ground truth everything else is
+  checked against.
 * ``character_frobenius_transposition`` -- Frobenius's closed formula for
   the value at a transposition.
 * ``character_recpart`` -- the vertical-strip expansion of the character
-  of (n-k, lam) at an arbitrary permutation, in terms of characters of
-  partitions of at most |lam| and binomials in the cycle counts.  For a
-  fixed lam and a fixed set of non-trivial cycles (the support) it is a
-  polynomial in n, built once by ``recpart_poly`` over the binomials in
-  the number of fixed points and then evaluated at n.
+  of (n-k, lam) at an arbitrary permutation.  For a fixed lam and a fixed
+  set of non-trivial cycles (the support) it is a polynomial in n, built
+  once by ``recpart_poly`` in one layered strip pass over the vertical-
+  strip inners of lam and then evaluated at n.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .binom_poly import BinomPoly, eval_poly
 from .partitions import (
@@ -81,8 +82,9 @@ class CycleType:
 
 @cache
 def _mn(mu: Partition, cycles: tuple[int, ...]) -> int:
-    if cycles.count(1) == len(cycles):
-        # only fixed points left: the character at the identity
+    # peel exactly ``cycles``, in order; the shape left is counted by the
+    # hook formula, i.e. as the character at the identity
+    if not cycles:
         return dim_syt(mu)
     r, rest = cycles[0], cycles[1:]
     total = 0
@@ -96,14 +98,15 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
     """Character of the representation of shape ``mu`` at a permutation of
     cycle type ``ct``, by the Murnaghan--Nakayama rule.
 
-    Cycles are peeled in weakly decreasing length order; the value is
-    independent of that order.  The fixed points are not peeled: the
-    recursion depth is the number of cycles of length at least 2.
+    Only the cycles of length at least 2 are peeled, in weakly decreasing
+    length order (the value is independent of that order); the fixed
+    points are never peeled but counted by the hook formula on the shape
+    that is left.  The recursion depth is the number of non-trivial cycles.
     """
     mu = Partition(mu)
     if mu.size != ct.n:
         raise SizeMismatch(f"|mu| = {mu.size} but cycle type fills {ct.n}")
-    return _mn(mu, tuple(ct.cycles))
+    return _mn(mu, tuple(c for c in ct.cycles if c > 1))
 
 
 def character_frobenius_transposition(mu: Partition) -> int:
@@ -127,23 +130,31 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
     (all of length at least 2) plus n - |support| fixed points, as a
     polynomial in n over the basis C(n - |support|, j).
 
-    The j-th coefficient sums, over the inner partitions kappa whose
-    complement in ``lam`` is a vertical strip and over the sub-multisets
-    beta of ``support`` with |beta| + j = |kappa|, the signed character
-    of kappa at beta plus j fixed points times the number of ways to
-    choose beta among the support's cycles.  Its value at n is the
-    character for n >= max(k + lam_1, |support|).
+    One layered strip pass: the layer starts as the inner partitions
+    kappa whose complement in ``lam`` is a vertical strip, each with sign
+    (-1)^{|lam| - |kappa|}.  Each support cycle is either peeled or left
+    out, so for every cycle r the layer's signed r-strip peel is added to
+    the layer.  The j-th coefficient is then the sum of the coefficients
+    times the hook formula over the final shapes of size j.  Its value at
+    n is the character for n >= max(k + lam_1, |support|).
     """
     lam, support = Partition(lam), CycleType(support)
     if 1 in support.cycles:
         raise ValueError(f"support must hold cycles of length >= 2, got {list(support.cycles)}")
-    x = support.multiplicities()
+    layer = {
+        kappa: -1 if (lam.size - kappa.size) % 2 else 1
+        for kappa in vertical_strip_inners(lam)
+    }
+    for r in support.cycles:
+        peeled = dict(layer)
+        for kappa, c in layer.items():
+            for hook in skew_hooks(kappa, r):
+                nu = hook.complement
+                peeled[nu] = peeled.get(nu, 0) + (-c if hook.leg_length % 2 else c)
+        layer = peeled
     coeffs = [0] * (lam.size + 1)
-    for kappa in vertical_strip_inners(lam):
-        sign = -1 if (lam.size - kappa.size) % 2 else 1
-        for j in range(kappa.size + 1):
-            for beta, weight in _sub_multisets(x, kappa.size - j):
-                coeffs[j] += sign * weight * character_mn(kappa, CycleType(beta + [1] * j))
+    for nu, c in layer.items():
+        coeffs[nu.size] += c * dim_syt(nu)
     return BinomPoly(support.n, coeffs)
 
 
@@ -163,23 +174,4 @@ def character_recpart(lam: Partition, ct: CycleType) -> int:
             f"need n >= {k + (lam[0] if lam else 0)} for lam = {lam}, got n = {n}"
         )
     return eval_poly(recpart_poly(lam, [c for c in ct.cycles if c >= 2]), n)
-
-
-def _sub_multisets(x: dict[int, int], size: int) -> Iterator[tuple[list[int], int]]:
-    """Sub-multisets alpha of the cycle lengths with multiplicities ``x``,
-    of total ``size``, each with its count prod_i C(x_i, a_i) of ways to
-    choose a_i of the x_i cycles of length i."""
-    lengths = sorted(x, reverse=True)
-
-    def rec(idx: int, remaining: int, alpha: list[int], weight: int):
-        if remaining == 0:
-            yield alpha, weight
-            return
-        if idx == len(lengths):
-            return
-        i = lengths[idx]
-        for a_i in range(min(x[i], remaining // i), -1, -1):
-            yield from rec(idx + 1, remaining - a_i * i, alpha + [i] * a_i, weight * comb(x[i], a_i))
-
-    yield from rec(0, size, [], 1)
 

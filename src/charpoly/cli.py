@@ -74,7 +74,9 @@ def cmd_expand(args) -> int:
     lam = parse_partition(args.lam)
     exp = stability.char_poly(lam, args.r)
     if args.format == "json":
-        print(exp.to_json())
+        import json
+
+        print(json.dumps(exp.to_json_dict(), separators=(",", ":")))
     elif args.format == "latex":
         print(stability.latex_expansion_line(exp))
     else:

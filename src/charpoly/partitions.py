@@ -134,10 +134,8 @@ def vertical_strip_inners(lam: Partition) -> list[Partition]:
     return inners
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """Generate all partitions of ``n`` in decreasing lexicographic order."""
-    if max_part is None:
-        max_part = n
 
     def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:
@@ -148,7 +146,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield from rec(remaining - part, part, prefix)
             prefix.pop()
 
-    yield from rec(n, max_part, [])
+    yield from rec(n, n, [])
 
 
 def subpartitions(lam: Partition) -> Iterator[Partition]:

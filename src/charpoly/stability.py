@@ -116,11 +116,6 @@ class CharPolyExpansion(NamedTuple):
             "b": list(self.b),
         }
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
 
 def char_poly(lam: Partition, r: int) -> CharPolyExpansion:
     """Full coefficient vector of the character polynomial of ``lam`` on

@@ -363,20 +363,9 @@ def check_dim_equals_skew_over_empty(bounds: Bounds) -> SuiteResult:
 
 def check_mn_identity_is_dimension(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("mn_identity_is_dimension")
-
-    @cache
-    def peel(mu: Partition) -> int:
-        # MN's strip step at every 1-cycle, with no fixed-point shortcut
-        if not mu:
-            return 1
-        total = 0
-        for hook in skew_hooks(mu, 1):
-            term = peel(hook.complement)
-            total += -term if hook.leg_length % 2 else term
-        return total
-
     for mu in _shapes_upto(bounds.max_k + 2):
-        peeled = peel(mu)
+        # MN's strip step at every 1-cycle, down to the empty shape
+        peeled = _mn(mu, (1,) * mu.size)
         got = character_mn(mu, CycleType([1] * mu.size))
         want = syt_count_backtracking(mu, Partition())
         res.expect(
@@ -438,7 +427,8 @@ def check_mn_peel_order(bounds: Bounds) -> SuiteResult:
     for n in range(bounds.max_k + 1):
         for mu in partitions_of(n):
             for ct in partitions_of(n):
-                down = _mn(mu, tuple(ct))
+                # descending ends at the hook formula; ascending peels every cycle
+                down = character_mn(mu, CycleType(ct))
                 up = _mn(mu, tuple(reversed(ct)))
                 res.expect(
                     down == up,
@@ -897,21 +887,19 @@ def _run_one(args: tuple[str, Bounds]) -> SuiteResult:
     return res
 
 
-def run_suites(
-    bounds: Bounds, jobs: int = 1, names: Sequence[str] | None = None
-) -> list[SuiteResult]:
-    """Run the selected suites (all by default) and return their results
-    in registry order, independent of ``jobs``."""
-    selected = [name for name, _ in SUITES if names is None or name in names]
+def run_suites(bounds: Bounds, jobs: int = 1) -> list[SuiteResult]:
+    """Run every suite and return the results in registry order,
+    independent of ``jobs``."""
+    args = [(name, bounds) for name, _ in SUITES]
     # at most one process per suite: with fork, the pool starts all of
     # max_workers at the first submit
-    workers = min(jobs, len(selected))
+    workers = min(jobs, len(args))
     if workers <= 1:
-        return [_run_one((name, bounds)) for name in selected]
+        return [_run_one(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, [(name, bounds) for name in selected]))
+        return list(pool.map(_run_one, args))
 
 
 def render_report(results: Sequence[SuiteResult]) -> str:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from charpoly import characters
 from charpoly.characters import (
     CycleType,
     OutOfStableRange,
@@ -92,6 +93,19 @@ class TestMurnaghanNakayama:
         for ct in partitions_of(n):
             assert _mn(mu, tuple(ct)) == _mn(mu, tuple(reversed(ct)))
 
+    def test_peel_order_catches_wrong_fixed_point_end(self, monkeypatch):
+        # the descending side ends at the hook formula, the ascending side
+        # peels every cycle: a wrong dimension must show as a peel-order fault
+        real = characters.dim_syt
+        monkeypatch.setattr(
+            characters, "dim_syt", lambda mu: real(mu) + (mu == Partition([2, 1]))
+        )
+        _mn.cache_clear()
+        try:
+            assert not check_mn_peel_order(Bounds(4, 3, 2)).ok
+        finally:
+            _mn.cache_clear()
+
 
 class TestFrobenius:
     def test_square_vanishes(self):
@@ -152,6 +166,9 @@ class TestRecpart:
         ((1,), (2,), BinomPoly(2, (-1, 1))),
         ((1, 1), (2,), BinomPoly(2, (0, -1, 1))),
         ((), (3, 2), BinomPoly(5, (1,))),
+        ((2, 1), (2, 2), BinomPoly(4, (0, 1, -2, 2))),
+        ((1, 1), (2, 2, 2), BinomPoly(6, (-2, -1, 1))),
+        ((3, 1), (2, 2, 3), BinomPoly(7, (1, -2, 3, -3, 3))),
     ])
     def test_poly_per_support(self, lam, support, want):
         assert recpart_poly(Partition(lam), support) == want

@@ -145,9 +145,9 @@ class TestCharPoly:
 
     def test_json_record(self):
         exp = char_poly(Partition([3, 3]), 2)
-        assert exp.to_json() == (
-            '{"lambda":[3,3],"r":2,"k":6,"shift":2,"b":[5,5,3,1,0,0,0]}'
-        )
+        assert exp.to_json_dict() == {
+            "lambda": [3, 3], "r": 2, "k": 6, "shift": 2, "b": [5, 5, 3, 1, 0, 0, 0]
+        }
 
     def test_staircase_nine(self):
         # out of reach of the old corner recursion (about 20 s); Aitken's determinant is fast
