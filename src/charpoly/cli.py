@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from typing import Sequence
 
 from . import stability
@@ -226,7 +227,14 @@ def cmd_verify(args) -> int:
 # wiring
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Sharing is safe: ``parse_args`` returns a fresh namespace each time,
+    no default is mutable, and help text reads the terminal width when it
+    is formatted, not here.
+    """
     parser = argparse.ArgumentParser(
         prog="charpoly",
         description="Exact character polynomials of symmetric groups on cycles.",

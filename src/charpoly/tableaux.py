@@ -1,10 +1,11 @@
 """Counting standard Young tableaux of straight and skew shapes.
 
-``dim_syt`` uses the hook length formula; ``skew_syt_count`` uses
-Aitken's determinant f(outer \\ inner) = N! det[1 / (outer_i - inner_j
-- i + j)!] (Aitken 1943; Stanley, EC2 Cor. 7.16.3), taken in integers
-by fraction-free elimination.  Counts are memoized globally, one entry
-per distinct (outer, inner) pair asked for.
+``dim_syt`` uses the hook length formula, taking the hook product as
+one falling factorial per run of equal-height columns; ``skew_syt_count``
+uses Aitken's determinant f(outer \\ inner) = N! det[1 / (outer_i -
+inner_j - i + j)!] (Aitken 1943; Stanley, EC2 Cor. 7.16.3), taken in
+integers by fraction-free elimination.  Counts are memoized globally,
+one entry per distinct (outer, inner) pair asked for.
 """
 
 from __future__ import annotations
@@ -21,9 +22,17 @@ def dim_syt(mu: Partition) -> int:
     Equals the dimension of the corresponding irreducible representation;
     dim_syt of the empty partition is 1.
     """
-    cols = transpose(mu)
-    # the hook of cell (i, j), 0-based, is arm + leg + 1
-    hooks = prod(p - j + cols[j] - i - 1 for i, p in enumerate(mu) for j in range(p))
+    parts = (*mu, 0)
+    # the columns j in [parts[c], parts[c-1]) all have height c, so in row
+    # i < c their hooks (arm + leg + 1, 0-based) are consecutive integers
+    # falling from p - parts[c] + c - i - 1: one falling factorial per run
+    steps = [c for c in range(1, len(parts)) if parts[c] < parts[c - 1]]
+    hooks = prod(
+        perm(p - parts[c] + c - i - 1, parts[c - 1] - parts[c])
+        for i, p in enumerate(mu)
+        for c in steps
+        if c > i
+    )
     n_fact = factorial(mu.size)
     assert n_fact % hooks == 0, f"hook product does not divide {mu.size}!"
     return n_fact // hooks

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charpoly.characters import CycleType, character_recpart
+import charpoly.cli as cli
 from charpoly.cli import main, parse_partition
 from charpoly.partitions import NotWeaklyDecreasing, Partition
 from charpoly.stability import SignedPartition
@@ -45,6 +47,26 @@ class TestImportBudget:
     def test_cli_import_skips_verification(self):
         # the oracles load only when ``verify`` runs
         assert "charpoly.verification" not in _modules_after("import charpoly.cli")
+
+    def test_cli_import_builds_no_parser(self):
+        # the parser is built by the first ``main`` call, not at import,
+        # so start-up time does not pay for it
+        code = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import charpoly.cli
+print(len(built))
+charpoly.cli.main(["char", "--mu", "1", "--ct", "1"])
+print(len(built) > 0)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == ["0", "1", "True"]
 
     def test_verification_import_skips_dataclasses(self):
         loaded = _modules_after("import charpoly.verification")
@@ -233,6 +255,75 @@ def _captured_main(argv):
 
 def _quiet_main(argv):
     return _captured_main(argv)[0]
+
+
+# every subcommand and format, with argparse exits (a missing option,
+# --help) between the runs that succeed
+_REUSE_REQUESTS = [
+    ["expand", "--lambda", "3,3", "--r", "2"],
+    ["char", "--mu", "2,1"],
+    ["expand", "--lambda", "3,3", "--r", "2", "--format", "json"],
+    ["expand", "--lambda", "2,1", "--r", "3", "--format", "latex"],
+    ["char", "--help"],
+    ["primaries", "--r", "3", "--max-h", "4"],
+    ["primaries", "--r", "2", "--max-h", "3", "--format", "json"],
+    ["primaries", "--r", "3", "--max-h", "3", "--format", "latex"],
+    ["char", "--mu", "3,3,3", "--ct", "2,1,1,1,1,1,1,1"],
+    ["char", "--mu", "2,3", "--ct", "1,1,1,1,1"],
+    ["table", "--lambda", "3,3", "--r-list", "2,3,4,5"],
+    ["table", "--lambda", "2,1", "--r-list", "1,2", "--format", "json"],
+    ["table", "--lambda", "3,3", "--r-list", "2,3,4,5", "--format", "latex"],
+    ["verify", "--max-k", "2", "--max-r", "2", "--n-window", "1"],
+    ["expand", "--r", "2"],
+    ["verify", "--max-k", "2", "--max-r", "2", "--n-window", "1", "--format", "json"],
+]
+
+
+def _captured_exit(argv):
+    """(exit code, stdout) of ``main(argv)`` in this process, where an
+    argparse exit gives its ``SystemExit`` code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _without_comments(text):
+    # text ``verify`` ends in ``#`` lines of seconds, which differ per run
+    return "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_process(self, run_cli, monkeypatch):
+        # help is wrapped to COLUMNS, which the subprocesses inherit
+        monkeypatch.setenv("COLUMNS", "80")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            got = [_captured_exit(_REUSE_REQUESTS[0])]
+            built_by_first = len(built)
+            got += [_captured_exit(argv) for argv in _REUSE_REQUESTS[1:]]
+        finally:
+            cli.build_parser.cache_clear()
+        assert built_by_first > 0
+        assert len(built) == built_by_first
+        got = [(code, _without_comments(out)) for code, out in got]
+        want = [(code, _without_comments(out))
+                for code, out, _ in (run_cli(*argv) for argv in _REUSE_REQUESTS)]
+        assert got == want
+        assert [code for code, _ in got].count(2) == 3
+        code, out = got[4]  # char --help
+        assert code == 0 and out.startswith("usage: charpoly char")
 
 
 @st.composite

@@ -1,7 +1,11 @@
+from math import factorial, prod
+
 import pytest
 from hypothesis import given, strategies as st
 
+from charpoly.binom_poly import eval_poly
 from charpoly.partitions import Partition, partitions_of, transpose
+from charpoly.stability import dim_poly
 from charpoly.tableaux import _det, a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
@@ -10,6 +14,7 @@ from charpoly.verification import (
     check_skew_count_vs_backtracking,
     check_skew_recursion,
     check_syt_branching,
+    hook_lengths,
     internal_corners,
     remove_corner,
     syt_count_backtracking,
@@ -37,6 +42,21 @@ class TestDimSyt:
     @given(parts_st)
     def test_transpose_symmetric(self, lam):
         assert dim_syt(lam) == dim_syt(transpose(lam))
+
+    def test_hook_product_matches_cell_by_cell(self):
+        # the run-by-run hook product against one hook length per cell
+        shapes = [lam for n in range(15) for lam in partitions_of(n)]
+        shapes += [Partition(p) for p in ((294, 2, 2, 2), (194, 3, 3), (1000, 1000),
+                                          (60,), (1,) * 60, ())]
+        for lam in shapes:
+            assert dim_syt(lam) * prod(hook_lengths(lam).values()) == factorial(lam.size), lam
+
+    @pytest.mark.parametrize("lam", [(2, 2, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_stable_shape_matches_dimension_polynomial(self, lam, n):
+        # the shapes of the char benchmark; dim_poly comes from Aitken counts
+        lam = Partition(lam)
+        assert dim_syt(Partition((n - lam.size, *lam))) == eval_poly(dim_poly(lam), n)
 
 
 class TestSkewCount:
