@@ -23,7 +23,6 @@ from . import stability
 from .characters import CycleType, SizeMismatch, character_mn
 from .partitions import NotWeaklyDecreasing, Partition
 from .stability import format_terms
-from .tableaux import a_coeff
 
 
 class UsageError(ValueError):
@@ -196,7 +195,7 @@ def cmd_table(args) -> int:
         for exp in expansions:
             terms = format_terms(exp.b, f"n-{exp.r}")
             print(f"r={exp.r} shift={exp.r} b={_fmt_parts(exp.b)} chi = {terms}")
-        a_vec = [a_coeff(lam, h) for h in range(k + 1)]
+        a_vec = stability.a_vector(lam)
         print(
             f"dim shift=0 a={_fmt_parts(a_vec)} f = {format_terms(a_vec, 'n')}"
         )

@@ -12,6 +12,14 @@ coefficient vectors, the plain-basis dimension polynomial (whose shift-1
 form is the r = 1 expansion) and their text and LaTeX renderings, one
 algorithm each; the second derivations that check them live in
 ``verification``.
+
+Expansions sum only the coefficients that can be nonzero.  An r-primary
+partition of h has at least h - r parts, so none fits inside ``lam``
+once h > len(lam) + r and ``char_poly`` computes b[h] only for
+h <= len(lam) + r.  The dimension coefficient a_h counts a column of h
+boxes inside ``lam``, so ``a_vector`` computes it only for
+h <= len(lam).  ``coeff_b`` and ``a_coeff`` themselves still sum every h
+they are asked for, which is what the vanishing checks test.
 """
 
 from __future__ import annotations
@@ -120,24 +128,35 @@ class CharPolyExpansion(NamedTuple):
 def char_poly(lam: Partition, r: int) -> CharPolyExpansion:
     """Full coefficient vector of the character polynomial of ``lam`` on
     r-cycles.  Evaluating the polynomial at n >= k + lam_1 + r gives the
-    character of (n - k, lam) at an r-cycle with n - r fixed points."""
+    character of (n - k, lam) at an r-cycle with n - r fixed points.
+
+    Only b[0..min(k, len(lam) + r)] are summed; the rest are 0, since no
+    r-primary partition of a larger h fits inside ``lam``."""
     lam = Partition(lam)
     if r < 1:
         raise ValueError(f"cycle length must be positive, got {r}")
-    b = tuple(coeff_b(lam, h, r) for h in range(lam.size + 1))
+    k = lam.size
+    # an r-primary partition of h has at least h - r parts
+    top = min(k, lam.length + r)
+    b = tuple(coeff_b(lam, h, r) for h in range(top + 1)) + (0,) * (k - top)
     return CharPolyExpansion(lam, r, b)
+
+
+def a_vector(lam: Partition) -> list[int]:
+    """The dimension coefficients a_coeff(lam, h) for h = 0..k.
+
+    Only h <= len(lam) are counted; the rest are 0, since a column of
+    more than len(lam) boxes does not fit inside ``lam``."""
+    lam = Partition(lam)
+    return [a_coeff(lam, h) for h in range(lam.length + 1)] + [0] * (lam.size - lam.length)
 
 
 def dim_poly(lam: Partition) -> BinomPoly:
     """Dimension of (n - k, lam) as a polynomial in the plain binomial
-    basis: sum of (-1)^h a_coeff(lam, h) C(n, k - h)."""
-    lam = Partition(lam)
-    k = lam.size
-    coeffs = [0] * (k + 1)
-    for h in range(k + 1):
-        a = a_coeff(lam, h)
-        coeffs[k - h] = a if h % 2 == 0 else -a
-    return BinomPoly(0, coeffs)
+    basis: sum of (-1)^h a_coeff(lam, h) C(n, k - h), taken from
+    ``a_vector``, so only h <= len(lam) are counted."""
+    a = a_vector(lam)
+    return BinomPoly(0, [ah if h % 2 == 0 else -ah for h, ah in enumerate(a)][::-1])
 
 
 def shape_in_n(lam: Partition) -> str:
@@ -187,6 +206,4 @@ def latex_expansion_line(exp: CharPolyExpansion, *, collapsed_from: int | None =
 
 def latex_dimension_line(lam: Partition) -> str:
     """The dimension row: f^{(n-k,lam)} in the plain binomial basis."""
-    lam = Partition(lam)
-    b = [a_coeff(lam, h) for h in range(lam.size + 1)]
-    return f"\\[f^{{{shape_in_n(lam)}}} = {format_terms(b, 'n', latex=True)}\\]"
+    return f"\\[f^{{{shape_in_n(lam)}}} = {format_terms(a_vector(lam), 'n', latex=True)}\\]"

@@ -378,6 +378,14 @@ class TestTable:
         assert out == (golden / "table_33.json").read_text()
         jsonschema.validate(json.loads(out), load_schema("table.schema.json"))
 
+    @pytest.mark.parametrize("lam, name", [("10,8,6,4,2", "108642"), ("6,5,4,3,2,1", "654321")])
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"), ("latex", "tex")])
+    def test_expand_workload_golden(self, golden, lam, name, fmt, ext):
+        got = _captured_main(
+            ["table", "--lambda", lam, "--r-list", "1,2,3,4,5,6,7,8", "--format", fmt]
+        )
+        assert got == (0, (golden / f"table_{name}.{ext}").read_text())
+
     def test_empty_partition_rows(self, run_cli):
         code, out, _ = run_cli("table", "--lambda", "", "--r-list", "2")
         assert code == 0

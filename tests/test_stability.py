@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charpoly.characters import CycleType, character_mn
+import charpoly.cli as cli
+import charpoly.stability as stability
+from charpoly.characters import CycleType, character_mn, recpart_poly
 from charpoly.binom_poly import BinomPoly, binomial, eval_poly, reshift
 from charpoly.partitions import Partition, partitions_of
 from charpoly.stability import (
     Family,
+    a_vector,
     char_poly,
     coeff_b,
     dim_poly,
@@ -161,6 +165,79 @@ class TestCharPoly:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             char_poly(Partition([2]), 0)
+
+
+def _recpart_expansion(lam, r):
+    """The character of (n - k, lam) at one r-cycle by the vertical-strip
+    route, which uses no r-primary partitions and no Aitken determinant,
+    rewritten in the shift-r basis of ``char_poly``."""
+    return reshift(recpart_poly(lam, (r,) if r > 1 else ()), r)
+
+
+SMALL_PAIRS = [(lam, r) for k in range(11) for lam in partitions_of(k) for r in range(1, 13)]
+
+PARTITIONS_UPTO_20 = [tuple(partitions_of(k)) for k in range(21)]
+
+
+class TestWholePolynomialOracle:
+    """char_poly against the vertical-strip polynomial, coefficient by
+    coefficient, so every n at once, including the b[h] past
+    len(lam) + r that char_poly does not sum."""
+
+    def test_exhaustive_small(self):
+        assert len(SMALL_PAIRS) == 1668
+        bad = [(lam, r) for lam, r in SMALL_PAIRS
+               if char_poly(lam, r).poly != _recpart_expansion(lam, r)]
+        assert bad == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 20).flatmap(lambda k: st.sampled_from(PARTITIONS_UPTO_20[k])),
+        st.integers(1, 25),
+    )
+    def test_random_up_to_twenty(self, lam, r):
+        assert char_poly(lam, r).poly == _recpart_expansion(lam, r)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``stability.<name>`` by a wrapper that records each call."""
+    calls = []
+    real = getattr(stability, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stability, name, counted)
+    return calls
+
+
+class TestWorkBound:
+    def test_char_poly_sums_through_length_plus_r(self, monkeypatch):
+        calls = _counting(monkeypatch, "coeff_b")
+        exp = char_poly(Partition([30, 20, 10]), 3)
+        assert [h for _, h, _ in calls] == list(range(7))
+        assert len(exp.b) == 61 and not any(exp.b[7:])
+
+    def test_a_vector_counts_through_length(self, monkeypatch):
+        calls = _counting(monkeypatch, "a_coeff")
+        a = a_vector(Partition([30, 20, 10]))
+        assert [h for _, h in calls] == list(range(4))
+        assert len(a) == 61 and not any(a[4:])
+
+    def test_dimension_rows_use_a_vector(self, monkeypatch):
+        calls = _counting(monkeypatch, "a_coeff")
+        dim_poly(Partition([30, 20, 10]))
+        latex_dimension_line(Partition([30, 20, 10]))
+        for fmt in ("text", "json", "latex"):
+            assert cli.main(["table", "--lambda", "30,20,10", "--r-list", "1", "--format", fmt]) == 0
+        assert [h for _, h in calls] == list(range(4)) * 5
+
+    def test_truncation_drops_only_zeros(self):
+        for lam, r in SMALL_PAIRS:
+            assert char_poly(lam, r).b == tuple(coeff_b(lam, h, r) for h in range(lam.size + 1))
+        for lam in {lam for lam, _ in SMALL_PAIRS}:
+            assert a_vector(lam) == [a_coeff(lam, h) for h in range(lam.size + 1)]
 
 
 class TestDimPoly:
