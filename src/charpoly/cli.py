@@ -87,27 +87,25 @@ def cmd_expand(args) -> int:
 
 
 def cmd_primaries(args) -> int:
-    rows = []
-    for h in range(args.max_h + 1):
-        for sp in stability.r_primary(args.r, h):
-            rows.append((h, sp))
+    # each row is written as it is made, and r_primary's cache is bypassed,
+    # so memory does not grow with --max-h
+    rows = (
+        (h, sp)
+        for h in range(args.max_h + 1)
+        for sp in stability.r_primary.__wrapped__(args.r, h)
+    )
     if args.format == "json":
         import json
 
-        doc = {
-            "r": args.r,
-            "max_h": args.max_h,
-            "primaries": [
-                {
-                    "h": h,
-                    "nu": list(sp.partition),
-                    "sign": sp.sign,
-                    "family": sp.family.value,
-                }
-                for h, sp in rows
-            ],
-        }
-        print(json.dumps(doc, separators=(",", ":")))
+        # the document json.dumps would give, one array item at a time
+        print(f'{{"r":{args.r},"max_h":{args.max_h},"primaries":[', end="")
+        sep = ""
+        for h, sp in rows:
+            item = {"h": h, "nu": list(sp.partition), "sign": sp.sign,
+                    "family": sp.family.value}
+            print(sep + json.dumps(item, separators=(",", ":")), end="")
+            sep = ","
+        print("]}")
     elif args.format == "latex":
         for h, sp in rows:
             sign = "+1" if sp.sign > 0 else "-1"

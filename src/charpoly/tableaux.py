@@ -1,17 +1,35 @@
 """Counting standard Young tableaux of straight and skew shapes.
 
 ``dim_syt`` uses the hook length formula, taking the hook product as
-one falling factorial per run of equal-height columns; ``skew_syt_count``
-uses Aitken's determinant f(outer \\ inner) = N! det[1 / (outer_i -
-inner_j - i + j)!] (Aitken 1943; Stanley, EC2 Cor. 7.16.3), taken in
-integers by fraction-free elimination.  Counts are memoized globally,
-one entry per distinct (outer, inner) pair asked for.
+one falling factorial per run of equal-height columns.
+
+``skew_syt_count`` uses Aitken's determinant f(outer \\ inner) = N!
+det[1 / (outer_i - inner_j - i + j)!] (Aitken 1943; Stanley, EC2 Cor.
+7.16.3).  With a_i = outer_i - i + ell, row i times a_i! has entries
+P[i][b] = a_i! / (a_i - b)! at the columns b = inner_j - j + ell.  An
+empty inner takes the columns b = ell - 1, ..., 0, the block P0 with
+D = det P0; any inner of Durfee rank d swaps d of them, the holes
+ell - 1 - beta_i, for the columns ell + alpha_j, where (alpha | beta)
+are its Frobenius coordinates.  So each outer is reduced once, in the
+orientation with fewer rows, by fraction-free Gauss--Jordan elimination
+to adj P0 = D P0^-1, and then
+
+    f(outer \\ inner) = (-1)^(sum beta) N! det[V[beta_i][ell + alpha_j]]
+                        / (D^(d-1) prod a_i!),
+
+where V[:, b] = adj P0 P[:, b] (Macdonald, Symmetric Functions, I.3,
+the Giambelli pattern).  A count costs one d x d minor, and the
+r-primary inners of the character polynomials have d <= 2.  Reduced
+columns are formed the first time a count needs them.  Two global
+memos hold the work: one record per outer (the reduction and its
+columns) and one count per (outer, inner) pair asked for.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import factorial, perm, prod
+from operator import mul
 
 from .partitions import Partition, contains, transpose
 
@@ -63,23 +81,107 @@ def _det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
+class _Reduced:
+    """Aitken's matrix of one outer shape, reduced against its empty-inner
+    columns.
+
+    ``ell`` rows in the orientation with fewer rows (``transposed`` says
+    whether that is the conjugate), ``scale`` = prod a_i!, ``det`` = D =
+    det P0 and ``adj`` = adj P0 = D P0^-1.  ``columns`` holds the reduced
+    columns V[:, b] = adj P[:, b], formed the first time a count needs
+    them.
+    """
+
+    __slots__ = ("transposed", "ell", "a", "scale", "det", "adj", "columns")
+
+    def __init__(self, outer: Partition) -> None:
+        self.transposed = bool(outer) and len(outer) > outer[0]
+        if self.transposed:
+            outer = transpose(outer)
+        ell = self.ell = len(outer)
+        self.a = [p - i + ell for i, p in enumerate(outer, 1)]
+        self.scale = prod(map(factorial, self.a))
+        # P0 takes the columns b = ell - 1, ..., 0 of an empty inner, so row
+        # k of the reduced matrix has its pivot in column b = ell - 1 - k.
+        # Its leading k x k minor is prod_{i<=k} a_i! / |top k rows|! times
+        # the tableau count of the top k rows of outer, so no pivot is 0
+        self.det, self.adj = _adjugate(
+            [[perm(ai, b) for b in range(ell - 1, -1, -1)] for ai in self.a]
+        )
+        self.columns: dict[int, list[int]] = {}
+
+    def column(self, b: int) -> list[int]:
+        """The reduced column V[:, b], formed on first use."""
+        col = self.columns.get(b)
+        if col is None:
+            col = self.columns[b] = _reduced_column(self, b)
+        return col
+
+
+def _adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det m, adj m) by fraction-free Gauss--Jordan elimination on [m | I].
+
+    Every division is exact, and the left block ends as det(m) I.  The
+    leading minors of ``m`` must be nonzero, so no row is swapped.
+    """
+    n = len(m)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        row_k = rows[k]
+        pivot = row_k[k]
+        assert pivot, f"zero pivot {k} in the reduction of {m}"
+        for i, row_i in enumerate(rows):
+            if i != k:
+                lead = row_i[k]
+                rows[i] = [(x * pivot - lead * y) // prev for x, y in zip(row_i, row_k)]
+        prev = pivot
+    return prev, [row[n:] for row in rows]
+
+
+def _reduced_column(rec: _Reduced, b: int) -> list[int]:
+    """V[:, b] = adj P0 times column b of Aitken's row-scaled matrix."""
+    col = [perm(ai, b) for ai in rec.a]
+    return [sum(map(mul, row, col)) for row in rec.adj]
+
+
+# one record per outer shape asked for
+_reduced = cache(_Reduced)
+
+
+def _frobenius(nu: Partition) -> tuple[list[int], list[int]]:
+    """Frobenius coordinates (alpha | beta) of ``nu``: alpha_j = nu_j - j
+    and beta_j = nu'_j - j for j up to the Durfee rank."""
+    alpha = []
+    for j, p in enumerate(nu, 1):
+        if p < j:
+            break
+        alpha.append(p - j)
+    beta, height = [], len(nu)
+    for j in range(1, len(alpha) + 1):
+        while nu[height - 1] < j:
+            height -= 1
+        beta.append(height - j)
+    return alpha, beta
+
+
+# one entry per (outer, inner) pair asked for; the outer's reduction is
+# shared through ``_reduced``, so a pair costs one minor of Durfee-rank size
 @cache
 def _skew_count(outer: Partition, inner: Partition) -> int:
     if not contains(outer, inner):
         return 0
-    if outer and len(outer) > outer[0]:
-        # the conjugate shape has the same count and a smaller matrix
-        outer, inner = transpose(outer), transpose(inner)
-    ell = len(outer)
-    # row i of Aitken's matrix times a_i!, so entry (i, j) is the falling
-    # factorial a_i! / (a_i - b_j)!, which vanishes for b_j > a_i
-    a = [p - i + ell for i, p in enumerate(outer, 1)]
-    b = [q - j + ell for j, q in enumerate(inner + (0,) * (ell - len(inner)), 1)]
-    m = [[perm(ai, bj) for bj in b] for ai in a]
-    scale = prod(map(factorial, a))
-    num = factorial(outer.size - inner.size) * _det(m)
-    assert num % scale == 0, f"Aitken determinant not integral for {outer} / {inner}"
-    return num // scale
+    rec = _reduced(outer)
+    alpha, beta = _frobenius(inner)
+    if rec.transposed:
+        alpha, beta = beta, alpha
+    cols = [rec.column(rec.ell + a) for a in alpha]
+    minor = [[col[b] for col in cols] for b in beta]
+    # f = (-1)^sum(beta) N! det(minor) D / (prod a_i! D^d)
+    num = (-1) ** sum(beta) * factorial(outer.size - inner.size) * _det(minor) * rec.det
+    den = rec.scale * rec.det ** len(alpha)
+    assert num % den == 0, f"Aitken determinant not integral for {outer} / {inner}"
+    return num // den
 
 
 def skew_syt_count(outer: Partition, inner: Partition) -> int:

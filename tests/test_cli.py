@@ -175,6 +175,26 @@ class TestPrimaries:
         assert all(line.startswith("\\[") and line.endswith("\\]") for line in lines)
         assert "\\varepsilon^{3}_{(2,1)} = +1" in out
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_streamed_json_is_one_document(self, r):
+        # item by item, the output is the document json.dumps gives, and
+        # no row lands in r_primary's cache
+        stability.r_primary.cache_clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["primaries", "--r", str(r), "--max-h", "25", "--format", "json"]) == 0
+        assert stability.r_primary.cache_info().currsize == 0
+        doc = {
+            "r": r,
+            "max_h": 25,
+            "primaries": [
+                {"h": h, "nu": list(sp.partition), "sign": sp.sign, "family": sp.family.value}
+                for h in range(26)
+                for sp in stability.r_primary(r, h)
+            ],
+        }
+        assert out.getvalue() == json.dumps(doc, separators=(",", ":")) + "\n"
+
 
 class TestChar:
     def test_transposition_zero(self, run_cli):

@@ -3,9 +3,11 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
+import charpoly.cli as cli
+import charpoly.tableaux as tableaux
 from charpoly.binom_poly import eval_poly
-from charpoly.partitions import Partition, partitions_of, transpose
-from charpoly.stability import dim_poly
+from charpoly.partitions import Partition, partitions_of, subpartitions, transpose
+from charpoly.stability import a_vector, char_poly, dim_poly
 from charpoly.tableaux import _det, a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
@@ -86,6 +88,101 @@ class TestSkewCount:
         assert syt_count_backtracking(stair, Partition()) == dim_syt(stair) == 1_100_742_656
         outer, inner = Partition([7, 6, 5, 4, 3, 2, 1]), Partition([2, 1])
         assert syt_count_backtracking(outer, inner) == skew_syt_count(outer, inner)
+
+
+def _durfee_rank(nu):
+    return sum(1 for j, p in enumerate(nu, 1) if p >= j)
+
+
+class TestReducedAitken:
+    """Counts read off one reduced Aitken matrix per outer shape."""
+
+    def test_rank_three_inners_match_backtracking(self):
+        # the verify sweep stops at |outer| <= 8, below the smallest inner
+        # of Durfee rank 3, (3,3,3); a sign or power slip confined to
+        # larger minors shows only here
+        pairs = [
+            (lam, nu)
+            for n in range(9, 15)
+            for lam in partitions_of(n)
+            for nu in subpartitions(lam)
+            if n - nu.size <= 6 and _durfee_rank(nu) >= 3
+        ]
+        assert len(pairs) == 551
+        assert sum(len(lam) > lam[0] for lam, _ in pairs) == 223
+        for lam, nu in pairs:
+            assert skew_syt_count(lam, nu) == syt_count_backtracking(lam, nu), (lam, nu)
+
+    def test_tall_outers_match_backtracking(self):
+        # a tall outer is reduced as its conjugate, with alpha and beta swapped
+        pairs = [
+            (lam, nu)
+            for n in range(1, 13)
+            for lam in partitions_of(n)
+            if len(lam) > lam[0]
+            for nu in subpartitions(lam)
+            if n - nu.size <= 6
+        ]
+        assert len(pairs) == 2863
+        for lam, nu in pairs:
+            assert skew_syt_count(lam, nu) == syt_count_backtracking(lam, nu), (lam, nu)
+
+    def test_empty_inner_is_dimension(self):
+        shapes = [lam for n in range(21) for lam in partitions_of(n)]
+        shapes += [Partition(p) for p in ((200, 200, 200), (3,) * 30, (1,) * 40)]
+        for lam in shapes:
+            assert skew_syt_count(lam, Partition()) == dim_syt(lam), lam
+
+
+def _recording(monkeypatch, name, record):
+    """Replace ``tableaux.<name>`` by a wrapper that appends record(*args)."""
+    calls = []
+    real = getattr(tableaux, name)
+
+    def recorded(*args):
+        calls.append(record(*args))
+        return real(*args)
+
+    monkeypatch.setattr(tableaux, name, recorded)
+    return calls
+
+
+class TestWorkBound:
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        tableaux._skew_count.cache_clear()
+        tableaux._reduced.cache_clear()
+
+    def test_one_reduction_per_outer(self, monkeypatch):
+        reductions = _recording(monkeypatch, "_adjugate", len)
+        outers = [(10, 8, 6, 4, 2), (6, 5, 4, 3, 2, 1), (2, 1, 1, 1, 1), (1,) * 7, ()]
+        for lam in map(Partition, outers):
+            for r in range(1, 9):
+                char_poly(lam, r)
+            a_vector(lam)
+        assert reductions == [5, 6, 2, 1, 0]
+
+    def test_sweep_reduces_each_outer_once(self, monkeypatch):
+        # every subpartition of every outer up to 6 boxes
+        reductions = _recording(monkeypatch, "_adjugate", len)
+        assert check_skew_count_vs_backtracking(Bounds(max_k=6)).ok
+        assert len(reductions) == sum(1 for n in range(7) for _ in partitions_of(n))
+
+    def test_minors_stay_two_by_two(self, monkeypatch, capsys):
+        # every r-primary partition has Durfee rank at most 2
+        sizes = _recording(monkeypatch, "_det", len)
+        char_poly(Partition(range(15, 0, -1)), 10)
+        argv = ["table", "--lambda", "10,8,6,4,2", "--r-list", "1,2,3,4,5,6,7,8"]
+        assert cli.main(argv) == 0
+        assert set(sizes) == {0, 1, 2}
+
+    def test_columns_stop_at_length_plus_r(self, monkeypatch):
+        # the widest primary of 5 inside (200,200,200) is (6,1,1), alpha = 5,
+        # so of the columns b = 3..202 past P0 only b <= 3 + 5 are formed
+        columns = _recording(monkeypatch, "_reduced_column", lambda rec, b: b)
+        char_poly(Partition([200, 200, 200]), 5)
+        assert max(columns) == 3 + 5
+        assert len(columns) == len(set(columns))
 
 
 class TestDeterminant:
