@@ -1,20 +1,19 @@
 """Exact symmetric-group character evaluation.
 
 Every value here comes from one step, the Murnaghan--Nakayama strip
-peel: remove the r-cell border strips with sign (-1)^leg, then count the
-shape that is left by the hook formula.  Fixed points are never peeled.
+peel: ``_peel`` moves each coefficient of a layer {beta-set int:
+coefficient} through the r-cell border strips with sign (-1)^leg, and
+the shapes left are counted by the hook formula, cached per beta-set.
+Fixed points are never peeled.
 
-* ``character_mn`` -- the Murnaghan--Nakayama recursion, peeling border
-  strips for one non-trivial cycle at a time and ending at the hook
-  formula on what is left; this is the ground truth everything else is
-  checked against.
+* ``character_mn`` -- the Murnaghan--Nakayama rule, one layer per
+  non-trivial cycle; the ground truth everything else is checked against.
 * ``character_frobenius_transposition`` -- Frobenius's closed formula for
   the value at a transposition.
 * ``character_recpart`` -- the vertical-strip expansion of the character
   of (n-k, lam) at an arbitrary permutation.  For a fixed lam and a fixed
   set of non-trivial cycles (the support) it is a polynomial in n, built
-  once by ``recpart_poly`` in one layered strip pass over the vertical-
-  strip inners of lam and then evaluated at n.
+  once by ``recpart_poly`` with the same peel and then evaluated at n.
 """
 
 from __future__ import annotations
@@ -25,12 +24,7 @@ from math import comb
 from typing import Iterable
 
 from .binom_poly import BinomPoly, eval_poly
-from .partitions import (
-    Partition,
-    skew_hooks,
-    transpose,
-    vertical_strip_inners,
-)
+from .partitions import Partition, _beta, _shape, _strips, transpose, vertical_strip_inners
 from .tableaux import dim_syt
 
 
@@ -81,17 +75,28 @@ class CycleType:
 
 
 @cache
-def _mn(mu: Partition, cycles: tuple[int, ...]) -> int:
-    # peel exactly ``cycles``, in order; the shape left is counted by the
-    # hook formula, i.e. as the character at the identity
-    if not cycles:
-        return dim_syt(mu)
-    r, rest = cycles[0], cycles[1:]
-    total = 0
-    for hook in skew_hooks(mu, r):
-        term = _mn(hook.complement, rest)
-        total += -term if hook.leg_length % 2 else term
-    return total
+def _leaf_dim(mask: int) -> int:
+    # the one memo: peels end again and again on the same few shapes
+    return dim_syt(_shape(mask))
+
+
+def _peel(layer: dict[int, int], r: int) -> dict[int, int]:
+    """The signed r-strip peel of ``layer``, a map beta-set -> coefficient:
+    each r-strip moves its coefficient times (-1)^leg to what it leaves."""
+    peeled: dict[int, int] = {}
+    for mask, c in layer.items():
+        for leg, rest in _strips(mask, r):
+            peeled[rest] = peeled.get(rest, 0) + (-c if leg & 1 else c)
+    return peeled
+
+
+def _mn(mu: Partition, cycles: Iterable[int]) -> int:
+    # peel exactly ``cycles``, in order, one layer per cycle; each shape
+    # left is counted by the hook formula, i.e. as the character at the identity
+    layer = {_beta(mu, len(mu)): 1}
+    for r in cycles:
+        layer = _peel(layer, r)
+    return sum(c * _leaf_dim(mask) for mask, c in layer.items())
 
 
 def character_mn(mu: Partition, ct: CycleType) -> int:
@@ -100,13 +105,14 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
 
     Only the cycles of length at least 2 are peeled, in weakly decreasing
     length order (the value is independent of that order); the fixed
-    points are never peeled but counted by the hook formula on the shape
-    that is left.  The recursion depth is the number of non-trivial cycles.
+    points are never peeled but counted by the hook formula on each shape
+    that is left.  There is no recursion: each cycle peels one layer of
+    beta-sets, so the depth of the stack does not grow with the input.
     """
     mu = Partition(mu)
     if mu.size != ct.n:
         raise SizeMismatch(f"|mu| = {mu.size} but cycle type fills {ct.n}")
-    return _mn(mu, tuple(c for c in ct.cycles if c > 1))
+    return _mn(mu, [c for c in ct.cycles if c > 1])
 
 
 def character_frobenius_transposition(mu: Partition) -> int:
@@ -132,29 +138,25 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
 
     One layered strip pass: the layer starts as the inner partitions
     kappa whose complement in ``lam`` is a vertical strip, each with sign
-    (-1)^{|lam| - |kappa|}.  Each support cycle is either peeled or left
-    out, so for every cycle r the layer's signed r-strip peel is added to
-    the layer.  The j-th coefficient is then the sum of the coefficients
-    times the hook formula over the final shapes of size j.  Its value at
-    n is the character for n >= max(k + lam_1, |support|).
+    (-1)^{|lam| - |kappa|} and len(lam) beads, so that equal shapes share
+    one key.  Each support cycle r is peeled or left out: the layer's
+    r-strip peel is added to the layer.  The j-th coefficient sums the
+    coefficients times the hook formula over the final shapes of size j.
+    Its value at n is the character for n >= max(k + lam_1, |support|).
     """
     lam, support = Partition(lam), CycleType(support)
     if 1 in support.cycles:
         raise ValueError(f"support must hold cycles of length >= 2, got {list(support.cycles)}")
     layer = {
-        kappa: -1 if (lam.size - kappa.size) % 2 else 1
+        _beta(kappa, len(lam)): -1 if (lam.size - kappa.size) % 2 else 1
         for kappa in vertical_strip_inners(lam)
     }
     for r in support.cycles:
-        peeled = dict(layer)
-        for kappa, c in layer.items():
-            for hook in skew_hooks(kappa, r):
-                nu = hook.complement
-                peeled[nu] = peeled.get(nu, 0) + (-c if hook.leg_length % 2 else c)
-        layer = peeled
+        for mask, c in _peel(layer, r).items():
+            layer[mask] = layer.get(mask, 0) + c
     coeffs = [0] * (lam.size + 1)
-    for nu, c in layer.items():
-        coeffs[nu.size] += c * dim_syt(nu)
+    for mask, c in layer.items():
+        coeffs[_shape(mask).size] += c * _leaf_dim(mask)
     return BinomPoly(support.n, coeffs)
 
 

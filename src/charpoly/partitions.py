@@ -1,5 +1,7 @@
 """Partitions and shape-level combinatorics: transpose, containment,
-border strips on the beta-set, vertical strips and enumeration.
+vertical strips, enumeration, and border strips on the beta-set held as
+one int, one bit per bead.  ``_strips`` is the one strip step, for both
+``skew_hooks`` and the character peel in ``characters``.
 
 All values here are immutable and all functions are pure, so everything
 is safe to share between threads and to memoize.
@@ -8,7 +10,7 @@ is safe to share between threads and to memoize.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -86,37 +88,42 @@ def contains(lam: Partition, nu: Partition) -> bool:
     return len(nu) <= len(lam) and all(map(operator.le, nu, lam))
 
 
-def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
-    """All border strips of ``lam`` with exactly ``r`` cells.
+def _beta(lam: Partition, beads: int) -> int:
+    """The beta-set of ``lam`` with ``beads`` >= len(lam) beads as one int,
+    one bit per bead: part i (from 0) at bit lam_i + beads - 1 - i, and
+    the missing parts at the bottom bits."""
+    return (1 << beads - len(lam)) - 1 | sum(1 << p + beads - 1 - i for i, p in enumerate(lam))
 
-    Found on the beta-set of ``lam`` (James--Kerber 1981, 2.7): the j-th
-    row from the bottom carries the bead lam_{l-j} + j, j = 0 .. l-1.
-    A strip exists for each bead b with b - r >= 0 not a bead, and moving
-    the bead there removes it.  Its leg length is the number of beads
-    strictly between b - r and b; the complement is the moved beta-set
-    minus the staircase 0, 1, .., l-1, with zero parts dropped.  Hooks
-    are listed by increasing top row, i.e. by decreasing bead.  For
-    r = 1 these are the internal corners with leg length 0.
+
+def _shape(mask: int) -> Partition:
+    """The partition with beta-set ``mask``: each bead's part is the number
+    of gaps below it, read here as the runs of 0s between beads."""
+    parts = accumulate(map(len, bin(mask)[2:].split("1")[:0:-1]))
+    return _known_valid([p for p in parts if p][::-1])
+
+
+def _strips(mask: int, r: int) -> Iterator[tuple[int, int]]:
+    """(leg length, beta-set left) for each r-cell border strip of the
+    beta-set ``mask``, by decreasing bead.  A strip is a bead at t + r
+    over a gap at t, and the beads strictly between make its leg."""
+    free = mask >> r & ~mask
+    between = (1 << r - 1) - 1
+    while free:
+        t = free.bit_length() - 1
+        free ^= 1 << t
+        yield (mask >> t + 1 & between).bit_count(), mask ^ (1 << t | 1 << t + r)
+
+
+def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
+    """All border strips of ``lam`` with exactly ``r`` cells by increasing
+    top row: the strips of its beta-set (James--Kerber 1981, 2.7), decoded.
+    For r = 1 these are the internal corners with leg length 0.
     """
     if r < 1:
         raise ValueError(f"hook size must be positive, got {r}")
     if type(lam) is not Partition:
         lam = Partition(lam)
-    beta = [p + j for j, p in enumerate(reversed(lam))]
-    hooks = []
-    for t in range(len(beta) - 1, -1, -1):
-        pos = beta[t] - r
-        if pos < 0:
-            break
-        below = bisect_left(beta, pos)  # beads under pos; beta ascends
-        if beta[below] == pos:
-            continue
-        moved = beta[:below] + [pos] + beta[below:t] + beta[t + 1 :]
-        parts = [c - j for j, c in enumerate(moved)]
-        # read bottom-up the parts increase, so any zeros come first
-        comp = _known_valid(reversed(parts[parts.count(0) :]))
-        hooks.append(SkewHook(t - below, comp))
-    return hooks
+    return [SkewHook(leg, _shape(rest)) for leg, rest in _strips(_beta(lam, len(lam)), r)]
 
 
 def vertical_strip_inners(lam: Partition) -> list[Partition]:

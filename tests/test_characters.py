@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,14 @@ class TestMurnaghanNakayama:
             for mu in partitions_of(n):
                 assert character_mn(mu, CycleType([1] * n)) == dim_syt(mu)
 
+    @pytest.mark.parametrize("m", [*range(1, 41), 1000])
+    def test_two_row_square_at_fixed_point_free_involution(self, m):
+        # by the 2-quotient, not by MN: (m,m) has empty 2-core and quotient
+        # ((k), (k)) or ((k+1), (k)), so the value is +-C(m, floor(m/2));
+        # m = 1000 peels 1000 layers, past the depth a recursion could take
+        got = character_mn(Partition([m, m]), CycleType([2] * m))
+        assert got == (-1) ** m * comb(m, m // 2)
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             character_mn(Partition([2, 1]), CycleType([2, 1, 1]))
@@ -100,11 +110,11 @@ class TestMurnaghanNakayama:
         monkeypatch.setattr(
             characters, "dim_syt", lambda mu: real(mu) + (mu == Partition([2, 1]))
         )
-        _mn.cache_clear()
+        characters._leaf_dim.cache_clear()
         try:
             assert not check_mn_peel_order(Bounds(4, 3, 2)).ok
         finally:
-            _mn.cache_clear()
+            characters._leaf_dim.cache_clear()
 
 
 class TestFrobenius:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from importlib.resources import files
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -228,6 +229,13 @@ class TestChar:
         code, out, err = run_cli("char", "--mu", "1994,3,3", "--ct", ",".join(map(str, ct.cycles)))
         assert (code, err) == (0, "")
         assert int(out) == character_recpart(Partition([3, 3]), ct)
+
+    def test_many_nontrivial_cycles(self, run_cli):
+        # 1000 2-cycles; the old peel took one stack frame per cycle and
+        # exited 3 with RecursionError.  chi^(m,m)(2^m) = (-1)^m C(m, m/2)
+        code, out, err = run_cli("char", "--mu", "1000,1000", "--ct", ",".join(["2"] * 1000))
+        assert (code, err) == (0, "")
+        assert int(out) == comb(1000, 500)
 
 
 class TestExitCodes:
