@@ -64,8 +64,19 @@ class BinomPoly:
 
 
 def eval_poly(p: BinomPoly, x: int) -> int:
-    """Evaluate ``p`` at the integer ``x``."""
-    return sum(c * binomial(x - p.shift, m) for m, c in enumerate(p.coeffs))
+    """Evaluate ``p`` at the integer ``x``.
+
+    The basis values come from a running binomial,
+    C(a, m + 1) = C(a, m) (a - m) / (m + 1) with a = x - shift; the
+    division is exact for every integer a, negative included, since
+    C(a, m) (a - m) = (m + 1) C(a, m + 1).
+    """
+    a = x - p.shift
+    total, basis = 0, 1
+    for m, c in enumerate(p.coeffs):
+        total += c * basis
+        basis = basis * (a - m) // (m + 1)
+    return total
 
 
 def interpolate(values: Sequence[int], shift: int) -> BinomPoly:

@@ -84,8 +84,13 @@ def transpose(lam: Partition) -> Partition:
 
 
 def contains(lam: Partition, nu: Partition) -> bool:
-    """True iff the diagram of ``nu`` fits inside the diagram of ``lam``."""
-    return len(nu) <= len(lam) and all(map(operator.le, nu, lam))
+    """True iff the diagram of ``nu`` fits inside the diagram of ``lam``.
+
+    Containment implies ``nu <= lam`` as tuples (at the first part where
+    they differ, nu's is smaller, or nu is a prefix of lam), so that one
+    comparison rejects about half of all pairs before the part-by-part one.
+    """
+    return nu <= lam and len(nu) <= len(lam) and all(map(operator.le, nu, lam))
 
 
 def _beta(lam: Partition, beads: int) -> int:

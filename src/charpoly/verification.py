@@ -7,25 +7,32 @@ but not relied upon; they report disagreements without failing a run.
 
 The oracles here recompute from definitions, independent of the
 library's formulas, and exist only for cross-checking: tableau
-enumeration memoized on the filled cells for skew counts, border strips
-as connected skew shapes lam / mu with no 2x2 block, and, for
-characters and the stable-range polynomials, Murnaghan--Nakayama peeling
-every fixed point, the Frobenius and vertical-strip evaluators (the
-latter as one polynomial in n per support), interpolation of
-Murnaghan--Nakayama values and the peel-order and orthogonality laws.
+enumeration memoized on the filled cells, one memo per outer shape that
+its inners share, for skew counts; border strips as connected skew
+shapes lam / mu with no 2x2 block, read row by row with no beta-sets;
+and, for characters and the stable-range polynomials,
+Murnaghan--Nakayama peeling every fixed point, the Frobenius and
+vertical-strip evaluators (the latter as one polynomial in n per
+support), interpolation of Murnaghan--Nakayama values and the
+peel-order and orthogonality laws.
 
 The second derivations that only the suites use live here too, each next
 to its suite: cells, internal corners and corner removal (branching
-rules), hook lengths cell by cell, centralizer orders, the constant
-term from the r-signs and from vertical strips, the four transposition
-closed forms and the two-sided split of the transposition coefficients.
+rules, both at the outer shape and at the inner one for skew counts),
+hook lengths cell by cell, centralizer orders, the constant term from
+the r-signs and from vertical strips, the four transposition closed
+forms and the two-sided split of the transposition coefficients.
+
+The sweeps build their inputs once, not once per check: a cycle type
+with its fixed points once per (support, n), and the skew recursion
+reads both of its sums from one dict of counts per outer shape.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -105,22 +112,31 @@ def _cycle_supports(max_size: int) -> list[Partition]:
 def syt_count_backtracking(outer: Partition, inner: Partition) -> int:
     """Count skew standard tableaux by filling cells 1..m directly.
 
-    A value may be placed in a cell once its left and upper neighbours
-    inside the skew shape are filled.  The count from a set of filled
-    cells depends only on that set, so it is memoized on it: this counts
-    the linear extensions of the cell poset over its down-sets, with no
-    reference to the Young-lattice recursion, Aitken's determinant, the
-    hook formula or corner removal.
+    The cells of ``inner`` start filled.  A value may be placed in a cell
+    of ``outer`` once its left and upper neighbours are filled.  The count
+    from a set of filled cells depends only on that set, so it is
+    memoized on it, in one memo per outer shape that every inner of that
+    shape shares: this counts the linear extensions of the cell poset
+    over its down-sets, with no reference to the Young-lattice recursion,
+    Aitken's determinant, the hook formula or corner removal.
     """
     outer, inner = Partition(outer), Partition(inner)
     if not contains(outer, inner):
         return 0
-    cells = [
-        (i, j)
-        for i in range(1, len(outer) + 1)
-        for j in range((inner[i - 1] if i - 1 < len(inner) else 0) + 1, outer[i - 1] + 1)
-    ]
-    cellset = set(cells)
+    return _fillings(outer)(frozenset(_cells(inner)))
+
+
+def _cells(lam: Partition) -> Iterator[tuple[int, int]]:
+    return ((i, j) for i, p in enumerate(lam, 1) for j in range(1, p + 1))
+
+
+# the last outer only: the sweeps ask for the inners of one outer in a row
+@lru_cache(maxsize=1)
+def _fillings(outer: Partition) -> Callable[[frozenset], int]:
+    """The number of ways to fill the rest of ``outer`` from a set of
+    filled cells, memoized on that set (at most one entry per partition
+    inside ``outer``)."""
+    cells = list(_cells(outer))
 
     @cache
     def fill(filled: frozenset[tuple[int, int]]) -> int:
@@ -131,14 +147,14 @@ def syt_count_backtracking(outer: Partition, inner: Partition) -> int:
             if c in filled:
                 continue
             i, j = c
-            if (i, j - 1) in cellset and (i, j - 1) not in filled:
+            if j > 1 and (i, j - 1) not in filled:
                 continue
-            if (i - 1, j) in cellset and (i - 1, j) not in filled:
+            if i > 1 and (i - 1, j) not in filled:
                 continue
             total += fill(filled | {c})
         return total
 
-    return fill(frozenset())
+    return fill
 
 
 def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
@@ -146,31 +162,29 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
 
     A border strip is lam / mu for a partition mu contained in ``lam``
     whose skew shape is non-empty, edge-connected and holds no 2x2 block.
-    Walks every mu once; returns {r: {(leg length, mu)}} with a (possibly
-    empty) set for each r in 1..|lam|, the leg length being the number of
-    rows the strip spans, minus one.
+    Walks every mu once and reads lam / mu by rows: row i is the run of
+    columns mu_i + 1 .. lam_i.  Two non-empty rows i, i + 1 share the
+    columns mu_i + 1 .. lam_{i+1}, so they touch along an edge iff
+    lam_{i+1} >= mu_i + 1 and form a 2x2 block iff lam_{i+1} >= mu_i + 2;
+    an empty row between non-empty ones cuts the shape.  So lam / mu is a
+    border strip iff its non-empty rows are consecutive and each meets the
+    next in exactly one column, lam_{i+1} = mu_i + 1.  Returns
+    {r: {(leg length, mu)}} with a (possibly empty) set for each r in
+    1..|lam|, the leg length being the number of rows the strip spans,
+    minus one.
     """
     lam = Partition(lam)
     found: dict[int, set[tuple]] = {r: set() for r in range(1, lam.size + 1)}
     for mu in subpartitions(lam):
-        cells = {
-            (i, j)
-            for i in range(1, len(lam) + 1)
-            for j in range((mu[i - 1] if i <= len(mu) else 0) + 1, lam[i - 1] + 1)
-        }
-        if not cells or any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells for i, j in cells):
+        padded = mu + (0,) * (len(lam) - len(mu))
+        rows = [i for i, p in enumerate(lam) if p > padded[i]]
+        if not rows:
             continue
-        start = min(cells)
-        seen, queue = {start}, [start]
-        while queue:
-            i, j = queue.pop()
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        if seen == cells:
-            legs = len({i for i, _ in cells}) - 1
-            found[len(cells)].add((legs, mu))
+        top, bottom = rows[0], rows[-1]
+        if bottom - top == len(rows) - 1 and all(
+            lam[i + 1] == padded[i] + 1 for i in range(top, bottom)
+        ):
+            found[lam.size - mu.size].add((bottom - top, mu))
     return found
 
 
@@ -306,20 +320,43 @@ def check_syt_branching(bounds: Bounds) -> SuiteResult:
     return res
 
 
+def _grown(nu: Partition) -> Iterator[tuple[int, ...]]:
+    """The parts of nu with one cell added, at each row where that leaves
+    a partition."""
+    for i in range(len(nu) + 1):
+        p = nu[i] if i < len(nu) else 0
+        if i == 0 or nu[i - 1] > p:
+            yield nu[:i] + (p + 1,) + nu[i + 1 :]
+
+
 def check_skew_recursion(bounds: Bounds) -> SuiteResult:
+    """Both branching rules of f(lam / nu) = skew_syt_count(lam, nu):
+    the largest entry sits in a corner of lam (sum over lam minus a
+    corner) and the smallest in a cell that grows nu inside lam (sum
+    over nu plus that cell).  The second compares inners of different
+    Durfee ranks, which the first never does."""
     res = SuiteResult("skew_recursion")
-    for lam in _shapes_upto(bounds.max_k + 4):
-        if not lam:
-            continue
-        smaller = [remove_corner(lam, v) for v in internal_corners(lam)]
-        for nu in subpartitions(lam):
-            if nu == lam:
+    below: dict[Partition, dict[Partition, int]] = {}
+    for k in range(bounds.max_k + 5):
+        level = {}
+        for lam in partitions_of(k):
+            counts = level[lam] = {nu: skew_syt_count(lam, nu) for nu in subpartitions(lam)}
+            if not lam:
                 continue
-            total = sum(skew_syt_count(m, nu) for m in smaller)
-            res.expect(
-                skew_syt_count(lam, nu) == total,
-                lambda lam=lam, nu=nu, total=total: f"lam={list(lam)} nu={list(nu)}: skew recursion broke",
-            )
+            smaller = [below[remove_corner(lam, v)] for v in internal_corners(lam)]
+            for nu, count in counts.items():
+                if nu == lam:
+                    continue
+                by_outer = sum(m.get(nu, 0) for m in smaller)
+                by_inner = sum(counts.get(grown, 0) for grown in _grown(nu))
+                res.expect(
+                    count == by_outer == by_inner,
+                    lambda lam=lam, nu=nu, c=count, o=by_outer, i=by_inner: (
+                        f"lam={list(lam)} nu={list(nu)}: count {c}, "
+                        f"corner sum {o}, growth sum {i}"
+                    ),
+                )
+        below = level
     return res
 
 
@@ -361,6 +398,14 @@ def check_dim_equals_skew_over_empty(bounds: Bounds) -> SuiteResult:
 # character-level suites
 
 
+# each sweep meets the same (support, n) once per shape: about 300 pairs in
+# all at the default bounds, at most 2,803 in one sweep at the CLI's caps
+@lru_cache(maxsize=4096)
+def _with_fixed_points(support: tuple[int, ...], n: int) -> CycleType:
+    """The cycle type of the cycles ``support`` plus n - |support| fixed points."""
+    return CycleType(tuple(support) + (1,) * (n - sum(support)))
+
+
 def check_mn_identity_is_dimension(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("mn_identity_is_dimension")
     for mu in _shapes_upto(bounds.max_k + 2):
@@ -400,7 +445,7 @@ def _recpart_cases(bounds: Bounds, lo: int, hi: int):
             for sup in _cycle_supports(bounds.max_r):
                 poly = recpart_poly(lam, sup)
                 for n in range(max(base + lo, sup.size), base + hi):
-                    ct = CycleType(list(sup) + [1] * (n - sup.size))
+                    ct = _with_fixed_points(sup, n)
                     got = eval_poly(poly, n)
                     want = character_mn(Partition([n - k] + list(lam)), ct)
                     yield got == want, lambda lam=lam, sup=sup, n=n, got=got, want=want: (
@@ -524,7 +569,7 @@ def check_forward_difference_coeffs(bounds: Bounds) -> SuiteResult:
 
 def _stable_character(lam: Partition, n: int, r: int) -> int:
     """Character of (n - |lam|, lam) at an r-cycle plus n - r fixed points."""
-    return character_mn(Partition([n - lam.size] + list(lam)), CycleType([r] + [1] * (n - r)))
+    return character_mn(Partition([n - lam.size] + list(lam)), _with_fixed_points((r,), n))
 
 
 def _main_cases(max_k: int, max_r: int, window: Callable[[int, int], range]):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -57,6 +58,16 @@ class TestEval:
         assert repr(p) == "BinomPoly(shift=0, coeffs=(1, 2))"
         with pytest.raises(AttributeError):
             p.shift = 1
+
+
+    def test_running_binomial_matches_binomial(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            shift = rng.randint(-5, 10)
+            p = BinomPoly(shift, [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))])
+            for a in range(-10, 31):
+                want = sum(c * binomial(a, m) for m, c in enumerate(p.coeffs))
+                assert eval_poly(p, shift + a) == want, (p, a)
 
 
 class TestReshift:

@@ -586,6 +586,17 @@ class TestVerify:
                     results = verification.run_suites(bounds)
                     assert all(r.ok for r in results), (bounds, results)
 
+    @pytest.mark.parametrize("flag, cap", [("--max-k", 14), ("--max-r", 14), ("--n-window", 100)])
+    def test_bound_past_its_cap_exits_2_before_any_suite(self, flag, cap, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(verification, "run_suites", lambda *a, **kw: ran.append(a))
+        assert main(["verify", flag, str(cap + 1)]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert captured.err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
+        code, help_text = _captured_exit(["verify", "--help"])
+        assert code == 0 and f"at most {cap}" in " ".join(help_text.split())
+
     def test_band_disagreement_is_described_not_fatal(self, monkeypatch, capsys):
         real_poly, real_eval = verification.recpart_poly, verification.eval_poly
 

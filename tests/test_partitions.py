@@ -98,6 +98,15 @@ class TestContains:
     def test_transpose_invariant(self, lam, nu):
         assert contains(lam, nu) == contains(transpose(lam), transpose(nu))
 
+    def test_matches_definition_on_all_small_pairs(self):
+        # nu padded with zeros to the length of lam, compared part by part
+        shapes = [lam for n in range(9) for lam in partitions_of(n)]
+        for lam in shapes:
+            for nu in shapes:
+                padded = list(nu) + [0] * (len(lam) - len(nu))
+                want = len(nu) <= len(lam) and all(a <= b for a, b in zip(padded, lam))
+                assert contains(lam, nu) == want, (lam, nu)
+
 
 class TestCorners:
     def test_rectangle(self):
@@ -198,6 +207,37 @@ class TestSkewHooks:
     def test_matches_bruteforce(self, lam, r):
         got = {(h.leg_length, h.complement) for h in skew_hooks(lam, r)}
         assert got == border_strips_bruteforce(lam).get(r, set())
+
+
+def _border_strips_by_cells(lam):
+    """Border strips of ``lam`` as sets of cells: every lam / mu that is
+    non-empty, has no 2x2 block and is edge-connected by a search."""
+    found = {r: set() for r in range(1, lam.size + 1)}
+    for mu in subpartitions(lam):
+        cells = {
+            (i, j)
+            for i in range(1, len(lam) + 1)
+            for j in range((mu[i - 1] if i <= len(mu) else 0) + 1, lam[i - 1] + 1)
+        }
+        if not cells or any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells for i, j in cells):
+            continue
+        start = min(cells)
+        seen, queue = {start}, [start]
+        while queue:
+            i, j = queue.pop()
+            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if nb in cells and nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+        if seen == cells:
+            found[len(cells)].add((len({i for i, _ in cells}) - 1, mu))
+    return found
+
+
+def test_border_strips_by_rows_match_cell_search():
+    for n in range(11):
+        for lam in partitions_of(n):
+            assert border_strips_bruteforce(lam) == _border_strips_by_cells(lam), lam
 
 
 class TestVerticalStrips:

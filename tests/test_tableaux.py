@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import charpoly.cli as cli
 import charpoly.tableaux as tableaux
+import charpoly.verification as verification
 from charpoly.binom_poly import eval_poly
 from charpoly.partitions import Partition, partitions_of, subpartitions, transpose
 from charpoly.stability import a_vector, char_poly, dim_poly
@@ -244,3 +245,18 @@ def test_invariant_sweeps():
     ):
         result = suite(bounds)
         assert result.ok, result.failures
+
+
+def test_skew_recursion_catches_rank_three_sign_flip(monkeypatch):
+    # a sign slip confined to inners of Durfee rank >= 3; the corner rule
+    # alone compares counts over one inner and cannot see it
+    real = verification.skew_syt_count
+
+    def flipped(outer, inner):
+        count = real(outer, inner)
+        return -count if _durfee_rank(inner) >= 3 else count
+
+    monkeypatch.setattr(verification, "skew_syt_count", flipped)
+    result = check_skew_recursion(Bounds())
+    assert not result.ok
+    assert "growth sum" in result.failures[0]
