@@ -110,9 +110,11 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
     beta-sets, so the depth of the stack does not grow with the input.
     """
     mu = Partition(mu)
-    if mu.size != ct.n:
+    cycles = ct.cycles
+    if sum(mu) != sum(cycles):
         raise SizeMismatch(f"|mu| = {mu.size} but cycle type fills {ct.n}")
-    return _mn(mu, [c for c in ct.cycles if c > 1])
+    # ``cycles`` is weakly decreasing, so the 1s, if any, are its tail
+    return _mn(mu, cycles[: cycles.index(1)] if cycles and cycles[-1] == 1 else cycles)
 
 
 def character_frobenius_transposition(mu: Partition) -> int:

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="run the invariant sweeps",
         description="Run the invariant sweeps.  At the defaults this takes about "
-                    "0.3 s; at all three caps together about 34 s.",
+                    "0.4 s; at all three caps together about 34 s.",
     )
     p.add_argument("--max-k", dest="max_k", type=_positive_int, default=8,
                    help=f"largest partition size swept, at most {_VERIFY_CAPS['max_k']}; "

@@ -97,7 +97,12 @@ def _beta(lam: Partition, beads: int) -> int:
     """The beta-set of ``lam`` with ``beads`` >= len(lam) beads as one int,
     one bit per bead: part i (from 0) at bit lam_i + beads - 1 - i, and
     the missing parts at the bottom bits."""
-    return (1 << beads - len(lam)) - 1 | sum(1 << p + beads - 1 - i for i, p in enumerate(lam))
+    mask = (1 << beads - len(lam)) - 1
+    top = beads - 1
+    for p in lam:
+        mask |= 1 << p + top
+        top -= 1
+    return mask
 
 
 def _shape(mask: int) -> Partition:
@@ -162,15 +167,28 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 
 def subpartitions(lam: Partition) -> Iterator[Partition]:
-    """Generate every partition contained in ``lam``."""
+    """Generate every partition contained in ``lam``, each one before its
+    extensions by a further row and smaller last parts first, from the
+    empty partition on.
 
-    def rec(i: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        yield _known_valid(prefix)
-        if i >= len(lam):
+    Iterative, an odometer over the rows: no recursion, so no depth
+    limit however many rows ``lam`` has.
+    """
+    rows = len(lam)
+    parts: list[int] = []
+    while True:
+        yield _known_valid(parts)
+        if len(parts) < rows:
+            parts.append(1)
+            continue
+        # advance the lowest row that can still grow (it is capped by lam
+        # and by the row above it) and drop the rows below it
+        while parts:
+            i = len(parts) - 1
+            p = parts[i] + 1
+            if p <= lam[i] and (i == 0 or p <= parts[i - 1]):
+                parts[i] = p
+                break
+            parts.pop()
+        else:
             return
-        for part in range(1, min(cap, lam[i]) + 1):
-            prefix.append(part)
-            yield from rec(i + 1, part, prefix)
-            prefix.pop()
-
-    yield from rec(0, lam[0] if lam else 0, [])

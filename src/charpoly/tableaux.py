@@ -19,10 +19,12 @@ to adj P0 = D P0^-1, and then
 
 where V[:, b] = adj P0 P[:, b] (Macdonald, Symmetric Functions, I.3,
 the Giambelli pattern).  A count costs one d x d minor, and the
-r-primary inners of the character polynomials have d <= 2.  Reduced
-columns are formed the first time a count needs them.  Two global
-memos hold the work: one record per outer (the reduction and its
-columns) and one count per (outer, inner) pair asked for.
+r-primary inners of the character polynomials have d <= 2, so ``_det``
+takes minors of size <= 2 by their closed forms and only larger ones by
+Bareiss elimination.  Reduced columns are formed the first time a count
+needs them.  Two global memos hold the work: one record per outer (the
+reduction and its columns) and one count per (outer, inner) pair asked
+for.
 """
 
 from __future__ import annotations
@@ -57,12 +59,19 @@ def dim_syt(mu: Partition) -> int:
 
 
 def _det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+    """Determinant of a square integer matrix.
 
-    Fraction-free: every division is exact.  A zero pivot is replaced by
-    swapping in a lower row; ``m`` is overwritten.
+    Up to 2 x 2 by the closed forms, which cover every r-primary inner;
+    larger by Bareiss elimination, fraction-free, so every division is
+    exact.  A zero pivot is replaced by swapping in a lower row; ``m`` is
+    overwritten.
     """
     n = len(m)
+    if n <= 2:
+        if n == 2:
+            (a, b), (c, d) = m
+            return a * d - b * c
+        return m[0][0] if n else 1
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
@@ -78,7 +87,7 @@ def _det(m: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1] if n else 1
+    return sign * m[n - 1][n - 1]
 
 
 class _Reduced:
@@ -178,10 +187,12 @@ def _skew_count(outer: Partition, inner: Partition) -> int:
     cols = [rec.column(rec.ell + a) for a in alpha]
     minor = [[col[b] for col in cols] for b in beta]
     # f = (-1)^sum(beta) N! det(minor) D / (prod a_i! D^d)
-    num = (-1) ** sum(beta) * factorial(outer.size - inner.size) * _det(minor) * rec.det
-    den = rec.scale * rec.det ** len(alpha)
-    assert num % den == 0, f"Aitken determinant not integral for {outer} / {inner}"
-    return num // den
+    num = factorial(outer.size - inner.size) * _det(minor) * rec.det
+    if sum(beta) & 1:
+        num = -num
+    count, rem = divmod(num, rec.scale * rec.det ** len(alpha))
+    assert rem == 0, f"Aitken determinant not integral for {outer} / {inner}"
+    return count
 
 
 def skew_syt_count(outer: Partition, inner: Partition) -> int:

@@ -24,8 +24,10 @@ the r-signs and from vertical strips, the four transposition closed
 forms and the two-sided split of the transposition coefficients.
 
 The sweeps build their inputs once, not once per check: a cycle type
-with its fixed points once per (support, n), and the skew recursion
-reads both of its sums from one dict of counts per outer shape.
+with its fixed points once per (support, n); the skew recursion reads
+both of its sums from one dict of counts per outer shape, and the cells
+that grow an inner from one list per inner; and the containment sweep
+checks all inners of one outer in one bulk pass.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from __future__ import annotations
 import random
 import time
 from functools import cache, lru_cache
+from itertools import compress, repeat
 from math import comb, factorial, prod
-from typing import Callable, Iterator, NamedTuple, Sequence
+from operator import eq, not_
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .binom_poly import BinomPoly, eval_poly, interpolate, reshift
 from .characters import (
@@ -90,6 +94,18 @@ class SuiteResult:
             self.disagreements += 1
             if len(self.failures) < self._MAX_RECORDED:
                 self.failures.append(describe())
+
+    def expect_each(
+        self, conditions: Iterable[bool], describe_at_index: Callable[[int], str]
+    ) -> None:
+        """``expect`` on each of ``conditions`` in turn, where a failing
+        condition at index j is described by ``describe_at_index(j)``."""
+        oks = list(conditions)
+        self.checks += len(oks)
+        failed = list(compress(range(len(oks)), map(not_, oks)))
+        self.disagreements += len(failed)
+        room = self._MAX_RECORDED - len(self.failures)
+        self.failures.extend(map(describe_at_index, failed[:room]))
 
 
 def _shapes_upto(size: int) -> Iterator[Partition]:
@@ -262,12 +278,16 @@ def check_partition_contains_transpose(bounds: Bounds) -> SuiteResult:
             transpose(lam_t) == lam,
             lambda lam=lam: f"lam={list(lam)}: transpose not an involution",
         )
+    nus = [nu for nu, _ in shapes]
+    nus_t = [nu_t for _, nu_t in shapes]
+    # one row of checks per outer, each row in one bulk pass
     for lam, lam_t in shapes:
-        for nu, nu_t in shapes:
-            res.expect(
-                contains(lam, nu) == contains(lam_t, nu_t),
-                lambda lam=lam, nu=nu: f"lam={list(lam)} nu={list(nu)}: containment not transpose-invariant",
-            )
+        res.expect_each(
+            map(eq, map(contains, repeat(lam), nus), map(contains, repeat(lam_t), nus_t)),
+            lambda j, lam=lam: (
+                f"lam={list(lam)} nu={list(nus[j])}: containment not transpose-invariant"
+            ),
+        )
     return res
 
 
@@ -320,13 +340,12 @@ def check_syt_branching(bounds: Bounds) -> SuiteResult:
     return res
 
 
-def _grown(nu: Partition) -> Iterator[tuple[int, ...]]:
-    """The parts of nu with one cell added, at each row where that leaves
-    a partition."""
+def _grown(nu: Partition) -> Iterator[Partition]:
+    """nu with one cell added, at each row where that leaves a partition."""
     for i in range(len(nu) + 1):
         p = nu[i] if i < len(nu) else 0
         if i == 0 or nu[i - 1] > p:
-            yield nu[:i] + (p + 1,) + nu[i + 1 :]
+            yield Partition(nu[:i] + (p + 1,) + nu[i + 1 :])
 
 
 def check_skew_recursion(bounds: Bounds) -> SuiteResult:
@@ -337,6 +356,8 @@ def check_skew_recursion(bounds: Bounds) -> SuiteResult:
     Durfee ranks, which the first never does."""
     res = SuiteResult("skew_recursion")
     below: dict[Partition, dict[Partition, int]] = {}
+    # the growth list of each inner, built the first time an outer asks
+    growths: dict[Partition, list[Partition]] = {}
     for k in range(bounds.max_k + 5):
         level = {}
         for lam in partitions_of(k):
@@ -348,7 +369,10 @@ def check_skew_recursion(bounds: Bounds) -> SuiteResult:
                 if nu == lam:
                     continue
                 by_outer = sum(m.get(nu, 0) for m in smaller)
-                by_inner = sum(counts.get(grown, 0) for grown in _grown(nu))
+                grown = growths.get(nu)
+                if grown is None:
+                    grown = growths[nu] = list(_grown(nu))
+                by_inner = sum(map(counts.get, grown, repeat(0)))
                 res.expect(
                     count == by_outer == by_inner,
                     lambda lam=lam, nu=nu, c=count, o=by_outer, i=by_inner: (

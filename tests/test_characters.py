@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -87,8 +88,25 @@ class TestMurnaghanNakayama:
         assert got == (-1) ** m * comb(m, m // 2)
 
     def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(SizeMismatch) as exc:
             character_mn(Partition([2, 1]), CycleType([2, 1, 1]))
+        assert str(exc.value) == "|mu| = 3 but cycle type fills 4"
+
+    def test_fixed_points_left_unpeeled(self):
+        # the 1s are sliced off the sorted cycles; peeling them all, in
+        # any order, gives the same value
+        rng = random.Random(7)
+        kinds = set()
+        for n in range(8):
+            for mu in partitions_of(n):
+                for ct in partitions_of(n):
+                    kinds.add((1 in ct, any(c > 1 for c in ct)))
+                    shuffled = list(ct)
+                    rng.shuffle(shuffled)
+                    for cycles in (tuple(ct), ct[::-1], tuple(shuffled)):
+                        assert character_mn(mu, CycleType(cycles)) == _mn(mu, cycles), (mu, cycles)
+        # empty, only 1s, no 1s, and both
+        assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
     def test_empty(self):
         assert character_mn(Partition(), CycleType()) == 1

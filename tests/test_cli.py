@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -544,6 +545,24 @@ class TestVerify:
         a.expect(False, lambda: "first")
         assert a.failures == ["first"] and not a.ok
         assert b.failures == []
+
+    def test_expect_each_matches_expect(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            one, each = verification.SuiteResult("one"), verification.SuiteResult("each")
+            for b in range(rng.randrange(1, 5)):
+                conditions = [rng.random() < 0.7 for _ in range(rng.randrange(8))]
+                for j, ok in enumerate(conditions):
+                    one.expect(ok, lambda b=b, j=j: f"{b}:{j}")
+                each.expect_each(iter(conditions), lambda j, b=b: f"{b}:{j}")
+            assert (each.checks, each.disagreements, each.failures) == (
+                one.checks, one.disagreements, one.failures
+            )
+
+    def test_json_report_matches_golden(self, run_cli, golden):
+        code, out, _ = run_cli("verify", "--format", "json")
+        assert code == 0
+        assert out == (golden / "verify_8_6_7.json").read_text()
 
     def test_json_report_schema(self, run_cli):
         code, out, _ = run_cli(

@@ -1,7 +1,9 @@
+from operator import le
+
 import pytest
 from hypothesis import given, strategies as st
 
-from charpoly import partitions
+from charpoly import partitions, verification
 from charpoly.partitions import (
     NotWeaklyDecreasing,
     Partition,
@@ -293,6 +295,52 @@ def test_subpartitions_contained_and_complete():
     assert set(subs) == {
         nu for k in range(lam.size + 1) for nu in partitions_of(k) if contains(lam, nu)
     }
+
+
+def _subpartitions_recursive(lam):
+    """The recursive enumeration, kept as the reference for the order of
+    ``subpartitions``."""
+
+    def rec(i, cap, prefix):
+        yield Partition(prefix)
+        if i >= len(lam):
+            return
+        for part in range(1, min(cap, lam[i]) + 1):
+            prefix.append(part)
+            yield from rec(i + 1, part, prefix)
+            prefix.pop()
+
+    yield from rec(0, lam[0] if lam else 0, [])
+
+
+def test_subpartitions_match_recursive_reference():
+    for n in range(13):
+        for lam in partitions_of(n):
+            assert list(subpartitions(lam)) == list(_subpartitions_recursive(lam)), lam
+
+
+def test_subpartitions_of_a_tall_column():
+    # the recursive enumeration went one frame deeper per row
+    column = Partition([1] * 1500)
+    subs = list(subpartitions(column))
+    assert len(subs) == 1501
+    assert subs == [Partition([1] * k) for k in range(1501)]
+
+
+def test_containment_sweep_catches_a_two_row_containment(monkeypatch):
+    # a containment that compares only the top two rows; its first
+    # failures and counts are those of one check per pair
+    monkeypatch.setattr(
+        verification,
+        "contains",
+        lambda lam, nu: len(nu) <= len(lam) and all(map(le, nu[:2], lam)),
+    )
+    result = check_partition_contains_transpose(Bounds())
+    assert (result.checks, result.disagreements) == (74_256, 4_392)
+    assert result.failures == [
+        f"lam={lam} nu={nu}: containment not transpose-invariant"
+        for lam, nu in (([3, 2], [3, 3]), ([2, 2, 1], [2, 2, 2]), ([4, 2], [3, 3]))
+    ]
 
 
 def test_invariant_sweeps():

@@ -1,3 +1,5 @@
+import random
+from itertools import permutations
 from math import factorial, prod
 
 import pytest
@@ -177,6 +179,20 @@ class TestWorkBound:
         assert cli.main(argv) == 0
         assert set(sizes) == {0, 1, 2}
 
+    def test_growth_lists_once_per_inner(self, monkeypatch):
+        # 195 inners, the partitions of at most 11 boxes, each met by many outers
+        grown = []
+        real = verification._grown
+
+        def counted(nu):
+            grown.append(nu)
+            return real(nu)
+
+        monkeypatch.setattr(verification, "_grown", counted)
+        assert check_skew_recursion(Bounds()).ok
+        assert len(grown) == len(set(grown)) == 195
+        assert set(grown) == {nu for n in range(12) for nu in partitions_of(n)}
+
     def test_columns_stop_at_length_plus_r(self, monkeypatch):
         # the widest primary of 5 inside (200,200,200) is (6,1,1), alpha = 5,
         # so of the columns b = 3..202 past P0 only b <= 3 + 5 are formed
@@ -186,7 +202,34 @@ class TestWorkBound:
         assert len(columns) == len(set(columns))
 
 
+def _leibniz(m):
+    """Determinant as the signed sum over permutations, the reference for ``_det``."""
+    n = len(m)
+    total = 0
+    for sigma in permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][sigma[i]] for i in range(n))
+    return total
+
+
 class TestDeterminant:
+    def test_matches_leibniz_expansion(self):
+        # closed forms up to 2 x 2, Bareiss past them; zero pivots and
+        # singular matrices (a row repeated or scaled) on both sides
+        rng = random.Random(20)
+        singular = 0
+        for n in range(5):
+            for _ in range(300):
+                m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+                if n >= 2 and rng.random() < 0.2:
+                    i, j = rng.sample(range(n), 2)
+                    scale = rng.randint(-3, 3)
+                    m[i] = [scale * x for x in m[j]]
+                want = _leibniz(m)
+                singular += want == 0
+                assert _det([row[:] for row in m]) == want, m
+        assert singular > 100
+
     def test_small_matrices(self):
         assert _det([]) == 1
         assert _det([[7]]) == 7
