@@ -201,7 +201,7 @@ def cmd_table(args) -> int:
 
 
 # The largest bounds ``verify`` accepts, so that every accepted run ends:
-# all three together take about 34 s (measured ``# elapsed`` on a 2-core
+# all three together take about 30 s (measured ``# elapsed`` on a 2-core
 # host, Python 3.11); --help and the README give the cost of each.
 _VERIFY_CAPS = {"max_k": 14, "max_r": 14, "n_window": 100}
 
@@ -276,17 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="run the invariant sweeps",
         description="Run the invariant sweeps.  At the defaults this takes about "
-                    "0.4 s; at all three caps together about 34 s.",
+                    "0.5 s; at all three caps together about 30 s.",
     )
     p.add_argument("--max-k", dest="max_k", type=_positive_int, default=8,
                    help=f"largest partition size swept, at most {_VERIFY_CAPS['max_k']}; "
-                        "time grows about 2.9x per +2 (7.5 s at 14)")
+                        "time grows about 2.6x per +2 (8 s at 14)")
     p.add_argument("--max-r", dest="max_r", type=_positive_int, default=6,
                    help=f"largest cycle length swept, at most {_VERIFY_CAPS['max_r']} "
-                        "(0.7 s at 14)")
+                        "(1 s at 14)")
     p.add_argument("--n-window", dest="n_window", type=_positive_int, default=7,
                    help=f"values of n checked per polynomial, at most "
-                        f"{_VERIFY_CAPS['n_window']}; time grows linearly (0.8 s at 100)")
+                        f"{_VERIFY_CAPS['n_window']}; time grows linearly (1.1 s at 100)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="suite-level parallelism; 1 keeps runs single-process")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -10,7 +10,7 @@ is safe to share between threads and to memoize.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate
+from itertools import accumulate, chain, groupby, product
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -140,15 +140,20 @@ def vertical_strip_inners(lam: Partition) -> list[Partition]:
     """All partitions obtained by removing at most one box per row of ``lam``.
 
     Includes ``lam`` itself; sorted in decreasing lexicographic order.
+    Built by blocks of equal parts: in a block of m parts v only the
+    bottom j rows can lose a box (0 <= j <= m), and any choice of j per
+    block leaves a partition, since v - 1 is at least the next block's
+    value.  So there are prod(m + 1) inners, one per choice, and taking
+    j in increasing order block by block, the top block first, lists
+    them in decreasing order.
     """
-    inners = []
-    for mask in range(1 << len(lam)):
-        parts = [p - ((mask >> i) & 1) for i, p in enumerate(lam)]
-        if all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)):
-            if not parts or parts[-1] >= 0:
-                inners.append(Partition(parts))
-    inners.sort(reverse=True)
-    return inners
+    blocks = []
+    for v, run in groupby(lam):
+        m = len(list(run))
+        # a part 1 that loses its box is gone, not a trailing 0
+        low = (v - 1,) if v > 1 else ()
+        blocks.append([(v,) * (m - j) + low * j for j in range(m + 1)])
+    return [_known_valid(chain.from_iterable(rows)) for rows in product(*blocks)]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

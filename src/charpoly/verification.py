@@ -23,11 +23,16 @@ hook lengths cell by cell, centralizer orders, the constant term from
 the r-signs and from vertical strips, the four transposition closed
 forms and the two-sided split of the transposition coefficients.
 
-The sweeps build their inputs once, not once per check: a cycle type
-with its fixed points once per (support, n); the skew recursion reads
-both of its sums from one dict of counts per outer shape, and the cells
-that grow an inner from one list per inner; and the containment sweep
-checks all inners of one outer in one bulk pass.
+The sweeps build their inputs once, not once per check: the partitions
+of each size once per process, the cycle supports once per sweep, a
+cycle type with its fixed points once per (support, n) and the stable
+shape (n - k, lam) once per (lam, n); the skew recursion reads both of
+its sums from one dict of counts per outer shape, and the cells that
+grow an inner from one list per inner, while the coefficient recurrence
+reads each b[h] from one dict per shape of the previous size; the
+containment sweep checks all inners of one outer in one bulk pass; and
+the peel-order sweep builds each size's cycle types once and peels each
+shared prefix of their increasing cycles once per shape.
 """
 
 from __future__ import annotations
@@ -43,13 +48,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .binom_poly import BinomPoly, eval_poly, interpolate, reshift
 from .characters import (
     CycleType,
+    _leaf_dim,
     _mn,
+    _peel,
     character_frobenius_transposition,
     character_mn,
     recpart_poly,
 )
 from .partitions import (
     Partition,
+    _beta,
     contains,
     partitions_of,
     skew_hooks,
@@ -108,16 +116,24 @@ class SuiteResult:
         self.failures.extend(map(describe_at_index, failed[:room]))
 
 
+# the sweeps list sizes up to max(max_k + 4, max_r), at most 18 at the CLI's caps
+@cache
+def _partitions(n: int) -> tuple[Partition, ...]:
+    """The partitions of ``n`` in the order of ``partitions_of``, listed
+    once per process."""
+    return tuple(partitions_of(n))
+
+
 def _shapes_upto(size: int) -> Iterator[Partition]:
     for k in range(size + 1):
-        yield from partitions_of(k)
+        yield from _partitions(k)
 
 
 def _cycle_supports(max_size: int) -> list[Partition]:
     """Cycle types with no fixed points, of size at most ``max_size``."""
     out = [Partition()]
     for m in range(2, max_size + 1):
-        out.extend(p for p in partitions_of(m) if p[-1] >= 2)
+        out.extend(p for p in _partitions(m) if p[-1] >= 2)
     return out
 
 
@@ -360,7 +376,7 @@ def check_skew_recursion(bounds: Bounds) -> SuiteResult:
     growths: dict[Partition, list[Partition]] = {}
     for k in range(bounds.max_k + 5):
         level = {}
-        for lam in partitions_of(k):
+        for lam in _partitions(k):
             counts = level[lam] = {nu: skew_syt_count(lam, nu) for nu in subpartitions(lam)}
             if not lam:
                 continue
@@ -449,9 +465,10 @@ def check_mn_identity_is_dimension(bounds: Bounds) -> SuiteResult:
 def check_frobenius_vs_mn(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("frobenius_vs_mn")
     for n in range(2, bounds.max_k + 3):
-        for mu in partitions_of(n):
+        ct = CycleType([2] + [1] * (n - 2))
+        for mu in _partitions(n):
             frob = character_frobenius_transposition(mu)
-            mn = character_mn(mu, CycleType([2] + [1] * (n - 2)))
+            mn = character_mn(mu, ct)
             res.expect(
                 frob == mn,
                 lambda mu=mu, frob=frob, mn=mn: f"mu={list(mu)}: frobenius {frob} != mn {mn}",
@@ -462,16 +479,19 @@ def check_frobenius_vs_mn(bounds: Bounds) -> SuiteResult:
 def _recpart_cases(bounds: Bounds, lo: int, hi: int):
     """(agrees, describe) for recpart vs MN at every n from
     max(k + lam_1 + lo, |support|) up to k + lam_1 + hi; the recpart
-    polynomial is built once per (lam, support)."""
+    polynomial is built once per (lam, support) and the shape (n - k, lam)
+    once per (lam, n)."""
+    supports = [(sup, sup.size) for sup in _cycle_supports(bounds.max_r)]
     for k in range(max(0, bounds.max_k - 3) + 1):
-        for lam in partitions_of(k):
+        for lam in _partitions(k):
             base = k + (lam[0] if lam else 0)
-            for sup in _cycle_supports(bounds.max_r):
+            shapes = {n: Partition([n - k] + list(lam)) for n in range(base + lo, base + hi)}
+            for sup, size in supports:
                 poly = recpart_poly(lam, sup)
-                for n in range(max(base + lo, sup.size), base + hi):
+                for n in range(max(base + lo, size), base + hi):
                     ct = _with_fixed_points(sup, n)
                     got = eval_poly(poly, n)
-                    want = character_mn(Partition([n - k] + list(lam)), ct)
+                    want = character_mn(shapes[n], ct)
                     yield got == want, lambda lam=lam, sup=sup, n=n, got=got, want=want: (
                         f"lam={list(lam)} support={list(sup)} n={n}: recpart {got} != mn {want}"
                     )
@@ -491,14 +511,51 @@ def check_recpart_band(bounds: Bounds) -> SuiteResult:
     return res
 
 
+def _ascending_walk(cts: Sequence[Partition]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The cycle types ``cts`` as one walk over their cycles in increasing
+    order: for each, its index in ``cts``, the length of the prefix it
+    shares with the one before it in the walk and the cycles past that
+    prefix.  The walk takes the increasing sequences in sorted order, so
+    neighbours share the longest prefixes."""
+    walk: list[tuple[int, int, tuple[int, ...]]] = []
+    prev: tuple[int, ...] = ()
+    for seq, i in sorted((ct[::-1], i) for i, ct in enumerate(cts)):
+        shared = 0
+        while shared < min(len(prev), len(seq)) and prev[shared] == seq[shared]:
+            shared += 1
+        walk.append((i, shared, seq[shared:]))
+        prev = seq
+    return walk
+
+
+def _mn_ascending(mu: Partition, walk: list[tuple[int, int, tuple[int, ...]]]) -> list[int]:
+    """``_mn(mu, reversed(ct))`` for each cycle type ct of ``walk``, by
+    index: every cycle is peeled, the 1s first, with the same peel step
+    and hook-formula sum, and a stack of layers keeps each shared prefix
+    peeled once."""
+    values = [0] * len(walk)
+    layers = [{_beta(mu, len(mu)): 1}]
+    for i, shared, rest in walk:
+        del layers[shared + 1 :]
+        for r in rest:
+            layers.append(_peel(layers[-1], r))
+        values[i] = sum(c * _leaf_dim(mask) for mask, c in layers[-1].items())
+    return values
+
+
 def check_mn_peel_order(bounds: Bounds) -> SuiteResult:
+    """Murnaghan--Nakayama does not depend on the order of the cycles:
+    ``character_mn`` peels the cycles of length >= 2 in decreasing order
+    and ends at the hook formula, the ascending walk peels every cycle."""
     res = SuiteResult("mn_peel_order")
     for n in range(bounds.max_k + 1):
-        for mu in partitions_of(n):
-            for ct in partitions_of(n):
-                # descending ends at the hook formula; ascending peels every cycle
-                down = character_mn(mu, CycleType(ct))
-                up = _mn(mu, tuple(reversed(ct)))
+        cts = _partitions(n)
+        types = [CycleType(ct) for ct in cts]
+        walk = _ascending_walk(cts)
+        for mu in cts:
+            ups = _mn_ascending(mu, walk)
+            for ct, ctype, up in zip(cts, types, ups):
+                down = character_mn(mu, ctype)
                 res.expect(
                     down == up,
                     lambda mu=mu, ct=ct, down=down, up=up: (
@@ -521,7 +578,7 @@ def check_column_orthogonality(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("column_orthogonality")
     for n in range(2, max(3, bounds.max_k)):
         for ct in (CycleType([1] * n), CycleType([2] + [1] * (n - 2))):
-            total = sum(character_mn(mu, ct) ** 2 for mu in partitions_of(n))
+            total = sum(character_mn(mu, ct) ** 2 for mu in _partitions(n))
             res.expect(
                 total == centralizer_order(ct),
                 lambda n=n, ct=ct, total=total: f"n={n} ct={list(ct.cycles)}: {total} != centralizer order",
@@ -557,11 +614,13 @@ def check_binom_round_trip(bounds: Bounds) -> SuiteResult:
 def check_reshift_preserves_values(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("reshift_preserves_values")
     rng = random.Random(987)
+    xs = range(-4, 16)
     for p in _sample_polys(rng):
+        values = [eval_poly(p, x) for x in xs]
         for new_shift in (-3, 0, 1, 5):
             q = reshift(p, new_shift)
             res.expect(
-                all(eval_poly(p, x) == eval_poly(q, x) for x in range(-4, 16)),
+                [eval_poly(q, x) for x in xs] == values,
                 lambda p=p, new_shift=new_shift: f"reshift to {new_shift} changed {p}",
             )
             res.expect(
@@ -598,14 +657,20 @@ def _stable_character(lam: Partition, n: int, r: int) -> int:
 
 def _main_cases(max_k: int, max_r: int, window: Callable[[int, int], range]):
     """(agrees, describe) for char_poly vs MN at every n in
-    window(k + lam_1, r), over |lam| <= max_k and 1 <= r <= max_r."""
+    window(k + lam_1, r), over |lam| <= max_k and 1 <= r <= max_r; the
+    shape (n - k, lam) is built once per (lam, n), whichever r asks."""
     for lam in _shapes_upto(max_k):
-        base = lam.size + (lam[0] if lam else 0)
+        k = lam.size
+        base = k + (lam[0] if lam else 0)
+        shapes: dict[int, Partition] = {}
         for r in range(1, max_r + 1):
             poly = stability.char_poly(lam, r).poly
             for n in window(base, r):
+                shape = shapes.get(n)
+                if shape is None:
+                    shape = shapes[n] = Partition([n - k] + list(lam))
                 got = eval_poly(poly, n)
-                want = _stable_character(lam, n, r)
+                want = character_mn(shape, _with_fixed_points((r,), n))
                 yield got == want, lambda lam=lam, r=r, n=n, got=got, want=want: (
                     f"lam={list(lam)} r={r} n={n}: poly {got} != mn {want}"
                 )
@@ -628,21 +693,32 @@ def check_main_band(bounds: Bounds) -> SuiteResult:
 
 
 def check_coefficient_recurrence(bounds: Bounds) -> SuiteResult:
+    """b[h] of lam is the sum of b[h] over lam minus each corner, for
+    h < |lam|.  Each coefficient is computed once and read from the
+    previous size's dict, which holds h <= |lam| for the next size."""
     res = SuiteResult("coefficient_recurrence")
-    for lam in _shapes_upto(bounds.max_k):
-        if not lam:
-            continue
-        smaller = [remove_corner(lam, v) for v in internal_corners(lam)]
-        for r in range(1, bounds.max_r + 1):
-            for h in range(lam.size):
-                total = sum(stability.coeff_b(m, h, r) for m in smaller)
-                got = stability.coeff_b(lam, h, r)
-                res.expect(
-                    got == total,
-                    lambda lam=lam, h=h, r=r, got=got, total=total: (
-                        f"lam={list(lam)} h={h} r={r}: {got} != corner sum {total}"
-                    ),
-                )
+    rs = range(1, bounds.max_r + 1)
+    below: dict[Partition, dict[tuple[int, int], int]] = {}
+    for k in range(bounds.max_k + 1):
+        # the top size is never a smaller shape, so it stops at h = k - 1
+        hs = range(k + 1 if k < bounds.max_k else k)
+        level = {}
+        for lam in _partitions(k):
+            coeffs = level[lam] = {(r, h): stability.coeff_b(lam, h, r) for r in rs for h in hs}
+            if not lam:
+                continue
+            smaller = [below[remove_corner(lam, v)] for v in internal_corners(lam)]
+            for r in rs:
+                for h in range(k):
+                    total = sum(m[r, h] for m in smaller)
+                    got = coeffs[r, h]
+                    res.expect(
+                        got == total,
+                        lambda lam=lam, h=h, r=r, got=got, total=total: (
+                            f"lam={list(lam)} h={h} r={r}: {got} != corner sum {total}"
+                        ),
+                    )
+        below = level
     return res
 
 
@@ -665,12 +741,13 @@ def check_limit_stabilization(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("limit_stabilization")
     for lam in _shapes_upto(bounds.max_k):
         for h in range(lam.size + 1):
+            want = a_coeff(lam, h)
             for r in range(h + 1, bounds.max_r + 5):
                 got = stability.coeff_b(lam, h, r)
                 res.expect(
-                    got == a_coeff(lam, h),
-                    lambda lam=lam, h=h, r=r, got=got: (
-                        f"lam={list(lam)} h={h} r={r}: {got} != a_coeff {a_coeff(lam, h)}"
+                    got == want,
+                    lambda lam=lam, h=h, r=r, got=got, want=want: (
+                        f"lam={list(lam)} h={h} r={r}: {got} != a_coeff {want}"
                     ),
                 )
     return res
@@ -679,10 +756,11 @@ def check_limit_stabilization(bounds: Bounds) -> SuiteResult:
 def check_leading_coefficient(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("leading_coefficient")
     for lam in _shapes_upto(bounds.max_k):
+        dim = dim_syt(lam)
         for r in range(1, bounds.max_r + 1):
             b0 = stability.char_poly(lam, r).b[0]
             res.expect(
-                b0 == dim_syt(lam),
+                b0 == dim,
                 lambda lam=lam, r=r, b0=b0: f"lam={list(lam)} r={r}: b[0] = {b0} != dim",
             )
     return res
@@ -972,12 +1050,15 @@ def run_suites(bounds: Bounds, jobs: int = 1) -> list[SuiteResult]:
 
 
 def render_report(results: Sequence[SuiteResult]) -> str:
-    """Deterministic text report, one line per suite."""
+    """Deterministic text report, one line per suite; a failing suite and
+    a band with disagreements name their first failure."""
     lines = []
     for r in results:
         if r.report_only:
+            first = f"; first: {r.failures[0]}" if r.disagreements else ""
             lines.append(
-                f"band {r.name:<32} {r.checks:>6} checks, {r.disagreements} disagreements (report only)"
+                f"band {r.name:<32} {r.checks:>6} checks, "
+                f"{r.disagreements} disagreements (report only){first}"
             )
         elif r.ok:
             lines.append(f"ok   {r.name:<32} {r.checks:>6} checks")

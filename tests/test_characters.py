@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from charpoly import characters
+from charpoly import characters, verification
 from charpoly.characters import (
     CycleType,
     OutOfStableRange,
@@ -133,6 +133,29 @@ class TestMurnaghanNakayama:
             assert not check_mn_peel_order(Bounds(4, 3, 2)).ok
         finally:
             characters._leaf_dim.cache_clear()
+
+    def test_ascending_walk_matches_mn(self):
+        # the shared-prefix walk against one ascending peel per cycle type
+        for n in range(10):
+            cts = list(partitions_of(n))
+            walk = verification._ascending_walk(cts)
+            for mu in cts:
+                want = [_mn(mu, tuple(reversed(ct))) for ct in cts]
+                assert verification._mn_ascending(mu, walk) == want, mu
+
+    def test_peel_order_peels_each_shared_prefix_once(self, monkeypatch):
+        # one full ascending and one descending peel per (mu, ct) would be 4,839
+        peels = []
+        real = characters._peel
+
+        def counted(layer, r):
+            peels.append(r)
+            return real(layer, r)
+
+        monkeypatch.setattr(characters, "_peel", counted)
+        monkeypatch.setattr(verification, "_peel", counted)
+        assert check_mn_peel_order(Bounds()).ok
+        assert len(peels) <= 3_297
 
 
 class TestFrobenius:

@@ -546,6 +546,20 @@ class TestVerify:
         assert a.failures == ["first"] and not a.ok
         assert b.failures == []
 
+    def test_band_line_names_its_first_disagreement(self):
+        band = verification.SuiteResult("recpart_band", report_only=True)
+        band.expect(True, lambda: "never described")
+        band.expect(False, lambda: "lam=[1] support=[2] n=3: recpart 1 != mn 0")
+        band.expect(False, lambda: "lam=[2] support=[2] n=4: recpart 2 != mn 1")
+        quiet = verification.SuiteResult("main_band", report_only=True)
+        quiet.expect(True, lambda: "never described")
+        assert verification.render_report([band, quiet]).splitlines() == [
+            f"band {'recpart_band':<32}      3 checks, 2 disagreements (report only); "
+            "first: lam=[1] support=[2] n=3: recpart 1 != mn 0",
+            f"band {'main_band':<32}      1 checks, 0 disagreements (report only)",
+            "PASS 0/0 properties, 4 checks",
+        ]
+
     def test_expect_each_matches_expect(self):
         rng = random.Random(11)
         for _ in range(200):

@@ -268,6 +268,31 @@ class TestVerticalStrips:
             padded = list(kappa) + [0] * (len(lam) - len(kappa))
             assert all(p - q in (0, 1) for p, q in zip(lam, padded))
 
+    def test_blocks_match_the_mask_filter(self):
+        shapes = [lam for n in range(13) for lam in partitions_of(n)]
+        shapes += [Partition([2] * 8 + [1] * 8), Partition([3] * 6)]
+        for lam in shapes:
+            assert vertical_strip_inners(lam) == _vertical_strip_inners_by_masks(lam), lam
+
+    def test_tall_column_has_one_inner_per_height(self):
+        # one block of 40 equal parts: one inner per number of boxes taken
+        assert vertical_strip_inners(Partition([1] * 40)) == [
+            Partition([1] * k) for k in range(40, -1, -1)
+        ]
+
+
+def _vertical_strip_inners_by_masks(lam):
+    """The reference: every way to take at most one box from each row, one
+    mask per subset of rows, kept where the rows stay weakly decreasing."""
+    inners = []
+    for mask in range(1 << len(lam)):
+        parts = [p - ((mask >> i) & 1) for i, p in enumerate(lam)]
+        if all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)):
+            if not parts or parts[-1] >= 0:
+                inners.append(Partition(parts))
+    inners.sort(reverse=True)
+    return inners
+
 
 def test_partitions_of_order_and_count():
     got = list(partitions_of(4))

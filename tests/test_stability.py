@@ -233,6 +233,12 @@ class TestWorkBound:
             assert cli.main(["table", "--lambda", "30,20,10", "--r-list", "1", "--format", fmt]) == 0
         assert [h for _, h in calls] == list(range(4)) * 5
 
+    def test_coefficient_recurrence_computes_each_coefficient_once(self, monkeypatch):
+        # asking again at every corner of every lam would be 7,230 calls
+        calls = _counting(monkeypatch, "coeff_b")
+        assert check_coefficient_recurrence(Bounds()).ok
+        assert len(calls) == len(set(calls)) == 2_766
+
     def test_truncation_drops_only_zeros(self):
         for lam, r in SMALL_PAIRS:
             assert char_poly(lam, r).b == tuple(coeff_b(lam, h, r) for h in range(lam.size + 1))
