@@ -24,7 +24,7 @@ from math import comb
 from typing import Iterable
 
 from .binom_poly import BinomPoly, eval_poly
-from .partitions import Partition, _beta, _shape, _strips, transpose, vertical_strip_inners
+from .partitions import Partition, _beta, _shape, _size, _strips, transpose, vertical_strip_inners
 from .tableaux import dim_syt
 
 
@@ -143,7 +143,8 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
     (-1)^{|lam| - |kappa|} and len(lam) beads, so that equal shapes share
     one key.  Each support cycle r is peeled or left out: the layer's
     r-strip peel is added to the layer.  The j-th coefficient sums the
-    coefficients times the hook formula over the final shapes of size j.
+    coefficients times the hook formula over the final shapes of size j,
+    each size read off its beads.
     Its value at n is the character for n >= max(k + lam_1, |support|).
     """
     lam, support = Partition(lam), CycleType(support)
@@ -158,7 +159,7 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
             layer[mask] = layer.get(mask, 0) + c
     coeffs = [0] * (lam.size + 1)
     for mask, c in layer.items():
-        coeffs[_shape(mask).size] += c * _leaf_dim(mask)
+        coeffs[_size(mask)] += c * _leaf_dim(mask)
     return BinomPoly(support.n, coeffs)
 
 

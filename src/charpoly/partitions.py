@@ -112,6 +112,18 @@ def _shape(mask: int) -> Partition:
     return _known_valid([p for p in parts if p][::-1])
 
 
+def _size(mask: int) -> int:
+    """|lam| for the beta-set ``mask``, without decoding it: the bead
+    positions summed, less those of the empty partition with as many
+    beads (0, 1, ..., beads - 1)."""
+    beads, total = mask.bit_count(), 0
+    while mask:
+        t = mask.bit_length() - 1
+        total += t
+        mask ^= 1 << t
+    return total - beads * (beads - 1) // 2
+
+
 def _strips(mask: int, r: int) -> Iterator[tuple[int, int]]:
     """(leg length, beta-set left) for each r-cell border strip of the
     beta-set ``mask``, by decreasing bead.  A strip is a bead at t + r

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from .binom_poly import BinomPoly
 from .partitions import Partition
-from .tableaux import a_coeff, skew_syt_count
+from .tableaux import _skew_count, a_coeff
 
 
 class Family(Enum):
@@ -90,9 +90,8 @@ def coeff_b(lam: Partition, h: int, r: int) -> int:
     """Coefficient b[h] of the shift-r expansion for ``lam``: the signed
     sum of skew tableau counts over the r-primary partitions of h."""
     lam = Partition(lam)
-    return sum(
-        sp.sign * skew_syt_count(lam, sp.partition) for sp in r_primary(r, h)
-    )
+    # the primaries are built as Partitions, so the pair memo is asked directly
+    return sum(sp.sign * _skew_count(lam, sp.partition) for sp in r_primary(r, h))
 
 
 class CharPolyExpansion(NamedTuple):

@@ -5,33 +5,42 @@ one falling factorial per run of equal-height columns.
 
 ``skew_syt_count`` uses Aitken's determinant f(outer \\ inner) = N!
 det[1 / (outer_i - inner_j - i + j)!] (Aitken 1943; Stanley, EC2 Cor.
-7.16.3).  With a_i = outer_i - i + ell, row i times a_i! has entries
-P[i][b] = a_i! / (a_i - b)! at the columns b = inner_j - j + ell.  An
-empty inner takes the columns b = ell - 1, ..., 0, the block P0 with
-D = det P0; any inner of Durfee rank d swaps d of them, the holes
+7.16.3) in closed form.  With a_i = outer_i - i + ell, row i times a_i!
+has entries P[i][b] = (a_i)_b, the falling factorial, at the columns
+b = inner_j - j + ell.  An empty inner takes the columns b = ell - 1,
+..., 0: a Vandermonde matrix in the falling-factorial basis, with
+D = prod_(i<j) (a_i - a_j), so f^outer = |outer|! D / prod a_i!.  An
+inner of Durfee rank d swaps d of those columns, the holes
 ell - 1 - beta_i, for the columns ell + alpha_j, where (alpha | beta)
-are its Frobenius coordinates.  So each outer is reduced once, in the
-orientation with fewer rows, by fraction-free Gauss--Jordan elimination
-to adj P0 = D P0^-1, and then
+are its Frobenius coordinates.  Column b of P holds the values at the
+a_i of (x)_b, which agree there with its remainder R_b modulo
+Q(x) = prod (x - a_i); so the inverse of the empty-inner block maps it
+to the coefficients of R_b, and
 
-    f(outer \\ inner) = (-1)^(sum beta) N! det[V[beta_i][ell + alpha_j]]
-                        / (D^(d-1) prod a_i!),
+    f(outer \\ inner) = (-1)^(sum beta) f^outer det[R_(ell + alpha_j) at
+                        (x)_(ell - 1 - beta_i)] / (|outer|)_|inner|,
 
-where V[:, b] = adj P0 P[:, b] (Macdonald, Symmetric Functions, I.3,
-the Giambelli pattern).  A count costs one d x d minor, and the
+the dimension formula f^outer s*_inner(outer) / (|outer|)_|inner| of
+Okounkov and Olshanski (Shifted Schur functions, 1997): entry (i, j)
+times (-1)^beta_i is the shifted Schur function of the hook
+(alpha_j | beta_i) at outer, so the signed minor is their Giambelli
+formula for s*.  No matrix is inverted.  Each outer is taken once, in the orientation with fewer
+rows: Q is built in the falling-factorial basis from
+(x)_k (x - a) = (x)_(k+1) + (k - a) (x)_k, R_ell = (x)_ell - Q, and
+R_(b+1) is (x - b) R_b less its top coefficient times Q, all in
+integers because Q is monic.  A count costs one d x d minor, and the
 r-primary inners of the character polynomials have d <= 2, so ``_det``
 takes minors of size <= 2 by their closed forms and only larger ones by
-Bareiss elimination.  Reduced columns are formed the first time a count
-needs them.  Two global memos hold the work: one record per outer (the
-reduction and its columns) and one count per (outer, inner) pair asked
-for.
+Bareiss elimination.  Remainders are formed the first time a count
+needs them.  Three global memos hold the work: one record per outer (Q,
+f^outer and the remainders), one set of Frobenius coordinates per inner
+and one count per (outer, inner) pair asked for.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import factorial, perm, prod
-from operator import mul
 
 from .partitions import Partition, contains, transpose
 
@@ -90,77 +99,75 @@ def _det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-class _Reduced:
-    """Aitken's matrix of one outer shape, reduced against its empty-inner
-    columns.
+class _Record:
+    """One outer shape in closed form: Q, f^outer and the remainders.
 
     ``ell`` rows in the orientation with fewer rows (``transposed`` says
-    whether that is the conjugate), ``scale`` = prod a_i!, ``det`` = D =
-    det P0 and ``adj`` = adj P0 = D P0^-1.  ``columns`` holds the reduced
-    columns V[:, b] = adj P[:, b], formed the first time a count needs
-    them.
+    whether that is the conjugate) and ``size`` boxes.  ``q`` holds the
+    coefficients of Q below its leading (x)_ell and ``dim`` is f^outer.
+    ``columns[j]`` holds R_(ell + j).  Both are read from the top: entry
+    k is the coefficient of (x)_(ell - 1 - k).  Columns are appended the
+    first time a count needs them.
     """
 
-    __slots__ = ("transposed", "ell", "a", "scale", "det", "adj", "columns")
+    __slots__ = ("transposed", "size", "ell", "q", "dim", "columns")
 
     def __init__(self, outer: Partition) -> None:
         self.transposed = bool(outer) and len(outer) > outer[0]
         if self.transposed:
             outer = transpose(outer)
+        self.size = outer.size
         ell = self.ell = len(outer)
-        self.a = [p - i + ell for i, p in enumerate(outer, 1)]
-        self.scale = prod(map(factorial, self.a))
-        # P0 takes the columns b = ell - 1, ..., 0 of an empty inner, so row
-        # k of the reduced matrix has its pivot in column b = ell - 1 - k.
-        # Its leading k x k minor is prod_{i<=k} a_i! / |top k rows|! times
-        # the tableau count of the top k rows of outer, so no pivot is 0
-        self.det, self.adj = _adjugate(
-            [[perm(ai, b) for b in range(ell - 1, -1, -1)] for ai in self.a]
-        )
-        self.columns: dict[int, list[int]] = {}
+        a = [p - i + ell for i, p in enumerate(outer, 1)]
+        self.q = _node_polynomial(a)
+        # f^outer = |outer|! D / prod a_i!, the empty inner's count
+        det = prod(a[i] - a[j] for i in range(ell) for j in range(i + 1, ell))
+        self.dim, rem = divmod(factorial(self.size) * det, prod(map(factorial, a)))
+        assert rem == 0, f"dimension not integral for {outer}"
+        self.columns: list[list[int]] = []
 
-    def column(self, b: int) -> list[int]:
-        """The reduced column V[:, b], formed on first use."""
-        col = self.columns.get(b)
-        if col is None:
-            col = self.columns[b] = _reduced_column(self, b)
-        return col
-
-
-def _adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(det m, adj m) by fraction-free Gauss--Jordan elimination on [m | I].
-
-    Every division is exact, and the left block ends as det(m) I.  The
-    leading minors of ``m`` must be nonzero, so no row is swapped.
-    """
-    n = len(m)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        row_k = rows[k]
-        pivot = row_k[k]
-        assert pivot, f"zero pivot {k} in the reduction of {m}"
-        for i, row_i in enumerate(rows):
-            if i != k:
-                lead = row_i[k]
-                rows[i] = [(x * pivot - lead * y) // prev for x, y in zip(row_i, row_k)]
-        prev = pivot
-    return prev, [row[n:] for row in rows]
+    def extend(self, top: int) -> None:
+        """Append the columns R_(ell + j) for j up to ``top``."""
+        columns, ell = self.columns, self.ell
+        # R_(ell - 1) = (x)_(ell - 1): below ell the remainder is the power
+        col = columns[-1] if columns else [1] + [0] * (ell - 1)
+        for b in range(ell - 1 + len(columns), ell + top):
+            col = _column_step(self.q, col, b)
+            columns.append(col)
 
 
-def _reduced_column(rec: _Reduced, b: int) -> list[int]:
-    """V[:, b] = adj P0 times column b of Aitken's row-scaled matrix."""
-    col = [perm(ai, b) for ai in rec.a]
-    return [sum(map(mul, row, col)) for row in rec.adj]
+def _node_polynomial(a: list[int]) -> list[int]:
+    """Q(x) = prod (x - a_i) in the falling-factorial basis, from the top
+    and without its leading 1: entry k is the coefficient of
+    (x)_(len(a) - 1 - k).  Built one factor at a time by
+    (x)_k (x - a) = (x)_(k+1) + (k - a) (x)_k."""
+    q = [1]  # from the bottom while it is built: q[k] is the coefficient of (x)_k
+    for a_i in a:
+        q = [lo + (k - a_i) * hi for k, (lo, hi) in enumerate(zip([0, *q], [*q, 0]))]
+    return q[-2::-1]
+
+
+def _column_step(q: list[int], col: list[int], b: int) -> list[int]:
+    """R_(b+1) from R_b, b >= len(q) - 1: (x - b) R_b less its top
+    coefficient times the monic Q, so every step stays in integers."""
+    top, n = col[0], len(col)
+    return [
+        below + (n - 1 - k - b) * c - top * qk
+        for k, (c, below, qk) in enumerate(zip(col, [*col[1:], 0], q))
+    ]
 
 
 # one record per outer shape asked for
-_reduced = cache(_Reduced)
+_record = cache(_Record)
 
 
-def _frobenius(nu: Partition) -> tuple[list[int], list[int]]:
-    """Frobenius coordinates (alpha | beta) of ``nu``: alpha_j = nu_j - j
-    and beta_j = nu'_j - j for j up to the Durfee rank."""
+@cache
+def _frobenius(nu: Partition) -> tuple[tuple, tuple, int]:
+    """The Frobenius coordinates (alpha | beta) of ``nu`` in both
+    orientations, each with the parity of its row sum, and |nu|:
+    ((alpha, beta, sum(beta) odd), (beta, alpha, sum(alpha) odd), |nu|),
+    where alpha_j = nu_j - j and beta_j = nu'_j - j for j up to the
+    Durfee rank."""
     alpha = []
     for j, p in enumerate(nu, 1):
         if p < j:
@@ -171,26 +178,26 @@ def _frobenius(nu: Partition) -> tuple[list[int], list[int]]:
         while nu[height - 1] < j:
             height -= 1
         beta.append(height - j)
-    return alpha, beta
+    alpha, beta = tuple(alpha), tuple(beta)
+    return (alpha, beta, sum(beta) & 1), (beta, alpha, sum(alpha) & 1), nu.size
 
 
-# one entry per (outer, inner) pair asked for; the outer's reduction is
-# shared through ``_reduced``, so a pair costs one minor of Durfee-rank size
+# one entry per (outer, inner) pair asked for; the outer's record is shared
+# through ``_record``, so a pair costs one minor of Durfee-rank size
 @cache
 def _skew_count(outer: Partition, inner: Partition) -> int:
     if not contains(outer, inner):
         return 0
-    rec = _reduced(outer)
-    alpha, beta = _frobenius(inner)
-    if rec.transposed:
-        alpha, beta = beta, alpha
-    cols = [rec.column(rec.ell + a) for a in alpha]
-    minor = [[col[b] for col in cols] for b in beta]
-    # f = (-1)^sum(beta) N! det(minor) D / (prod a_i! D^d)
-    num = factorial(outer.size - inner.size) * _det(minor) * rec.det
-    if sum(beta) & 1:
-        num = -num
-    count, rem = divmod(num, rec.scale * rec.det ** len(alpha))
+    rec = _record(outer)
+    plain, conjugate, size = _frobenius(inner)
+    alpha, beta, odd = conjugate if rec.transposed else plain
+    columns = rec.columns
+    if alpha and alpha[0] >= len(columns):
+        rec.extend(alpha[0])
+    # f = (-1)^sum(beta) f^outer det[R_(ell + alpha_j) at (x)_(ell - 1 - beta_i)]
+    #     / (|outer|)_|inner|
+    num = rec.dim * _det([[columns[a][b] for a in alpha] for b in beta])
+    count, rem = divmod(-num if odd else num, perm(rec.size, size))
     assert rem == 0, f"Aitken determinant not integral for {outer} / {inner}"
     return count
 

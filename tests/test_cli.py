@@ -20,6 +20,7 @@ import charpoly.cli as cli
 from charpoly.cli import main, parse_partition
 from charpoly.partitions import NotWeaklyDecreasing, Partition
 from charpoly.stability import SignedPartition
+from charpoly.tableaux import dim_syt
 import charpoly.stability as stability
 import charpoly.verification as verification
 
@@ -272,6 +273,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "internal error: ValueError: library bug\n"
+
+
+_STAIRCASE_80 = ",".join(map(str, range(80, 0, -1)))
+
+
+class TestLargeIntegers:
+    """Exact results past Python's 4,300-digit int-to-str limit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["char", "--mu", _STAIRCASE_80, "--ct", ",".join(["1"] * 3240)],
+        ["expand", "--lambda", _STAIRCASE_80, "--r", "5"],
+        ["expand", "--lambda", _STAIRCASE_80, "--r", "5", "--format", "json"],
+        ["expand", "--lambda", _STAIRCASE_80, "--r", "5", "--format", "latex"],
+        ["table", "--lambda", _STAIRCASE_80, "--r-list", "5"],
+    ])
+    def test_output_of_any_size(self, argv):
+        # f^lambda of the 80-row staircase has 6,276 digits; it is b[0] of
+        # every expansion and the value of char at the identity
+        limit = sys.get_int_max_str_digits()
+        code, out = _captured_main(argv)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        with cli._exact_output():
+            dim = str(dim_syt(Partition(range(80, 0, -1))))
+        assert len(dim) > limit
+        assert dim in out
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--lambda", "9" * 4301, "--r", "2"],
+        ["expand", "--lambda", "3", "--r", "9" * 4301],
+        ["char", "--mu", "1", "--ct", "9" * 4301],
+        ["table", "--lambda", "3", "--r-list", "2," + "9" * 4301],
+    ])
+    def test_inputs_past_the_limit_exit_2(self, argv):
+        # run after a large output in the same process: the limit is back
+        big = ["char", "--mu", _STAIRCASE_80, "--ct", ",".join(["1"] * 3240)]
+        assert _captured_main(big)[0] == 0
+        assert _captured_exit(argv) == (2, "")
 
 
 def _captured_main(argv):

@@ -1,6 +1,8 @@
 import random
+from functools import cache
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, perm, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +11,8 @@ import charpoly.cli as cli
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
 from charpoly.binom_poly import eval_poly
-from charpoly.partitions import Partition, partitions_of, subpartitions, transpose
-from charpoly.stability import a_vector, char_poly, dim_poly
+from charpoly.partitions import Partition, contains, partitions_of, subpartitions, transpose
+from charpoly.stability import a_vector, char_poly, dim_poly, r_primary
 from charpoly.tableaux import _det, a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
@@ -98,7 +100,7 @@ def _durfee_rank(nu):
 
 
 class TestReducedAitken:
-    """Counts read off one reduced Aitken matrix per outer shape."""
+    """Counts read off one closed-form record per outer shape."""
 
     def test_rank_three_inners_match_backtracking(self):
         # the verify sweep stops at |outer| <= 8, below the smallest inner
@@ -154,10 +156,10 @@ class TestWorkBound:
     @pytest.fixture(autouse=True)
     def cold_caches(self):
         tableaux._skew_count.cache_clear()
-        tableaux._reduced.cache_clear()
+        tableaux._record.cache_clear()
 
     def test_one_reduction_per_outer(self, monkeypatch):
-        reductions = _recording(monkeypatch, "_adjugate", len)
+        reductions = _recording(monkeypatch, "_node_polynomial", len)
         outers = [(10, 8, 6, 4, 2), (6, 5, 4, 3, 2, 1), (2, 1, 1, 1, 1), (1,) * 7, ()]
         for lam in map(Partition, outers):
             for r in range(1, 9):
@@ -167,7 +169,7 @@ class TestWorkBound:
 
     def test_sweep_reduces_each_outer_once(self, monkeypatch):
         # every subpartition of every outer up to 6 boxes
-        reductions = _recording(monkeypatch, "_adjugate", len)
+        reductions = _recording(monkeypatch, "_node_polynomial", len)
         assert check_skew_count_vs_backtracking(Bounds(max_k=6)).ok
         assert len(reductions) == sum(1 for n in range(7) for _ in partitions_of(n))
 
@@ -196,10 +198,137 @@ class TestWorkBound:
     def test_columns_stop_at_length_plus_r(self, monkeypatch):
         # the widest primary of 5 inside (200,200,200) is (6,1,1), alpha = 5,
         # so of the columns b = 3..202 past P0 only b <= 3 + 5 are formed
-        columns = _recording(monkeypatch, "_reduced_column", lambda rec, b: b)
+        columns = _recording(monkeypatch, "_column_step", lambda q, col, b: b + 1)
         char_poly(Partition([200, 200, 200]), 5)
         assert max(columns) == 3 + 5
         assert len(columns) == len(set(columns))
+
+    def test_tall_staircase_builds_q_once(self, monkeypatch):
+        # 40 rows at r = 5: one Q for the outer, and no remainder past
+        # ell + r + 1, however many counts share them
+        reductions = _recording(monkeypatch, "_node_polynomial", len)
+        columns = _recording(monkeypatch, "_column_step", lambda q, col, b: b + 1)
+        lam = Partition(range(40, 0, -1))
+        exp = char_poly(lam, 5)
+        assert reductions == [40]
+        assert max(columns) <= 40 + 5 + 1
+        assert len(columns) == len(set(columns))
+        assert exp.b[0] == dim_syt(lam)
+
+
+def _adjugate(m):
+    """(det m, adj m) by fraction-free Gauss--Jordan elimination on [m | I].
+
+    Every division is exact, and the left block ends as det(m) I.  The
+    leading minors of ``m`` must be nonzero, so no row is swapped.
+    """
+    n = len(m)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        row_k = rows[k]
+        pivot = row_k[k]
+        assert pivot, f"zero pivot {k} in the reduction of {m}"
+        for i, row_i in enumerate(rows):
+            if i != k:
+                lead = row_i[k]
+                rows[i] = [(x * pivot - lead * y) // prev for x, y in zip(row_i, row_k)]
+        prev = pivot
+    return prev, [row[n:] for row in rows]
+
+
+@cache
+def _adjugate_reduction(outer):
+    """Aitken's row-scaled matrix of ``outer`` reduced against its
+    empty-inner block P0: (transposed, a, prod a_i!, D, adj P0)."""
+    transposed = bool(outer) and len(outer) > outer[0]
+    if transposed:
+        outer = transpose(outer)
+    ell = len(outer)
+    a = [p - i + ell for i, p in enumerate(outer, 1)]
+    det, adj = _adjugate([[perm(ai, b) for b in range(ell - 1, -1, -1)] for ai in a])
+    return transposed, a, prod(map(factorial, a)), det, adj
+
+
+def _reduced_column(a, adj, b):
+    """V[:, b] = adj P0 times column b of Aitken's row-scaled matrix."""
+    col = [perm(ai, b) for ai in a]
+    return [sum(map(mul, row, col)) for row in adj]
+
+
+def _adjugate_count(outer, inner):
+    """The skew count by the adjugate route, the reference for the closed
+    form: (-1)^sum(beta) N! det[V[beta_i][ell + alpha_j]] / (D^(d-1) prod a_i!)."""
+    if not contains(outer, inner):
+        return 0
+    transposed, a, scale, det, adj = _adjugate_reduction(outer)
+    alpha = [p - j for j, p in enumerate(inner, 1) if p >= j]
+    beta = [p - j for j, p in enumerate(transpose(inner), 1) if p >= j]
+    if transposed:
+        alpha, beta = beta, alpha
+    cols = [_reduced_column(a, adj, len(a) + x) for x in alpha]
+    num = (-1) ** sum(beta) * factorial(outer.size - inner.size) * _det(
+        [[col[y] for col in cols] for y in beta]
+    )
+    count, rem = divmod(num * det, scale * det ** len(alpha))
+    assert rem == 0, (outer, inner)
+    return count
+
+
+class TestAgainstAdjugate:
+    """The closed-form remainders against the Gauss--Jordan adjugate route."""
+
+    def test_every_pair_up_to_twelve_boxes(self):
+        # every inner of at most |outer| boxes, contained or not
+        by_size = [list(partitions_of(n)) for n in range(13)]
+        pairs = contained = 0
+        for n, shapes in enumerate(by_size):
+            inners = [nu for k in range(n + 1) for nu in by_size[k]]
+            for lam in shapes:
+                for nu in inners:
+                    want = _adjugate_count(lam, nu)
+                    assert skew_syt_count(lam, nu) == want, (lam, nu)
+                    pairs += 1
+                    contained += want > 0
+        assert (pairs, contained) == (43316, 8855)
+        _adjugate_reduction.cache_clear()
+
+    def test_staircase_primaries_up_to_thirty_rows(self):
+        # out of backtracking's reach: 465 boxes at 30 rows
+        for rows in range(1, 31):
+            lam = Partition(range(rows, 0, -1))
+            for h in range(min(lam.size, rows + 5) + 1):
+                for sp in r_primary(5, h):
+                    nu = sp.partition
+                    assert skew_syt_count(lam, nu) == _adjugate_count(lam, nu), (rows, nu)
+        _adjugate_reduction.cache_clear()
+
+
+def _aitken_leibniz(outer, inner):
+    """N! det[1 / (outer_i - inner_j - i + j)!] by the Leibniz expansion of
+    the row-scaled matrix [(a_i)_(b_j)], with no remainder or Q."""
+    ell = len(outer)
+    a = [p - i + ell for i, p in enumerate(outer, 1)]
+    b = [q - j + ell for j, q in enumerate((*inner, *[0] * (ell - len(inner))), 1)]
+    det = _leibniz([[perm(ai, bj) for bj in b] for ai in a])
+    count, rem = divmod(factorial(outer.size - inner.size) * det, prod(map(factorial, a)))
+    assert rem == 0
+    return count
+
+
+def test_remainders_match_leibniz_aitken():
+    # every inner with a nonempty alpha reads Q, so a slip in its factors,
+    # such as (k + a) for (k - a), fails here in both orientations
+    pairs = [
+        (lam, nu)
+        for n in range(1, 8)
+        for lam in partitions_of(n)
+        for nu in subpartitions(lam)
+        if nu and nu != lam
+    ]
+    assert sum(len(lam) > lam[0] for lam, _ in pairs) > 100
+    for lam, nu in pairs:
+        assert skew_syt_count(lam, nu) == _aitken_leibniz(lam, nu), (lam, nu)
 
 
 def _leibniz(m):
