@@ -167,23 +167,25 @@ def shape_in_n(lam: Partition) -> str:
     return f"(n-{lam.size}" + "".join(f",{p}" for p in lam) + ")"
 
 
-def format_terms(b: Sequence[int], arg: str, latex: bool = False) -> str:
+def format_terms(b: Sequence[int | str], arg: str, latex: bool = False) -> str:
     """Render sum of (-1)^h b[h] C(arg, k-h) as text ("5C(n-2,6) -5C(n-2,5)")
-    or LaTeX ("5\\binom{n-2}{6} -5\\binom{n-2}{5}"), skipping zero terms."""
+    or LaTeX ("5\\binom{n-2}{6} -5\\binom{n-2}{5}"), skipping zero terms.
+
+    Each b[h] is an int or its decimal string, so that a caller that also
+    prints the vector converts each coefficient once."""
     k = len(b) - 1
     pieces = []
     for h, bh in enumerate(b):
-        if bh == 0:
+        digits = str(bh)
+        if digits == "0":
             continue
-        signed = bh if h % 2 == 0 else -bh
+        negative = (digits[0] == "-") != (h % 2 == 1)
         if latex:
             binom = f"\\binom{{{arg}}}{{{k - h}}}"
         else:
             binom = f"C({arg},{k - h})"
-        if not pieces:
-            pieces.append(f"{signed}{binom}")
-        else:
-            pieces.append(f"{'+' if signed >= 0 else '-'}{abs(signed)}{binom}")
+        sign = "-" if negative else ("+" if pieces else "")
+        pieces.append(f"{sign}{digits.lstrip('-')}{binom}")
     return " ".join(pieces) if pieces else "0"
 
 

@@ -41,6 +41,19 @@ def _modules_after(statement):
     return set(proc.stdout.split())
 
 
+# prepended to a fresh interpreter's code: ``built`` lists the prog of
+# each ArgumentParser made after it
+_COUNT_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+"""
+
+
 class TestImportBudget:
     def test_cli_import_skips_unused_modules(self):
         loaded = _modules_after("import charpoly.cli")
@@ -54,14 +67,7 @@ class TestImportBudget:
     def test_cli_import_builds_no_parser(self):
         # the parser is built by the first ``main`` call, not at import,
         # so start-up time does not pay for it
-        code = """
-import argparse
-built = []
-init = argparse.ArgumentParser.__init__
-def counting(self, *args, **kwargs):
-    built.append(1)
-    init(self, *args, **kwargs)
-argparse.ArgumentParser.__init__ = counting
+        code = _COUNT_PARSERS + """
 import charpoly.cli
 print(len(built))
 charpoly.cli.main(["char", "--mu", "1", "--ct", "1"])
@@ -70,6 +76,18 @@ print(len(built) > 0)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         assert proc.stdout.split() == ["0", "1", "True"]
+
+    def test_one_command_builds_one_parser(self):
+        # a request is parsed by its own command's parser; the full tree
+        # (top level and all five subcommands) is left unbuilt
+        code = _COUNT_PARSERS + """
+import charpoly.cli
+charpoly.cli.main(["char", "--mu", "1", "--ct", "1"])
+print(built)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines() == ["1", "['charpoly char']"]
 
     def test_verification_import_skips_dataclasses(self):
         loaded = _modules_after("import charpoly.verification")
@@ -347,16 +365,21 @@ _REUSE_REQUESTS = [
 ]
 
 
-def _captured_exit(argv):
-    """(exit code, stdout) of ``main(argv)`` in this process, where an
-    argparse exit gives its ``SystemExit`` code."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _exit_out_err(argv, run=main):
+    """(exit code, stdout, stderr) of ``run(argv)`` in this process, where
+    an argparse exit gives its ``SystemExit`` code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = run(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _captured_exit(argv):
+    """(exit code, stdout) of ``main(argv)``, as ``_exit_out_err`` gives it."""
+    return _exit_out_err(argv)[:2]
 
 
 def _without_comments(text):
@@ -377,21 +400,70 @@ class TestParserReuse:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         cli.build_parser.cache_clear()
+        cli._command_parser.cache_clear()
         try:
-            got = [_captured_exit(_REUSE_REQUESTS[0])]
-            built_by_first = len(built)
-            got += [_captured_exit(argv) for argv in _REUSE_REQUESTS[1:]]
+            got = [_captured_exit(argv) for argv in _REUSE_REQUESTS]
+            built_by_first_pass = len(built)
+            again = [_captured_exit(argv) for argv in _REUSE_REQUESTS]
         finally:
             cli.build_parser.cache_clear()
-        assert built_by_first > 0
-        assert len(built) == built_by_first
+            cli._command_parser.cache_clear()
+        assert built_by_first_pass > 0
+        assert len(built) == built_by_first_pass
         got = [(code, _without_comments(out)) for code, out in got]
+        assert [(code, _without_comments(out)) for code, out in again] == got
         want = [(code, _without_comments(out))
                 for code, out, _ in (run_cli(*argv) for argv in _REUSE_REQUESTS)]
         assert got == want
         assert [code for code, _ in got].count(2) == 3
         code, out = got[4]  # char --help
         assert code == 0 and out.startswith("usage: charpoly char")
+
+
+def _tree_main(argv):
+    """``main`` as it was before each command got its own parser: the
+    full tree parses every argv.  The reference for ``TestRouting``."""
+    args = cli.build_parser().parse_args(argv)
+    for name, value in list(vars(args).items()):
+        if value == []:
+            setattr(args, name, "--")
+    try:
+        return args.func(args)
+    except (NotWeaklyDecreasing, cli.SizeMismatch, cli.UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
+
+
+# help, top-level errors, left-over arguments, lone "--" values,
+# abbreviations, repeats and bad values, each of which argparse treats
+# in its own way
+_ROUTING_ARGV = [
+    [], ["-h"], ["--help"], ["bogus"], ["cha", "--mu", "1", "--ct", "1"],
+    ["-x", "char"], ["--", "char", "--mu", "1", "--ct", "1"],
+    ["char"], ["char", "-h"], ["char", "--mu", "1", "-h", "--ct", "1"],
+    ["char", "--mu", "1", "--ct", "1", "--x"],
+    ["char", "--mu", "1", "--ct", "1", "--", "x"],
+    ["char", "--mu", "1", "--ct", "1", "extra"],
+    ["char", "--mu", "1", "--ct=--"], ["char", "--mu", "1", "--ct", "--"],
+    ["char", "--m", "2,1", "--c", "2,1"], ["expand", "--lam", "3,3", "--r", "2"],
+    ["char", "-mu", "1", "--ct", "1"],
+    ["char", "--mu", "1", "--mu", "2", "--ct", "1", "--ct", "2"],
+    ["expand", "--lambda", "3,3", "--r", "2", "--format", "xml"],
+    ["expand", "--lambda", "3,3", "--r", "x"],
+    ["primaries", "--r", "3", "--max-h", "-1"],
+    ["verify", "--max-k", "15"], ["verify", "--max-k", "0"], ["verify", "--help"],
+]
+
+
+class TestRouting:
+    @pytest.mark.parametrize("argv", _ROUTING_ARGV, ids=" ".join)
+    def test_same_exit_and_output_as_the_full_tree(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _exit_out_err(argv) == _exit_out_err(argv, run=_tree_main)
 
 
 @st.composite

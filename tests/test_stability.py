@@ -350,6 +350,12 @@ class TestRendering:
             == "5C(n-2,6) -5C(n-2,5) +3C(n-2,4) -1C(n-2,3)"
         )
 
+    @pytest.mark.parametrize("write", [lambda b: b, lambda b: list(map(str, b))])
+    def test_signed_terms_from_ints_or_decimals(self, write):
+        # a caller may pass the coefficients already written out
+        assert format_terms(write((-3, 0, 12, -7, 0)), "n") == "-3C(n,4) +12C(n,2) +7C(n,1)"
+        assert format_terms(write((0, 0)), "n", latex=True) == "0"
+
     def test_latex_line(self):
         line = latex_expansion_line(char_poly(Partition([3, 3]), 3))
         assert line == (
