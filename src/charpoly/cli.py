@@ -12,11 +12,7 @@ error and is reported as one ``internal error: ...`` line on stderr.
 
 Each subcommand has its own argparse parser, built the first time that
 command runs (``_command_parser``); the full tree (``build_parser``) is
-built only for top-level help and errors.  A ``char`` call thus builds
-one parser instead of six, 2.7 against 3.6-4.2 ms (most of what is left
-is argparse's first gettext lookup), and parses each request at one
-level instead of two, 25 against 55-60 us for a ``--ct`` of 99 parts
-(2-core host, Python 3.11, CPU time, medians of 15 processes).
+built only for top-level help and errors.
 """
 
 from __future__ import annotations
@@ -299,13 +295,13 @@ def _table_arguments(p: argparse.ArgumentParser) -> None:
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-k", dest="max_k", type=_positive_int, default=8,
                    help=f"largest partition size swept, at most {_VERIFY_CAPS['max_k']}; "
-                        "time grows about 2.6x per +2 (8 s at 14)")
+                        "time grows about 3x per +2 (8 s at 14)")
     p.add_argument("--max-r", dest="max_r", type=_positive_int, default=6,
                    help=f"largest cycle length swept, at most {_VERIFY_CAPS['max_r']} "
-                        "(1 s at 14)")
+                        "(0.8 s at 14)")
     p.add_argument("--n-window", dest="n_window", type=_positive_int, default=7,
                    help=f"values of n checked per polynomial, at most "
-                        f"{_VERIFY_CAPS['n_window']}; time grows linearly (1.1 s at 100)")
+                        f"{_VERIFY_CAPS['n_window']}; time grows linearly (0.9 s at 100)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="suite-level parallelism; 1 keeps runs single-process")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -1,7 +1,7 @@
 """Verification suites: every library invariant, swept at desk scale.
 
-Each suite checks one identity over a bounded family of inputs and
-reports a pass/fail count plus the first counterexamples.  The two
+Each suite checks one identity over a bounded family of inputs; it
+counts every check and describes a failing one where it fails.  The two
 "band" suites probe windows where the stable-range formulas are claimed
 but not relied upon; they report disagreements without failing a run.
 
@@ -77,9 +77,15 @@ class Bounds(NamedTuple):
 
 
 class SuiteResult:
-    """Outcome of one suite: ``disagreements`` counts every failing check,
-    ``failures`` describes the first few of them, ``seconds`` is the time
-    the suite took."""
+    """Outcome of one suite: ``checks`` counts its checks,
+    ``disagreements`` the failing ones, ``failures`` describes the first
+    few of those and ``seconds`` is the time the suite took.
+
+    A suite counts each check and describes a failing one on the spot::
+
+        if not res.check(got == want):
+            res.fail(f"lam={list(lam)}: {got} != {want}")
+    """
 
     _MAX_RECORDED = 3
 
@@ -94,26 +100,27 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         """False only for an asserted suite with a failing check."""
-        return self.report_only or not self.failures
+        return self.report_only or not self.disagreements
 
-    def expect(self, condition: bool, describe: Callable[[], str]) -> None:
+    def check(self, ok: bool) -> bool:
+        """Count one check, and one disagreement unless ``ok``; return ``ok``."""
         self.checks += 1
-        if not condition:
+        if not ok:
             self.disagreements += 1
-            if len(self.failures) < self._MAX_RECORDED:
-                self.failures.append(describe())
+        return ok
 
-    def expect_each(
-        self, conditions: Iterable[bool], describe_at_index: Callable[[int], str]
-    ) -> None:
-        """``expect`` on each of ``conditions`` in turn, where a failing
-        condition at index j is described by ``describe_at_index(j)``."""
-        oks = list(conditions)
+    def fail(self, message: str) -> None:
+        """Describe a failing check; only the first few are kept."""
+        if len(self.failures) < self._MAX_RECORDED:
+            self.failures.append(message)
+
+    def check_each(self, oks: Iterable[bool]) -> list[int]:
+        """``check`` on each of ``oks`` in turn; return the failing indices."""
+        oks = list(oks)
         self.checks += len(oks)
         failed = list(compress(range(len(oks)), map(not_, oks)))
         self.disagreements += len(failed)
-        room = self._MAX_RECORDED - len(self.failures)
-        self.failures.extend(map(describe_at_index, failed[:room]))
+        return failed
 
 
 # the sweeps list sizes up to max(max_k + 4, max_r), at most 18 at the CLI's caps
@@ -279,10 +286,8 @@ def check_partition_corner_count(bounds: Bounds) -> SuiteResult:
     for lam in _shapes_upto(bounds.max_k + 4):
         if not lam:
             continue
-        res.expect(
-            len(internal_corners(lam)) == len(set(lam)),
-            lambda lam=lam: f"lam={list(lam)}: corners != distinct part values",
-        )
+        if not res.check(len(internal_corners(lam)) == len(set(lam))):
+            res.fail(f"lam={list(lam)}: corners != distinct part values")
     return res
 
 
@@ -290,20 +295,15 @@ def check_partition_contains_transpose(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("partition_contains_transpose")
     shapes = [(lam, transpose(lam)) for lam in _shapes_upto(bounds.max_k + 4)]
     for lam, lam_t in shapes:
-        res.expect(
-            transpose(lam_t) == lam,
-            lambda lam=lam: f"lam={list(lam)}: transpose not an involution",
-        )
+        if not res.check(transpose(lam_t) == lam):
+            res.fail(f"lam={list(lam)}: transpose not an involution")
     nus = [nu for nu, _ in shapes]
     nus_t = [nu_t for _, nu_t in shapes]
     # one row of checks per outer, each row in one bulk pass
     for lam, lam_t in shapes:
-        res.expect_each(
-            map(eq, map(contains, repeat(lam), nus), map(contains, repeat(lam_t), nus_t)),
-            lambda j, lam=lam: (
-                f"lam={list(lam)} nu={list(nus[j])}: containment not transpose-invariant"
-            ),
-        )
+        agree = map(eq, map(contains, repeat(lam), nus), map(contains, repeat(lam_t), nus_t))
+        for j in res.check_each(agree):
+            res.fail(f"lam={list(lam)} nu={list(nus[j])}: containment not transpose-invariant")
     return res
 
 
@@ -316,26 +316,22 @@ def check_skew_hook_bruteforce(bounds: Bounds) -> SuiteResult:
             for hook in hooks:
                 comp = hook.complement
                 rows = sum(p > (comp[i] if i < len(comp) else 0) for i, p in enumerate(lam))
-                res.expect(
+                if not res.check(
                     comp.size == lam.size - r
                     and contains(lam, comp)
-                    and hook.leg_length == rows - 1,
-                    lambda lam=lam, r=r, hook=hook: f"lam={list(lam)} r={r}: malformed hook {hook}",
-                )
-            res.expect(
-                set(hooks) == strips[r],
-                lambda lam=lam, r=r: f"lam={list(lam)} r={r}: hook set differs from brute force",
-            )
+                    and hook.leg_length == rows - 1
+                ):
+                    res.fail(f"lam={list(lam)} r={r}: malformed hook {hook}")
+            if not res.check(set(hooks) == strips[r]):
+                res.fail(f"lam={list(lam)} r={r}: hook set differs from brute force")
     return res
 
 
 def check_hook_product_divides_factorial(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("hook_product_divides_factorial")
     for lam in _shapes_upto(bounds.max_k + 4):
-        res.expect(
-            dim_syt(lam) * prod(hook_lengths(lam).values()) == factorial(lam.size),
-            lambda lam=lam: f"lam={list(lam)}: dim times hook product != size!",
-        )
+        if not res.check(dim_syt(lam) * prod(hook_lengths(lam).values()) == factorial(lam.size)):
+            res.fail(f"lam={list(lam)}: dim times hook product != size!")
     return res
 
 
@@ -349,10 +345,8 @@ def check_syt_branching(bounds: Bounds) -> SuiteResult:
         if not lam:
             continue
         total = sum(dim_syt(remove_corner(lam, v)) for v in internal_corners(lam))
-        res.expect(
-            dim_syt(lam) == total,
-            lambda lam=lam, total=total: f"lam={list(lam)}: dim {dim_syt(lam)} != corner sum {total}",
-        )
+        if not res.check(dim_syt(lam) == total):
+            res.fail(f"lam={list(lam)}: dim {dim_syt(lam)} != corner sum {total}")
     return res
 
 
@@ -389,13 +383,11 @@ def check_skew_recursion(bounds: Bounds) -> SuiteResult:
                 if grown is None:
                     grown = growths[nu] = list(_grown(nu))
                 by_inner = sum(map(counts.get, grown, repeat(0)))
-                res.expect(
-                    count == by_outer == by_inner,
-                    lambda lam=lam, nu=nu, c=count, o=by_outer, i=by_inner: (
-                        f"lam={list(lam)} nu={list(nu)}: count {c}, "
-                        f"corner sum {o}, growth sum {i}"
-                    ),
-                )
+                if not res.check(count == by_outer == by_inner):
+                    res.fail(
+                        f"lam={list(lam)} nu={list(nu)}: count {count}, "
+                        f"corner sum {by_outer}, growth sum {by_inner}"
+                    )
         below = level
     return res
 
@@ -406,10 +398,8 @@ def check_column_removal_difference(bounds: Bounds) -> SuiteResult:
         for h in range(2, lam.length + 1):
             lhs = a_coeff(lam, h - 1) - a_coeff(lam, h)
             rhs = skew_syt_count(lam, Partition([2] + [1] * (h - 2)))
-            res.expect(
-                lhs == rhs,
-                lambda lam=lam, h=h, lhs=lhs, rhs=rhs: f"lam={list(lam)} h={h}: {lhs} != {rhs}",
-            )
+            if not res.check(lhs == rhs):
+                res.fail(f"lam={list(lam)} h={h}: {lhs} != {rhs}")
     return res
 
 
@@ -417,20 +407,16 @@ def check_skew_count_vs_backtracking(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("skew_count_vs_backtracking")
     for outer in _shapes_upto(bounds.max_k):
         for inner in subpartitions(outer):
-            res.expect(
-                skew_syt_count(outer, inner) == syt_count_backtracking(outer, inner),
-                lambda outer=outer, inner=inner: f"outer={list(outer)} inner={list(inner)}: counts differ",
-            )
+            if not res.check(skew_syt_count(outer, inner) == syt_count_backtracking(outer, inner)):
+                res.fail(f"outer={list(outer)} inner={list(inner)}: counts differ")
     return res
 
 
 def check_dim_equals_skew_over_empty(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("dim_equals_skew_over_empty")
     for lam in _shapes_upto(bounds.max_k + 4):
-        res.expect(
-            dim_syt(lam) == skew_syt_count(lam, Partition()),
-            lambda lam=lam: f"lam={list(lam)}: hook formula != skew count",
-        )
+        if not res.check(dim_syt(lam) == skew_syt_count(lam, Partition())):
+            res.fail(f"lam={list(lam)}: hook formula != skew count")
     return res
 
 
@@ -453,12 +439,10 @@ def check_mn_identity_is_dimension(bounds: Bounds) -> SuiteResult:
         peeled = _mn(mu, (1,) * mu.size)
         got = character_mn(mu, CycleType([1] * mu.size))
         want = syt_count_backtracking(mu, Partition())
-        res.expect(
-            peeled == got == want,
-            lambda mu=mu, peeled=peeled, got=got, want=want: (
+        if not res.check(peeled == got == want):
+            res.fail(
                 f"mu={list(mu)}: MN peel {peeled}, MN at identity {got}, tableaux {want} differ"
-            ),
-        )
+            )
     return res
 
 
@@ -469,15 +453,13 @@ def check_frobenius_vs_mn(bounds: Bounds) -> SuiteResult:
         for mu in _partitions(n):
             frob = character_frobenius_transposition(mu)
             mn = character_mn(mu, ct)
-            res.expect(
-                frob == mn,
-                lambda mu=mu, frob=frob, mn=mn: f"mu={list(mu)}: frobenius {frob} != mn {mn}",
-            )
+            if not res.check(frob == mn):
+                res.fail(f"mu={list(mu)}: frobenius {frob} != mn {mn}")
     return res
 
 
-def _recpart_cases(bounds: Bounds, lo: int, hi: int):
-    """(agrees, describe) for recpart vs MN at every n from
+def _recpart_cases(res: SuiteResult, bounds: Bounds, lo: int, hi: int) -> SuiteResult:
+    """Check recpart against MN into ``res`` at every n from
     max(k + lam_1 + lo, |support|) up to k + lam_1 + hi; the recpart
     polynomial is built once per (lam, support) and the shape (n - k, lam)
     once per (lam, n)."""
@@ -492,23 +474,19 @@ def _recpart_cases(bounds: Bounds, lo: int, hi: int):
                     ct = _with_fixed_points(sup, n)
                     got = eval_poly(poly, n)
                     want = character_mn(shapes[n], ct)
-                    yield got == want, lambda lam=lam, sup=sup, n=n, got=got, want=want: (
-                        f"lam={list(lam)} support={list(sup)} n={n}: recpart {got} != mn {want}"
-                    )
+                    if not res.check(got == want):
+                        res.fail(
+                            f"lam={list(lam)} support={list(sup)} n={n}: recpart {got} != mn {want}"
+                        )
+    return res
 
 
 def check_recpart_vs_mn(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("recpart_vs_mn")
-    for agrees, describe in _recpart_cases(bounds, 6, 10):
-        res.expect(agrees, describe)
-    return res
+    return _recpart_cases(SuiteResult("recpart_vs_mn"), bounds, 6, 10)
 
 
 def check_recpart_band(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("recpart_band", report_only=True)
-    for agrees, describe in _recpart_cases(bounds, 0, 6):
-        res.expect(agrees, describe)
-    return res
+    return _recpart_cases(SuiteResult("recpart_band", report_only=True), bounds, 0, 6)
 
 
 def _ascending_walk(cts: Sequence[Partition]) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -556,12 +534,10 @@ def check_mn_peel_order(bounds: Bounds) -> SuiteResult:
             ups = _mn_ascending(mu, walk)
             for ct, ctype, up in zip(cts, types, ups):
                 down = character_mn(mu, ctype)
-                res.expect(
-                    down == up,
-                    lambda mu=mu, ct=ct, down=down, up=up: (
+                if not res.check(down == up):
+                    res.fail(
                         f"mu={list(mu)} ct={list(ct)}: peel order changed value {down} -> {up}"
-                    ),
-                )
+                    )
     return res
 
 
@@ -579,10 +555,8 @@ def check_column_orthogonality(bounds: Bounds) -> SuiteResult:
     for n in range(2, max(3, bounds.max_k)):
         for ct in (CycleType([1] * n), CycleType([2] + [1] * (n - 2))):
             total = sum(character_mn(mu, ct) ** 2 for mu in _partitions(n))
-            res.expect(
-                total == centralizer_order(ct),
-                lambda n=n, ct=ct, total=total: f"n={n} ct={list(ct.cycles)}: {total} != centralizer order",
-            )
+            if not res.check(total == centralizer_order(ct)):
+                res.fail(f"n={n} ct={list(ct.cycles)}: {total} != centralizer order")
     return res
 
 
@@ -604,10 +578,8 @@ def check_binom_round_trip(bounds: Bounds) -> SuiteResult:
     rng = random.Random(20260810)
     for p in _sample_polys(rng):
         values = [eval_poly(p, p.shift + i) for i in range(len(p.coeffs))]
-        res.expect(
-            interpolate(values, p.shift) == p,
-            lambda p=p: f"round trip failed for {p}",
-        )
+        if not res.check(interpolate(values, p.shift) == p):
+            res.fail(f"round trip failed for {p}")
     return res
 
 
@@ -619,14 +591,10 @@ def check_reshift_preserves_values(bounds: Bounds) -> SuiteResult:
         values = [eval_poly(p, x) for x in xs]
         for new_shift in (-3, 0, 1, 5):
             q = reshift(p, new_shift)
-            res.expect(
-                [eval_poly(q, x) for x in xs] == values,
-                lambda p=p, new_shift=new_shift: f"reshift to {new_shift} changed {p}",
-            )
-            res.expect(
-                reshift(q, p.shift) == p,
-                lambda p=p, new_shift=new_shift: f"reshift round trip failed for {p}",
-            )
+            if not res.check([eval_poly(q, x) for x in xs] == values):
+                res.fail(f"reshift to {new_shift} changed {p}")
+            if not res.check(reshift(q, p.shift) == p):
+                res.fail(f"reshift round trip failed for {p}")
     return res
 
 
@@ -639,10 +607,8 @@ def check_forward_difference_coeffs(bounds: Bounds) -> SuiteResult:
         for m in range(len(values)):
             delta = sum((-1) ** (m - j) * comb(m, j) * values[j] for j in range(m + 1))
             got = coeffs[m] if m < len(coeffs) else 0
-            res.expect(
-                got == delta,
-                lambda m=m, got=got, delta=delta: f"coeff {m}: {got} != forward difference {delta}",
-            )
+            if not res.check(got == delta):
+                res.fail(f"coeff {m}: {got} != forward difference {delta}")
     return res
 
 
@@ -655,8 +621,10 @@ def _stable_character(lam: Partition, n: int, r: int) -> int:
     return character_mn(Partition([n - lam.size] + list(lam)), _with_fixed_points((r,), n))
 
 
-def _main_cases(max_k: int, max_r: int, window: Callable[[int, int], range]):
-    """(agrees, describe) for char_poly vs MN at every n in
+def _main_cases(
+    res: SuiteResult, max_k: int, max_r: int, window: Callable[[int, int], range]
+) -> SuiteResult:
+    """Check char_poly against MN into ``res`` at every n in
     window(k + lam_1, r), over |lam| <= max_k and 1 <= r <= max_r; the
     shape (n - k, lam) is built once per (lam, n), whichever r asks."""
     for lam in _shapes_upto(max_k):
@@ -671,25 +639,20 @@ def _main_cases(max_k: int, max_r: int, window: Callable[[int, int], range]):
                     shape = shapes[n] = Partition([n - k] + list(lam))
                 got = eval_poly(poly, n)
                 want = character_mn(shape, _with_fixed_points((r,), n))
-                yield got == want, lambda lam=lam, r=r, n=n, got=got, want=want: (
-                    f"lam={list(lam)} r={r} n={n}: poly {got} != mn {want}"
-                )
+                if not res.check(got == want):
+                    res.fail(f"lam={list(lam)} r={r} n={n}: poly {got} != mn {want}")
+    return res
 
 
 def check_main_oracle(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("main_oracle")
     window = lambda base, r: range(base + r, base + r + bounds.n_window)
-    for agrees, describe in _main_cases(bounds.max_k, bounds.max_r, window):
-        res.expect(agrees, describe)
-    return res
+    return _main_cases(SuiteResult("main_oracle"), bounds.max_k, bounds.max_r, window)
 
 
 def check_main_band(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("main_band", report_only=True)
     window = lambda base, r: range(max(base, r), base + r)
-    for agrees, describe in _main_cases(max(0, bounds.max_k - 2), max(1, bounds.max_r - 2), window):
-        res.expect(agrees, describe)
-    return res
+    return _main_cases(res, max(0, bounds.max_k - 2), max(1, bounds.max_r - 2), window)
 
 
 def check_coefficient_recurrence(bounds: Bounds) -> SuiteResult:
@@ -712,12 +675,8 @@ def check_coefficient_recurrence(bounds: Bounds) -> SuiteResult:
                 for h in range(k):
                     total = sum(m[r, h] for m in smaller)
                     got = coeffs[r, h]
-                    res.expect(
-                        got == total,
-                        lambda lam=lam, h=h, r=r, got=got, total=total: (
-                            f"lam={list(lam)} h={h} r={r}: {got} != corner sum {total}"
-                        ),
-                    )
+                    if not res.check(got == total):
+                        res.fail(f"lam={list(lam)} h={h} r={r}: {got} != corner sum {total}")
         below = level
     return res
 
@@ -728,12 +687,8 @@ def check_vanishing_bound(bounds: Bounds) -> SuiteResult:
         for r in range(1, bounds.max_r + 1):
             for h in range(lam.length + r + 1, lam.size + r + 2):
                 got = stability.coeff_b(lam, h, r)
-                res.expect(
-                    got == 0,
-                    lambda lam=lam, h=h, r=r, got=got: (
-                        f"lam={list(lam)} h={h} r={r}: expected 0 past length+r, got {got}"
-                    ),
-                )
+                if not res.check(got == 0):
+                    res.fail(f"lam={list(lam)} h={h} r={r}: expected 0 past length+r, got {got}")
     return res
 
 
@@ -744,12 +699,8 @@ def check_limit_stabilization(bounds: Bounds) -> SuiteResult:
             want = a_coeff(lam, h)
             for r in range(h + 1, bounds.max_r + 5):
                 got = stability.coeff_b(lam, h, r)
-                res.expect(
-                    got == want,
-                    lambda lam=lam, h=h, r=r, got=got, want=want: (
-                        f"lam={list(lam)} h={h} r={r}: {got} != a_coeff {want}"
-                    ),
-                )
+                if not res.check(got == want):
+                    res.fail(f"lam={list(lam)} h={h} r={r}: {got} != a_coeff {want}")
     return res
 
 
@@ -759,10 +710,8 @@ def check_leading_coefficient(bounds: Bounds) -> SuiteResult:
         dim = dim_syt(lam)
         for r in range(1, bounds.max_r + 1):
             b0 = stability.char_poly(lam, r).b[0]
-            res.expect(
-                b0 == dim,
-                lambda lam=lam, r=r, b0=b0: f"lam={list(lam)} r={r}: b[0] = {b0} != dim",
-            )
+            if not res.check(b0 == dim):
+                res.fail(f"lam={list(lam)} r={r}: b[0] = {b0} != dim")
     return res
 
 
@@ -773,12 +722,8 @@ def check_transpose_small_h(bounds: Bounds) -> SuiteResult:
         for h in range(4):
             got = stability.coeff_b(lam, h, 2)
             want = a_coeff(lam_t, h)
-            res.expect(
-                got == want,
-                lambda lam=lam, h=h, got=got, want=want: (
-                    f"lam={list(lam)} h={h}: b2 {got} != transposed a {want}"
-                ),
-            )
+            if not res.check(got == want):
+                res.fail(f"lam={list(lam)} h={h}: b2 {got} != transposed a {want}")
     return res
 
 
@@ -788,20 +733,12 @@ def check_gamma_size_law(bounds: Bounds) -> SuiteResult:
         for h in range(3 * r + 1):
             gamma = stability.r_primary(r, h)
             want = 1 if h < r else (r - 1 if h < 2 * r else r)
-            res.expect(
-                len(gamma) == want,
-                lambda r=r, h=h, gamma=gamma, want=want: (
-                    f"r={r} h={h}: |Gamma| = {len(gamma)} != {want}"
-                ),
-            )
-            res.expect(
-                len({sp.partition for sp in gamma}) == len(gamma),
-                lambda r=r, h=h: f"r={r} h={h}: duplicate primary partitions",
-            )
-            res.expect(
-                all(sp.partition.size == h and sp.sign in (-1, 1) for sp in gamma),
-                lambda r=r, h=h: f"r={r} h={h}: wrong size or sign",
-            )
+            if not res.check(len(gamma) == want):
+                res.fail(f"r={r} h={h}: |Gamma| = {len(gamma)} != {want}")
+            if not res.check(len({sp.partition for sp in gamma}) == len(gamma)):
+                res.fail(f"r={r} h={h}: duplicate primary partitions")
+            if not res.check(all(sp.partition.size == h and sp.sign in (-1, 1) for sp in gamma)):
+                res.fail(f"r={r} h={h}: wrong size or sign")
     return res
 
 
@@ -814,12 +751,8 @@ def check_interpolation_route(bounds: Bounds) -> SuiteResult:
             values = [_stable_character(lam, n, r) for n in range(start, start + k + 1)]
             got = reshift(interpolate(values, start), r)
             want = stability.char_poly(lam, r).poly
-            res.expect(
-                got == want,
-                lambda lam=lam, r=r, got=got, want=want: (
-                    f"lam={list(lam)} r={r}: interpolated {got.coeffs} != {want.coeffs}"
-                ),
-            )
+            if not res.check(got == want):
+                res.fail(f"lam={list(lam)} r={r}: interpolated {got.coeffs} != {want.coeffs}")
     return res
 
 
@@ -831,12 +764,8 @@ def check_frobenius_route(bounds: Bounds) -> SuiteResult:
         for n in range(k + lam1 + 2, k + lam1 + 2 + bounds.n_window):
             got = eval_poly(poly, n)
             want = character_frobenius_transposition(Partition([n - k] + list(lam)))
-            res.expect(
-                got == want,
-                lambda lam=lam, n=n, got=got, want=want: (
-                    f"lam={list(lam)} n={n}: poly {got} != frobenius {want}"
-                ),
-            )
+            if not res.check(got == want):
+                res.fail(f"lam={list(lam)} n={n}: poly {got} != frobenius {want}")
     return res
 
 
@@ -877,12 +806,11 @@ def check_constant_coeff_routes(bounds: Bounds) -> SuiteResult:
             via_primary = constant_coeff(lam, r)
             via_strips = constant_coeff_vertical_strip(lam, r)
             via_main = stability.coeff_b(lam, lam.size, r)
-            res.expect(
-                via_primary == via_strips == via_main,
-                lambda lam=lam, r=r, a=via_primary, b=via_strips, c=via_main: (
-                    f"lam={list(lam)} r={r}: primary {a}, strips {b}, main {c}"
-                ),
-            )
+            if not res.check(via_primary == via_strips == via_main):
+                res.fail(
+                    f"lam={list(lam)} r={r}: primary {via_primary}, strips {via_strips}, "
+                    f"main {via_main}"
+                )
     return res
 
 
@@ -949,12 +877,8 @@ def check_basis2_forms(bounds: Bounds) -> SuiteResult:
     for k in range(bounds.max_k + 5):
         for case, (lam, b) in basis2_closed_forms(k).items():
             got = stability.char_poly(lam, 2).b
-            res.expect(
-                got == b,
-                lambda case=case, k=k, got=got, b=b: (
-                    f"case {case} k={k}: char_poly b {list(got)} != closed form {list(b)}"
-                ),
-            )
+            if not res.check(got == b):
+                res.fail(f"case {case} k={k}: char_poly b {list(got)} != closed form {list(b)}")
     return res
 
 
@@ -981,12 +905,8 @@ def check_transposition_split(bounds: Bounds) -> SuiteResult:
         for h in range(lam.size + 2):
             plus, minus = coeff_b_transposition_split(lam, h)
             got = stability.coeff_b(lam, h, 2)
-            res.expect(
-                plus - minus == got,
-                lambda lam=lam, h=h, plus=plus, minus=minus, got=got: (
-                    f"lam={list(lam)} h={h}: {plus} - {minus} != b2 {got}"
-                ),
-            )
+            if not res.check(plus - minus == got):
+                res.fail(f"lam={list(lam)} h={h}: {plus} - {minus} != b2 {got}")
     return res
 
 

@@ -653,17 +653,24 @@ class TestVerify:
         a, b = verification.SuiteResult("x"), verification.SuiteResult("y")
         assert (a.checks, a.failures, a.report_only, a.disagreements) == (0, [], False, 0)
         assert a.ok
-        a.expect(False, lambda: "first")
+        if not a.check(False):
+            a.fail("first")
         assert a.failures == ["first"] and not a.ok
         assert b.failures == []
+        # the verdict reads the count, not the descriptions
+        assert not b.check(False) and b.failures == [] and not b.ok
 
     def test_band_line_names_its_first_disagreement(self):
         band = verification.SuiteResult("recpart_band", report_only=True)
-        band.expect(True, lambda: "never described")
-        band.expect(False, lambda: "lam=[1] support=[2] n=3: recpart 1 != mn 0")
-        band.expect(False, lambda: "lam=[2] support=[2] n=4: recpart 2 != mn 1")
+        if not band.check(True):
+            band.fail("never described")
+        if not band.check(False):
+            band.fail("lam=[1] support=[2] n=3: recpart 1 != mn 0")
+        if not band.check(False):
+            band.fail("lam=[2] support=[2] n=4: recpart 2 != mn 1")
         quiet = verification.SuiteResult("main_band", report_only=True)
-        quiet.expect(True, lambda: "never described")
+        if not quiet.check(True):
+            quiet.fail("never described")
         assert verification.render_report([band, quiet]).splitlines() == [
             f"band {'recpart_band':<32}      3 checks, 2 disagreements (report only); "
             "first: lam=[1] support=[2] n=3: recpart 1 != mn 0",
@@ -671,15 +678,17 @@ class TestVerify:
             "PASS 0/0 properties, 4 checks",
         ]
 
-    def test_expect_each_matches_expect(self):
+    def test_check_each_matches_check(self):
         rng = random.Random(11)
         for _ in range(200):
             one, each = verification.SuiteResult("one"), verification.SuiteResult("each")
             for b in range(rng.randrange(1, 5)):
                 conditions = [rng.random() < 0.7 for _ in range(rng.randrange(8))]
                 for j, ok in enumerate(conditions):
-                    one.expect(ok, lambda b=b, j=j: f"{b}:{j}")
-                each.expect_each(iter(conditions), lambda j, b=b: f"{b}:{j}")
+                    if not one.check(ok):
+                        one.fail(f"{b}:{j}")
+                for j in each.check_each(iter(conditions)):
+                    each.fail(f"{b}:{j}")
             assert (each.checks, each.disagreements, each.failures) == (
                 one.checks, one.disagreements, one.failures
             )
