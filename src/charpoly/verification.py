@@ -17,11 +17,13 @@ support), interpolation of Murnaghan--Nakayama values and the
 peel-order and orthogonality laws.
 
 The second derivations that only the suites use live here too, each next
-to its suite: cells, internal corners and corner removal (branching
-rules, both at the outer shape and at the inner one for skew counts),
-hook lengths cell by cell, centralizer orders, the constant term from
-the r-signs and from vertical strips, the four transposition closed
-forms and the two-sided split of the transposition coefficients.
+to its suite, each one plain function of its inputs: a shape less each
+of its corners and plus each cell that grows it (branching rules, both
+at the outer shape and at the inner one for skew counts), hook lengths
+cell by cell with each leg counted from the rows below, centralizer
+orders, the constant term from the r-signs and from vertical strips, the
+four transposition closed forms and the two-sided split of the
+transposition coefficients.
 
 The sweeps build their inputs once, not once per check: the partitions
 of each size once per process, the cycle supports once per sweep, a
@@ -231,54 +233,21 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
 # partition-level suites
 
 
-class EmptyPartition(ValueError):
-    """Raised when an operation needs a non-empty partition."""
+def _shrunk(lam: Partition) -> list[Partition]:
+    """lam less one cell, at each internal corner by increasing row."""
+    return [
+        Partition(lam[:i] + (p - 1,) + lam[i + 1 :])
+        for i, p in enumerate(lam)
+        if p > (lam[i + 1] if i + 1 < len(lam) else 0)
+    ]
 
 
-class NotACorner(ValueError):
-    """Raised when a cell is not an internal corner of the partition."""
-
-
-class Cell(NamedTuple):
-    """A box of a Young diagram: 1-based (row, col), rows counted downward
-    (English notation), so (i, j) lies in ``lam`` iff j <= lam[i-1]."""
-
-    row: int
-    col: int
-
-
-def internal_corners(lam: Partition) -> list[Cell]:
-    """Cells removable from ``lam``, in increasing row order.
-
-    These are exactly the boxes of hook length 1.
-    """
-    if not lam:
-        raise EmptyPartition("the empty partition has no corners")
-    corners = []
-    for i, p in enumerate(lam):
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        if p > below:
-            corners.append(Cell(i + 1, p))
-    return corners
-
-
-def remove_corner(lam: Partition, v: Cell) -> Partition:
-    """Partition obtained by removing the internal corner ``v`` from ``lam``."""
-    if v not in internal_corners(lam):
-        raise NotACorner(f"{v} is not an internal corner of {lam}")
-    parts = list(lam)
-    parts[v.row - 1] -= 1
-    return Partition(parts)
-
-
-def hook_lengths(lam: Partition) -> dict[Cell, int]:
-    """Hook length of every cell: arm + leg + 1."""
-    t = transpose(lam)
-    return {
-        Cell(i, j): (lam[i - 1] - j) + (t[j - 1] - i) + 1
-        for i in range(1, len(lam) + 1)
-        for j in range(1, lam[i - 1] + 1)
-    }
+def hook_lengths(lam: Partition) -> list[int]:
+    """Hook length of every cell, row by row: arm + leg + 1, the leg
+    counted from the rows of ``lam`` below the cell."""
+    return [
+        p - j + sum(q >= j for q in lam[i:]) for i, p in enumerate(lam) for j in range(1, p + 1)
+    ]
 
 
 def check_partition_corner_count(bounds: Bounds) -> SuiteResult:
@@ -286,7 +255,7 @@ def check_partition_corner_count(bounds: Bounds) -> SuiteResult:
     for lam in _shapes_upto(bounds.max_k + 4):
         if not lam:
             continue
-        if not res.check(len(internal_corners(lam)) == len(set(lam))):
+        if not res.check(len(_shrunk(lam)) == len(set(lam))):
             res.fail(f"lam={list(lam)}: corners != distinct part values")
     return res
 
@@ -330,7 +299,7 @@ def check_skew_hook_bruteforce(bounds: Bounds) -> SuiteResult:
 def check_hook_product_divides_factorial(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("hook_product_divides_factorial")
     for lam in _shapes_upto(bounds.max_k + 4):
-        if not res.check(dim_syt(lam) * prod(hook_lengths(lam).values()) == factorial(lam.size)):
+        if not res.check(dim_syt(lam) * prod(hook_lengths(lam)) == factorial(lam.size)):
             res.fail(f"lam={list(lam)}: dim times hook product != size!")
     return res
 
@@ -344,7 +313,7 @@ def check_syt_branching(bounds: Bounds) -> SuiteResult:
     for lam in _shapes_upto(bounds.max_k + 4):
         if not lam:
             continue
-        total = sum(dim_syt(remove_corner(lam, v)) for v in internal_corners(lam))
+        total = sum(map(dim_syt, _shrunk(lam)))
         if not res.check(dim_syt(lam) == total):
             res.fail(f"lam={list(lam)}: dim {dim_syt(lam)} != corner sum {total}")
     return res
@@ -374,7 +343,7 @@ def check_skew_recursion(bounds: Bounds) -> SuiteResult:
             counts = level[lam] = {nu: skew_syt_count(lam, nu) for nu in subpartitions(lam)}
             if not lam:
                 continue
-            smaller = [below[remove_corner(lam, v)] for v in internal_corners(lam)]
+            smaller = [below[m] for m in _shrunk(lam)]
             for nu, count in counts.items():
                 if nu == lam:
                     continue
@@ -670,7 +639,7 @@ def check_coefficient_recurrence(bounds: Bounds) -> SuiteResult:
             coeffs = level[lam] = {(r, h): stability.coeff_b(lam, h, r) for r in rs for h in hs}
             if not lam:
                 continue
-            smaller = [below[remove_corner(lam, v)] for v in internal_corners(lam)]
+            smaller = [below[m] for m in _shrunk(lam)]
             for r in rs:
                 for h in range(k):
                     total = sum(m[r, h] for m in smaller)
@@ -786,8 +755,6 @@ def constant_coeff_vertical_strip(lam: Partition, r: int) -> int:
     whose complement in ``lam`` is a vertical strip contributes (-1)^i.
     """
     lam = Partition(lam)
-    if r < 1:
-        raise ValueError(f"cycle length must be positive, got {r}")
     total = 1 if all(p <= 1 for p in lam) else 0
     for i in range(1, r + 1):
         kappa = Partition([i] + [1] * (r - i))
@@ -814,62 +781,20 @@ def check_constant_coeff_routes(bounds: Bounds) -> SuiteResult:
     return res
 
 
-class CaseNotDefined(ValueError):
-    """Raised when a transposition closed form is queried below its k range."""
-
-
-_BASIS2_MIN_K = {1: 0, 2: 2, 3: 3, 4: 4}
-
-
-def _check_basis2_case(case: int, k: int) -> None:
-    if case not in _BASIS2_MIN_K:
-        raise ValueError(f"case must be 1..4, got {case}")
-    if k < _BASIS2_MIN_K[case]:
-        raise CaseNotDefined(f"case {case} needs k >= {_BASIS2_MIN_K[case]}, got {k}")
-
-
-def basis2_partition(case: int, k: int) -> Partition:
-    """The partition of k handled by the given transposition closed form:
-    (1^k), (2, 1^{k-2}), (3, 1^{k-3}) or (2, 2, 1^{k-4})."""
-    _check_basis2_case(case, k)
-    head = {1: [], 2: [2], 3: [3], 4: [2, 2]}[case]
-    return Partition(head + [1] * (k - sum(head)))
-
-
-def basis2_closed_form(case: int, k: int) -> tuple[int, ...]:
-    """Coefficient vector b[0..k] of one of the four transposition closed
-    forms, transcribed term by term (including the explicit zero at h = 3
-    in case 4)."""
-    _check_basis2_case(case, k)
-    b = [0] * (k + 1)
-    if case == 1:
-        b[0] = 1
-        if k >= 1:
-            b[1] = 1
-    elif case == 2:
-        b[0] = b[1] = k - 1
-        b[2] = 1
-    elif case == 3:
-        b[0] = b[1] = comb(k - 1, 2)
-        b[2] = k - 2
-        for h in range(3, k + 1):
-            b[h] = 1
-    else:
-        b[0] = b[1] = k * (k - 3) // 2
-        b[2] = k - 3
-        b[3] = 0
-        for h in range(4, k + 1):
-            b[h] = -1
-    return tuple(b)
-
-
 def basis2_closed_forms(k: int) -> dict[int, tuple[Partition, tuple[int, ...]]]:
-    """All transposition closed forms defined at this k, keyed by case."""
-    out = {}
-    for case in (1, 2, 3, 4):
-        if k >= _BASIS2_MIN_K[case]:
-            out[case] = (basis2_partition(case, k), basis2_closed_form(case, k))
-    return out
+    """The transposition closed forms defined at this k, keyed by case:
+    the partition (1^k), (2, 1^{k-2}), (3, 1^{k-3}) or (2, 2, 1^{k-4})
+    and its coefficient vector b[0..k], transcribed term by term
+    (including the explicit zero at h = 3 in case 4).  A case is absent
+    below its smallest k."""
+    forms = {1: ([1] * k, [1, 1][: k + 1] + [0] * (k - 1))}
+    if k >= 2:
+        forms[2] = ([2] + [1] * (k - 2), [k - 1, k - 1, 1] + [0] * (k - 2))
+    if k >= 3:
+        forms[3] = ([3] + [1] * (k - 3), [comb(k - 1, 2)] * 2 + [k - 2] + [1] * (k - 2))
+    if k >= 4:
+        forms[4] = ([2, 2] + [1] * (k - 4), [k * (k - 3) // 2] * 2 + [k - 3, 0] + [-1] * (k - 3))
+    return {case: (Partition(lam), tuple(b)) for case, (lam, b) in forms.items()}
 
 
 def check_basis2_forms(bounds: Bounds) -> SuiteResult:
@@ -890,8 +815,6 @@ def coeff_b_transposition_split(lam: Partition, h: int) -> tuple[int, int]:
     (2, 2, 1^(h-4)).  Their difference is coeff_b(lam, h, 2).
     """
     lam = Partition(lam)
-    if h < 0:
-        raise ValueError(f"h must be nonnegative, got {h}")
     if h <= 3:
         return skew_syt_count(lam, Partition([h] if h else [])), 0
     plus = skew_syt_count(lam, Partition([3] + [1] * (h - 3)))

@@ -17,17 +17,13 @@ from charpoly.partitions import (
 )
 from charpoly.verification import (
     Bounds,
-    Cell,
-    EmptyPartition,
-    NotACorner,
+    _shrunk,
     border_strips_bruteforce,
     check_hook_product_divides_factorial,
     check_partition_contains_transpose,
     check_partition_corner_count,
     check_skew_hook_bruteforce,
     hook_lengths,
-    internal_corners,
-    remove_corner,
 )
 
 parts_st = st.lists(st.integers(1, 6), max_size=6).map(
@@ -112,47 +108,46 @@ class TestContains:
 
 class TestCorners:
     def test_rectangle(self):
-        assert internal_corners(Partition([3, 3])) == [Cell(2, 3)]
+        assert _shrunk(Partition([3, 3])) == [Partition([3, 2])]
 
     def test_column(self):
-        assert internal_corners(Partition([1, 1, 1])) == [Cell(3, 1)]
+        assert _shrunk(Partition([1, 1, 1])) == [Partition([1, 1])]
 
     def test_two_corners(self):
-        assert internal_corners(Partition([3, 1])) == [Cell(1, 3), Cell(2, 1)]
+        assert _shrunk(Partition([3, 1])) == [Partition([2, 1]), Partition([3])]
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyPartition):
-            internal_corners(Partition())
+    def test_empty_has_no_corners(self):
+        assert _shrunk(Partition()) == []
 
     def test_remove(self):
-        assert remove_corner(Partition([3, 3]), Cell(2, 3)) == Partition([3, 2])
-        assert remove_corner(Partition([1]), Cell(1, 1)) == Partition()
-        assert remove_corner(Partition([3, 1]), Cell(1, 3)) == Partition([2, 1])
-
-    def test_remove_non_corner(self):
-        with pytest.raises(NotACorner):
-            remove_corner(Partition([3, 3]), Cell(1, 3))
+        assert _shrunk(Partition([1])) == [Partition()]
+        assert all(type(m) is Partition for m in _shrunk(Partition([4, 2, 2, 1])))
+        assert _shrunk(Partition([4, 2, 2, 1])) == [
+            Partition([3, 2, 2, 1]), Partition([4, 2, 1, 1]), Partition([4, 2, 2])
+        ]
 
     @given(parts_st)
     def test_corner_count_is_distinct_parts(self, lam):
         if not lam:
             return
-        assert len(internal_corners(lam)) == len(set(lam))
+        assert len(_shrunk(lam)) == len(set(lam))
 
 
 class TestHookLengths:
     def test_two_rows(self):
         # forced by the hook formula: product must be 6!/5 = 144
-        hl = hook_lengths(Partition([3, 3]))
-        assert [hl[Cell(1, j)] for j in (1, 2, 3)] == [4, 3, 2]
-        assert [hl[Cell(2, j)] for j in (1, 2, 3)] == [3, 2, 1]
+        assert hook_lengths(Partition([3, 3])) == [4, 3, 2, 3, 2, 1]
 
     def test_single_box(self):
-        assert hook_lengths(Partition([1])) == {Cell(1, 1): 1}
+        assert hook_lengths(Partition([1])) == [1]
 
     def test_single_row(self):
-        hl = hook_lengths(Partition([5]))
-        assert [hl[Cell(1, j)] for j in range(1, 6)] == [5, 4, 3, 2, 1]
+        assert hook_lengths(Partition([5])) == [5, 4, 3, 2, 1]
+
+    def test_reads_no_transpose(self, monkeypatch):
+        # the oracle counts legs from the rows themselves
+        monkeypatch.setattr(verification, "transpose", None)
+        assert hook_lengths(Partition([3, 2, 2])) == [5, 4, 1, 3, 2, 2, 1]
 
 
 class TestSkewHooks:
@@ -208,9 +203,7 @@ class TestSkewHooks:
     def test_size_one_is_corners(self):
         for lam in partitions_of(6):
             hooks = skew_hooks(lam, 1)
-            assert [h.complement for h in hooks] == [
-                remove_corner(lam, v) for v in internal_corners(lam)
-            ]
+            assert [h.complement for h in hooks] == _shrunk(lam)
             assert all(h.leg_length == 0 for h in hooks)
 
     @given(parts_st, st.integers(1, 6))

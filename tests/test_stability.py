@@ -20,10 +20,7 @@ from charpoly.stability import (
 from charpoly.tableaux import a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
-    CaseNotDefined,
-    basis2_closed_form,
     basis2_closed_forms,
-    basis2_partition,
     check_basis2_forms,
     check_coefficient_recurrence,
     check_constant_coeff_routes,
@@ -310,32 +307,34 @@ class TestConstantCoeff:
 
 class TestBasis2:
     def test_case_one(self):
-        assert basis2_closed_form(1, 0) == (1,)
+        assert basis2_closed_forms(0)[1] == (Partition(), (1,))
         for k in range(1, 8):
-            assert basis2_closed_form(1, k) == tuple([1, 1] + [0] * (k - 1))
+            assert basis2_closed_forms(k)[1][1] == tuple([1, 1] + [0] * (k - 1))
 
     def test_case_two_smallest(self):
-        assert basis2_closed_form(2, 2) == (1, 1, 1)
+        assert basis2_closed_forms(2)[2] == (Partition([2]), (1, 1, 1))
 
     def test_case_four_tail(self):
         for k in range(4, 10):
-            b = basis2_closed_form(4, k)
+            _, b = basis2_closed_forms(k)[4]
+            assert len(b) == k + 1
             assert b[2] == k - 3
             assert b[3] == 0
             assert all(b[h] == -1 for h in range(4, k + 1))
 
     def test_shapes(self):
-        assert basis2_partition(1, 4) == Partition([1, 1, 1, 1])
-        assert basis2_partition(2, 4) == Partition([2, 1, 1])
-        assert basis2_partition(3, 4) == Partition([3, 1])
-        assert basis2_partition(4, 4) == Partition([2, 2])
+        assert {case: lam for case, (lam, _) in basis2_closed_forms(4).items()} == {
+            1: Partition([1, 1, 1, 1]),
+            2: Partition([2, 1, 1]),
+            3: Partition([3, 1]),
+            4: Partition([2, 2]),
+        }
 
     def test_not_defined_below_threshold(self):
-        for case, k in ((2, 1), (3, 2), (4, 3)):
-            with pytest.raises(CaseNotDefined):
-                basis2_closed_form(case, k)
-            with pytest.raises(CaseNotDefined):
-                basis2_partition(case, k)
+        # a case is absent below its smallest k
+        assert [sorted(basis2_closed_forms(k)) for k in range(5)] == [
+            [1], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4]
+        ]
 
     def test_matches_char_poly_through_twelve(self):
         for k in range(13):

@@ -8,6 +8,7 @@ tautology, or a check that describes the wrong case, fails here.
 """
 
 import ast
+import operator
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import charpoly.partitions as partitions
 import charpoly.stability as stability
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
+from charpoly.cli import main
 from charpoly.stability import Family
 from charpoly.verification import SUITES, Bounds
 
@@ -25,6 +27,11 @@ _det = tableaux._det
 _strips = partitions._strips
 _eval_poly = binom_poly.eval_poly
 _r_primary = stability.r_primary
+_peel = characters._peel
+_leaf_dim = characters._leaf_dim
+_skew_count = tableaux._skew_count
+_frobenius = tableaux._frobenius
+_transpose = partitions.transpose
 
 
 def _clear_memos():
@@ -53,6 +60,38 @@ def _type_three_signs_flipped_at_4(r, h):
         sp._replace(sign=-sp.sign) if r == 4 and sp.family is Family.TYPE_THREE else sp
         for sp in _r_primary(r, h)
     )
+
+
+def _peel_unsigned_at_2(layer, r):
+    if r != 2:
+        return _peel(layer, r)
+    peeled = {}
+    for mask, c in layer.items():
+        for rest in _peel({mask: 1}, r):
+            peeled[rest] = peeled.get(rest, 0) + c
+    return peeled
+
+
+def _leaf_dim_plus_one_at_4(mask):
+    return _leaf_dim(mask) + (partitions._size(mask) == 4)
+
+
+def _skew_count_plus_one_over_a_box(outer, inner):
+    count = _skew_count(outer, inner)
+    return count + (inner == (1,) and len(outer) >= 3 and count != 0)
+
+
+def _frobenius_first_parity_even(nu):
+    (alpha, beta, _), conjugate, size = _frobenius(nu)
+    return (alpha, beta, 0), conjugate, size
+
+
+def _transpose_fixes_two_row_rectangles(lam):
+    return lam if len(lam) == 2 and lam[0] == lam[1] else _transpose(lam)
+
+
+_TRANSPOSE_SLIP = [(module, "transpose", _transpose_fixes_two_row_rectangles)
+                   for module in (partitions, tableaux, characters, verification)]
 
 
 # name -> (every binding the mutant replaces, {suite: (disagreements, first failure)})
@@ -113,6 +152,90 @@ MUTANTS = {
             "main_band": (16, "lam=[5] r=4 n=10: poly -2 != mn -4"),
         },
     ),
+    "peel_unsigned_at_2": (
+        [(characters, "_peel", _peel_unsigned_at_2),
+         (verification, "_peel", _peel_unsigned_at_2)],
+        {
+            "frobenius_vs_mn": (96, "mu=[1, 1]: frobenius -1 != mn 1"),
+            "recpart_vs_mn": (128, "lam=[2, 1] support=[2] n=11: recpart 103 != mn 105"),
+            "mn_peel_order": (208, "mu=[2, 1] ct=[2, 1]: peel order changed value 0 -> 2"),
+            "column_orthogonality": (4, "n=4 ct=[2, 1, 1]: 8 != centralizer order"),
+            "main_oracle": (294, "lam=[1, 1] r=2 n=5: poly 0 != mn 2"),
+            "interpolation_route": (16, "lam=[1, 1] r=2: interpolated (2, -1, 1) != (0, -1, 1)"),
+            "main_band": (45, "lam=[1] r=2 n=2: poly -1 != mn 1"),
+            "recpart_band": (256, "lam=[1] support=[2] n=2: recpart -1 != mn 1"),
+        },
+    ),
+    "leaf_dim_plus_one_at_4": (
+        [(characters, "_leaf_dim", _leaf_dim_plus_one_at_4),
+         (verification, "_leaf_dim", _leaf_dim_plus_one_at_4)],
+        {
+            "mn_identity_is_dimension": (
+                5, "mu=[4]: MN peel 1, MN at identity 2, tableaux 1 differ"),
+            "frobenius_vs_mn": (6, "mu=[6]: frobenius 1 != mn 2"),
+            "recpart_vs_mn": (553, "lam=[] support=[2] n=6: recpart 1 != mn 2"),
+            "mn_peel_order": (55, "mu=[4] ct=[1, 1, 1, 1]: peel order changed value 2 -> 1"),
+            "column_orthogonality": (2, "n=4 ct=[1, 1, 1, 1]: 49 != centralizer order"),
+            "main_oracle": (26, "lam=[] r=1 n=4: poly 1 != mn 2"),
+            "interpolation_route": (9, "lam=[1] r=1: interpolated (-2, 2) != (0, 1)"),
+            "main_band": (21, "lam=[2] r=1 n=4: poly 2 != mn 3"),
+            "recpart_band": (605, "lam=[] support=[] n=4: recpart 1 != mn 2"),
+        },
+    ),
+    "skew_count_plus_one_over_a_box": (
+        [(tableaux, "_skew_count", _skew_count_plus_one_over_a_box),
+         (stability, "_skew_count", _skew_count_plus_one_over_a_box)],
+        {
+            "skew_recursion": (
+                446, "lam=[1, 1, 1] nu=[]: count 1, corner sum 1, growth sum 2"),
+            "column_removal_difference": (103, "lam=[1, 1, 1] h=2: 1 != 0"),
+            "skew_count_vs_backtracking": (42, "outer=[1, 1, 1] inner=[1]: counts differ"),
+            "main_oracle": (1470, "lam=[1, 1, 1] r=2 n=6: poly -8 != mn -2"),
+            "coefficient_recurrence": (140, "lam=[1, 1, 1] h=1 r=2: 2 != corner sum 1"),
+            "transpose_small_h": (38, "lam=[3] h=1: b2 1 != transposed a 2"),
+            "interpolation_route": (
+                42, "lam=[1, 1, 1] r=2: interpolated (0, 0, -1, 1) != (0, 0, -2, 1)"),
+            "frobenius_route": (294, "lam=[1, 1, 1] n=6: poly -8 != frobenius -2"),
+            "basis2_forms": (
+                35, "case 1 k=3: char_poly b [1, 2, 0, 0] != closed form [1, 1, 0, 0]"),
+            "main_band": (108, "lam=[1, 1, 1] r=2 n=4: poly -2 != mn -1"),
+        },
+    ),
+    "frobenius_first_parity_even": (
+        [(tableaux, "_frobenius", _frobenius_first_parity_even)],
+        {
+            "skew_recursion": (
+                3551, "lam=[2, 1] nu=[1]: count 2, corner sum 2, growth sum 0"),
+            "column_removal_difference": (132, "lam=[2, 1] h=2: 3 != 1"),
+            "skew_count_vs_backtracking": (211, "outer=[2, 1] inner=[1, 1]: counts differ"),
+            "main_oracle": (1225, "lam=[2, 1] r=1 n=6: poly 14 != mn 16"),
+            "coefficient_recurrence": (133, "lam=[2, 1] h=2 r=3: -1 != corner sum 1"),
+            "transpose_small_h": (30, "lam=[2, 1] h=2: b2 1 != transposed a -1"),
+            "interpolation_route": (
+                40, "lam=[2, 1] r=1: interpolated (1, -1, 0, 2) != (-1, -1, 0, 2)"),
+            "frobenius_route": (175, "lam=[3, 1] n=9: poly 34 != frobenius 36"),
+            "constant_coeff_routes": (29, "lam=[2, 1] r=1: primary -1, strips -1, main 1"),
+            "basis2_forms": (
+                3, "case 3 k=4: char_poly b [3, 3, 2, 1, -1] != closed form [3, 3, 2, 1, 1]"),
+            "main_band": (102, "lam=[2, 1] r=1 n=5: poly 3 != mn 5"),
+        },
+    ),
+    "transpose_fixes_two_row_rectangles": (
+        _TRANSPOSE_SLIP,
+        {
+            "partition_contains_transpose": (291, "lam=[2]: transpose not an involution"),
+            "skew_recursion": (3, "lam=[1, 1] nu=[1]: count 1, corner sum 1, growth sum 0"),
+            "column_removal_difference": (1, "lam=[1, 1] h=2: 1 != 0"),
+            "skew_count_vs_backtracking": (1, "outer=[1, 1] inner=[1, 1]: counts differ"),
+            "frobenius_vs_mn": (4, "mu=[1, 1]: frobenius 0 != mn -1"),
+            "main_oracle": (28, "lam=[1, 1] r=3 n=6: poly 0 != mn 1"),
+            "coefficient_recurrence": (8, "lam=[2, 1] h=2 r=3: 1 != corner sum 0"),
+            "transpose_small_h": (5, "lam=[2] h=2: b2 1 != transposed a 0"),
+            "interpolation_route": (2, "lam=[1, 1] r=3: interpolated (1, -1, 1) != (0, -1, 1)"),
+            "constant_coeff_routes": (4, "lam=[1, 1] r=3: primary 1, strips 1, main 0"),
+            "main_band": (6, "lam=[1, 1] r=3 n=3: poly 0 != mn 1"),
+        },
+    ),
 }
 
 
@@ -131,6 +254,44 @@ def test_suites_catch_mutant(mutant, monkeypatch):
         monkeypatch.undo()
         _clear_memos()
     assert got == want
+
+
+def _verify_under(patches, monkeypatch, capsys):
+    """(exit code, stdout, stderr) of a small ``verify`` with ``patches`` in place."""
+    _clear_memos()
+    try:
+        for module, name, fake in patches:
+            monkeypatch.setattr(module, name, fake)
+        code = main(["verify", "--max-k", "4", "--max-r", "3", "--n-window", "2"])
+    finally:
+        monkeypatch.undo()
+        _clear_memos()
+    return (code, *capsys.readouterr())
+
+
+def test_transpose_slip_fails_with_counterexamples(monkeypatch, capsys):
+    # the hook-length oracle reads no transpose, so the slip is a
+    # counterexample in every suite it reaches, not a crash
+    code, out, err = _verify_under(_TRANSPOSE_SLIP, monkeypatch, capsys)
+    *suites, verdict = [line for line in out.splitlines() if not line.startswith(("#", "band "))]
+    failed = [line for line in suites if line.startswith("FAIL ")]
+    assert (code, err) == (1, "")
+    assert verdict.startswith(f"FAIL {len(suites) - len(failed)}/{len(suites)} properties")
+    assert failed[0].endswith("; first: lam=[2]: transpose not an involution")
+    assert all("; first: " in line for line in failed)
+
+
+def _contains_without_length_test(lam, nu):
+    return nu <= lam and all(map(operator.le, nu, lam))
+
+
+def test_kernel_crash_under_verify_exits_3(monkeypatch, capsys):
+    # _skew_count then indexes past the rows of its outer shape
+    patches = [(module, "contains", _contains_without_length_test)
+               for module in (partitions, tableaux, verification)]
+    code, out, err = _verify_under(patches, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: IndexError: ") and err.count("\n") == 1
 
 
 def _method_call(node, method):
