@@ -9,23 +9,7 @@ representation is unique and evaluation at integers stays in ``int``.
 
 from __future__ import annotations
 
-from math import comb, factorial
 from typing import Sequence
-
-
-def binomial(a: int, m: int) -> int:
-    """C(a, m) for any integer ``a`` and m >= 0, via the falling factorial.
-
-    Zero when 0 <= a < m; signed and nonzero for negative ``a``.
-    """
-    if m < 0:
-        raise ValueError(f"lower index must be nonnegative, got {m}")
-    if a >= 0:
-        return comb(a, m)
-    num = 1
-    for t in range(m):
-        num *= a - t
-    return num // factorial(m)
 
 
 class BinomPoly:
@@ -56,11 +40,6 @@ class BinomPoly:
 
     def __repr__(self) -> str:
         return f"BinomPoly(shift={self.shift!r}, coeffs={self.coeffs!r})"
-
-    @property
-    def degree(self) -> int:
-        """Largest m with a nonzero coefficient; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
 
 def eval_poly(p: BinomPoly, x: int) -> int:

@@ -9,6 +9,10 @@ Exit codes: 0 on success, 1 when ``verify`` finds a counterexample, 2 on
 usage errors (malformed partitions or integers, size mismatches, bad
 bounds or cycle lengths), 3 on any other exception, which is an internal
 error and is reported as one ``internal error: ...`` line on stderr.
+Each command turns its inputs into library values, and checks them,
+before it computes anything, raising ``UsageError`` for a bad one; only
+``UsageError`` exits 2, so a library error raised mid-compute, even a
+``NotWeaklyDecreasing`` or ``SizeMismatch``, is an internal error.
 
 Each subcommand has its own argparse parser, built the first time that
 command runs (``_command_parser``); the full tree (``build_parser``) is
@@ -25,7 +29,7 @@ from functools import cache
 from typing import Sequence
 
 from . import stability
-from .characters import CycleType, SizeMismatch, character_mn
+from .characters import CycleType, character_mn
 from .partitions import NotWeaklyDecreasing, Partition
 from .stability import format_terms
 
@@ -42,11 +46,17 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse a comma-separated descending partition; "" is the empty one."""
+    """Parse a comma-separated descending partition; "" is the empty one.
+
+    A list that is not a partition is a usage error, with the message
+    ``Partition`` gives it."""
     text = text.strip()
     if not text:
         return Partition()
-    return Partition(_parse_ints(text))
+    try:
+        return Partition(_parse_ints(text))
+    except NotWeaklyDecreasing as exc:
+        raise UsageError(exc) from None
 
 
 def _positive_int(text: str) -> int:
@@ -157,7 +167,10 @@ def _parse_cycle_type(text: str) -> CycleType:
 
 
 def cmd_char(args) -> int:
-    value = character_mn(parse_partition(args.mu), _parse_cycle_type(args.ct))
+    mu, ct = parse_partition(args.mu), _parse_cycle_type(args.ct)
+    if mu.size != ct.n:
+        raise UsageError(f"|mu| = {mu.size} but cycle type fills {ct.n}")
+    value = character_mn(mu, ct)
     with _exact_output():
         print(value)
     return 0
@@ -376,7 +389,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             setattr(args, name, "--")
     try:
         return args.func(args)
-    except (NotWeaklyDecreasing, SizeMismatch, UsageError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

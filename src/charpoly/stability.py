@@ -19,7 +19,9 @@ once h > len(lam) + r and ``char_poly`` computes b[h] only for
 h <= len(lam) + r.  The dimension coefficient a_h counts a column of h
 boxes inside ``lam``, so ``a_vector`` computes it only for
 h <= len(lam).  ``coeff_b`` and ``a_coeff`` themselves still sum every h
-they are asked for, which is what the vanishing checks test.
+they are asked for, which is what the vanishing checks test: ``coeff_b``
+skips only the primaries with more rows than ``lam`` or greater than it
+as tuples, so a primary with too few rows for its h would still count.
 """
 
 from __future__ import annotations
@@ -88,10 +90,20 @@ def r_primary(r: int, h: int) -> tuple[SignedPartition, ...]:
 
 def coeff_b(lam: Partition, h: int, r: int) -> int:
     """Coefficient b[h] of the shift-r expansion for ``lam``: the signed
-    sum of skew tableau counts over the r-primary partitions of h."""
+    sum of skew tableau counts over the r-primary partitions of h.
+
+    A primary nu counts only if it fits inside ``lam``, which needs
+    nu <= lam as tuples and no more rows than ``lam``; the pair memo is
+    asked only about the primaries that pass both tests, so it holds no
+    zeros for the ones that cannot fit."""
     lam = Partition(lam)
+    rows = len(lam)
     # the primaries are built as Partitions, so the pair memo is asked directly
-    return sum(sp.sign * _skew_count(lam, sp.partition) for sp in r_primary(r, h))
+    return sum(
+        sp.sign * _skew_count(lam, nu)
+        for sp in r_primary(r, h)
+        if (nu := sp.partition) <= lam and len(nu) <= rows
+    )
 
 
 class CharPolyExpansion(NamedTuple):

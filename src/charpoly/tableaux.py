@@ -34,7 +34,11 @@ takes minors of size <= 2 by their closed forms and only larger ones by
 Bareiss elimination.  Remainders are formed the first time a count
 needs them.  Three global memos hold the work: one record per outer (Q,
 f^outer and the remainders), one set of Frobenius coordinates per inner
-and one count per (outer, inner) pair asked for.
+and one count per (outer, inner) pair asked for.  The pairs are mostly
+ones that fit: ``coeff_b`` asks only about the r-primary inners that are
+no greater than the outer as tuples and have no more rows, and
+``verify``'s skew sweep only about the subpartitions of each outer, each
+inner as one shared object per shape.
 """
 
 from __future__ import annotations
@@ -182,7 +186,9 @@ def _frobenius(nu: Partition) -> tuple[tuple, tuple, int]:
     return (alpha, beta, sum(beta) & 1), (beta, alpha, sum(alpha) & 1), nu.size
 
 
-# one entry per (outer, inner) pair asked for; the outer's record is shared
+# one entry per (outer, inner) pair asked for, holding the pair's two shapes
+# alive; ``coeff_b`` asks only about primaries that pass two tests necessary
+# for fitting, so few entries are zeros.  The outer's record is shared
 # through ``_record``, so a pair costs one minor of Durfee-rank size
 @cache
 def _skew_count(outer: Partition, inner: Partition) -> int:

@@ -29,7 +29,8 @@ The sweeps build their inputs once, not once per check: the partitions
 of each size once per process, the cycle supports once per sweep, a
 cycle type with its fixed points once per (support, n) and the stable
 shape (n - k, lam) once per (lam, n); the skew recursion reads both of
-its sums from one dict of counts per outer shape, and the cells that
+its sums from one dict of counts per outer shape, keyed by the one
+object per inner shape that the size lists hold, and the cells that
 grow an inner from one list per inner, while the coefficient recurrence
 reads each b[h] from one dict per shape of the previous size; the
 containment sweep checks all inners of one outer in one bulk pass; and
@@ -337,10 +338,15 @@ def check_skew_recursion(bounds: Bounds) -> SuiteResult:
     below: dict[Partition, dict[Partition, int]] = {}
     # the growth list of each inner, built the first time an outer asks
     growths: dict[Partition, list[Partition]] = {}
+    # each inner as the one object ``_partitions`` holds for its shape, not
+    # a fresh tuple per outer: the count dicts and the pair memo keep it alive
+    canon = {nu: nu for nu in _shapes_upto(bounds.max_k + 4)}
     for k in range(bounds.max_k + 5):
         level = {}
         for lam in _partitions(k):
-            counts = level[lam] = {nu: skew_syt_count(lam, nu) for nu in subpartitions(lam)}
+            counts = level[lam] = {
+                nu: skew_syt_count(lam, nu) for nu in map(canon.__getitem__, subpartitions(lam))
+            }
             if not lam:
                 continue
             smaller = [below[m] for m in _shrunk(lam)]

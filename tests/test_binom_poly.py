@@ -1,10 +1,10 @@
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from charpoly.binom_poly import BinomPoly, binomial, eval_poly, interpolate, reshift
+from charpoly.binom_poly import BinomPoly, eval_poly, interpolate, reshift
 from charpoly.partitions import Partition
 from charpoly.tableaux import dim_syt
 
@@ -13,6 +13,17 @@ shift_st = st.integers(-3, 8)
 
 # the (3,3) dimension polynomial: 5 C(n,6) - 5 C(n,5) + 2 C(n,4)
 DIM33 = BinomPoly(0, [0, 0, 0, 0, 2, -5, 5])
+
+
+def binomial(a, m):
+    """C(a, m) for any integer ``a`` and m >= 0, via the falling factorial:
+    the reference that ``eval_poly``'s running binomial is checked against."""
+    if a >= 0:
+        return comb(a, m)
+    num = 1
+    for t in range(m):
+        num *= a - t
+    return num // factorial(m)
 
 
 class TestBinomial:
@@ -44,7 +55,7 @@ class TestEval:
 
     def test_zero(self):
         z = BinomPoly(5, [])
-        assert z.degree == -1
+        assert z.coeffs == ()
         for x in (-3, 0, 11):
             assert eval_poly(z, x) == 0
 

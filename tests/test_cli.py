@@ -15,6 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charpoly.characters as characters
 from charpoly.characters import CycleType, character_recpart
 import charpoly.cli as cli
 from charpoly.cli import main, parse_partition
@@ -124,7 +125,8 @@ class TestParsePartition:
         assert parse_partition(" 4,2,1 ") == Partition([4, 2, 1])
 
     def test_rejects_increasing(self):
-        with pytest.raises(NotWeaklyDecreasing):
+        # a usage error, with the message the library gives the tuple
+        with pytest.raises(cli.UsageError, match=r"^parts 2, 3 increase in \(2, 3\)$"):
             parse_partition("2,3")
 
     def test_rejects_garbage(self):
@@ -292,6 +294,29 @@ class TestExitCodes:
         assert code == 3
         assert err == "internal error: ValueError: library bug\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["expand", "--lambda", "1,3", "--r", "2"], "parts 1, 3 increase in (1, 3)"),
+        (["table", "--lambda", "2,-1", "--r-list", "1"], "negative part -1 in (2, -1)"),
+        (["char", "--mu", "2,1", "--ct", "4"], "|mu| = 3 but cycle type fills 4"),
+    ])
+    def test_inputs_are_checked_before_any_compute(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("error, message", [
+        (characters.SizeMismatch, "|mu| = 3 but cycle type fills 4"),
+        (NotWeaklyDecreasing, "parts 1, 2 increase in (1, 2)"),
+    ])
+    def test_library_error_after_parsing_exits_3(self, error, message, monkeypatch, capsys):
+        # raised mid-compute, either is a bug, not a usage error
+        def broken(mu, ct):
+            raise error(message)
+
+        monkeypatch.setattr(cli, "character_mn", broken)
+        code = main(["char", "--mu", "2,1", "--ct", "2,1"])
+        assert (code, *capsys.readouterr()) == (
+            3, "", f"internal error: {error.__name__}: {message}\n")
+
 
 _STAIRCASE_80 = ",".join(map(str, range(80, 0, -1)))
 
@@ -429,7 +454,7 @@ def _tree_main(argv):
             setattr(args, name, "--")
     try:
         return args.func(args)
-    except (NotWeaklyDecreasing, cli.SizeMismatch, cli.UsageError) as exc:
+    except cli.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -308,10 +308,17 @@ def test_partitions_of_order_and_count():
 
 
 def test_generated_partitions_have_the_type():
-    lam = Partition([4, 2, 2, 1])
-    produced = [transpose(lam), transpose(Partition()), *partitions_of(6), *subpartitions(lam)]
-    assert all(type(nu) is Partition for nu in produced)
-    assert all(nu == Partition(list(nu)) for nu in produced)
+    # these build their parts with ``_known_valid``, so nothing else would
+    # catch a trailing 0 or an increase
+    shapes = [lam for k in range(11) for lam in partitions_of(k)]
+    shapes += [Partition([1] * 40), Partition([2] * 8 + [1] * 8), Partition([3] * 6)]
+    for lam in shapes:
+        decoded = partitions._shape(partitions._beta(lam, len(lam) + 2))
+        produced = [transpose(lam), decoded, *vertical_strip_inners(lam),
+                    *subpartitions(lam), *partitions_of(lam.size)]
+        assert all(type(nu) is Partition for nu in produced), lam
+        assert all(nu == Partition(list(nu)) for nu in produced), lam
+        assert decoded == lam
 
 
 def test_subpartitions_contained_and_complete():

@@ -1,10 +1,12 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import charpoly.cli as cli
 import charpoly.stability as stability
 from charpoly.characters import CycleType, character_mn, recpart_poly
-from charpoly.binom_poly import BinomPoly, binomial, eval_poly, reshift
+from charpoly.binom_poly import BinomPoly, eval_poly, reshift
 from charpoly.partitions import Partition, partitions_of
 from charpoly.stability import (
     Family,
@@ -106,6 +108,17 @@ class TestCoeffB:
             for r in (1, 2, 5):
                 assert coeff_b(lam, lam.size + 1, r) == 0
                 assert coeff_b(lam, lam.size + 3, r) == 0
+
+    def test_equals_the_sum_over_every_primary(self):
+        # coeff_b skips the primaries that cannot fit inside lam; the sum
+        # over all of them, each counted, must come out the same
+        for k in range(11):
+            for lam in partitions_of(k):
+                for r in range(1, 13):
+                    for h in range(k + r + 2):
+                        want = sum(sp.sign * skew_syt_count(lam, sp.partition)
+                                   for sp in r_primary(r, h))
+                        assert coeff_b(lam, h, r) == want, (lam, h, r)
 
 
 class TestTranspositionSplit:
@@ -253,7 +266,7 @@ class TestDimPoly:
             p = dim_poly(lam)
             assert reshift(p, 1) == BinomPoly(1, [0] * k + [1])
             for n in range(k + 1, k + 8):
-                assert eval_poly(p, n) == binomial(n - 1, k)
+                assert eval_poly(p, n) == comb(n - 1, k)
 
     def test_empty(self):
         assert dim_poly(Partition()) == BinomPoly(0, [1])

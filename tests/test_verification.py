@@ -90,6 +90,10 @@ def _transpose_fixes_two_row_rectangles(lam):
     return lam if len(lam) == 2 and lam[0] == lam[1] else _transpose(lam)
 
 
+def _contains_ignoring_last_part(lam, nu):
+    return nu <= lam and len(nu) <= len(lam) and all(map(operator.le, nu[:-1], lam))
+
+
 _TRANSPOSE_SLIP = [(module, "transpose", _transpose_fixes_two_row_rectangles)
                    for module in (partitions, tableaux, characters, verification)]
 
@@ -220,6 +224,14 @@ MUTANTS = {
             "main_band": (102, "lam=[2, 1] r=1 n=5: poly 3 != mn 5"),
         },
     ),
+    "contains_ignoring_last_part": (
+        [(module, "contains", _contains_ignoring_last_part)
+         for module in (partitions, tableaux, verification)],
+        {
+            "partition_contains_transpose": (
+                2440, "lam=[3, 1] nu=[2, 2]: containment not transpose-invariant"),
+        },
+    ),
     "transpose_fixes_two_row_rectangles": (
         _TRANSPOSE_SLIP,
         {
@@ -292,6 +304,49 @@ def test_kernel_crash_under_verify_exits_3(monkeypatch, capsys):
     code, out, err = _verify_under(patches, monkeypatch, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("internal error: IndexError: ") and err.count("\n") == 1
+
+
+def _subpartitions_first_row_stuck(lam):
+    # subpartitions with the cap on each lower row by the row above it
+    # dropped, and the first row never growing: it yields non-partitions
+    rows = len(lam)
+    parts = []
+    while True:
+        yield partitions._known_valid(parts)
+        if len(parts) < rows:
+            parts.append(1)
+            continue
+        while parts:
+            i = len(parts) - 1
+            p = parts[i] + 1
+            if p <= lam[i] and (i != 0 or p <= parts[i - 1]):
+                parts[i] = p
+                break
+            parts.pop()
+        else:
+            return
+
+
+def test_library_bug_under_verify_exits_3_not_2(monkeypatch, capsys):
+    # the slip's non-partitions raise inside the sweeps; that is an
+    # internal error, not a usage error, however the library words it
+    patches = [(module, "subpartitions", _subpartitions_first_row_stuck)
+               for module in (partitions, verification)]
+    code, out, err = _verify_under(patches, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_vanishing_bound_asks_the_pair_memo_nothing():
+    # past len(lam) + r no r-primary fits inside lam, and coeff_b skips a
+    # primary that cannot fit before it asks the memo
+    _clear_memos()
+    try:
+        res = verification.check_vanishing_bound(Bounds())
+        assert res.ok and res.checks > 0
+        assert tableaux._skew_count.cache_info().currsize == 0
+    finally:
+        _clear_memos()
 
 
 def _method_call(node, method):
