@@ -14,24 +14,30 @@ before it computes anything, raising ``UsageError`` for a bad one; only
 ``UsageError`` exits 2, so a library error raised mid-compute, even a
 ``NotWeaklyDecreasing`` or ``SizeMismatch``, is an internal error.
 
-Each subcommand has its own argparse parser, built the first time that
-command runs (``_command_parser``); the full tree (``build_parser``) is
-built only for top-level help and errors.
+Each option is declared once, in ``_COMMANDS``.  A well-formed request
+(a command, then ``--flag value`` pairs) is read straight from that
+table by ``_parse_request``, without importing argparse.  Anything else
+(help, usage errors, abbreviations, ``--flag=value``) goes to the
+argparse tree that ``build_parser`` makes from the same table, so help
+and error messages are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from contextlib import contextmanager
 from functools import cache
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from . import stability
 from .characters import CycleType, character_mn
 from .partitions import NotWeaklyDecreasing, Partition
 from .stability import format_terms
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class UsageError(ValueError):
@@ -62,6 +68,8 @@ def parse_partition(text: str) -> Partition:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
@@ -69,6 +77,8 @@ def _positive_int(text: str) -> int:
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
@@ -243,8 +253,9 @@ def cmd_table(args) -> int:
 
 
 # The largest bounds ``verify`` accepts, so that every accepted run ends:
-# all three together take about 30 s (measured ``# elapsed`` on a 2-core
-# host, Python 3.11); --help and the README give the cost of each.
+# all three together take about 25 s at 72 MB peak RSS (``# elapsed``
+# 22-27 s over three runs on a 2-core host, Python 3.11); --help and the
+# README give the cost of each.
 _VERIFY_CAPS = {"max_k": 14, "max_r": 14, "n_window": 100}
 
 
@@ -275,118 +286,139 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
+_FORMATS = ("text", "json", "latex")
 
-def _expand_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS",
-                   help='partition as descending comma list, e.g. "3,3"; "" is empty')
-    p.add_argument("--r", type=_positive_int, required=True, help="cycle length")
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_expand)
-
-
-def _primaries_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=_positive_int, required=True, help="cycle length")
-    p.add_argument("--max-h", dest="max_h", type=_nonneg_int, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_primaries)
-
-
-def _char_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", required=True, metavar="PARTS", help="shape partition")
-    p.add_argument("--ct", required=True, metavar="PARTS",
-                   help="cycle type incl. fixed points, e.g. 2,1,1")
-    p.set_defaults(func=cmd_char)
-
-
-def _table_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    p.add_argument("--r-list", dest="r_list", required=True, metavar="R,R,...")
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_table)
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-k", dest="max_k", type=_positive_int, default=8,
-                   help=f"largest partition size swept, at most {_VERIFY_CAPS['max_k']}; "
-                        "time grows about 3x per +2 (8 s at 14)")
-    p.add_argument("--max-r", dest="max_r", type=_positive_int, default=6,
-                   help=f"largest cycle length swept, at most {_VERIFY_CAPS['max_r']} "
-                        "(0.8 s at 14)")
-    p.add_argument("--n-window", dest="n_window", type=_positive_int, default=7,
-                   help=f"values of n checked per polynomial, at most "
-                        f"{_VERIFY_CAPS['n_window']}; time grows linearly (0.9 s at 100)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="suite-level parallelism; 1 keeps runs single-process")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
-
-
-# name -> (help, description, the function that adds the arguments and
-# ``func``): the one declaration of each subcommand, read both by its own
-# parser and by the full tree
+# name -> (help, description, func, options): the one declaration of each
+# subcommand.  An option is its flag and the keyword arguments argparse's
+# ``add_argument`` takes for it; ``build_parser`` passes them on, and
+# ``_parse_request`` reads dest, type, choices, default and required from
+# them as argparse would.
 _COMMANDS = {
-    "expand": ("coefficient vector of one (lambda, r) expansion", None, _expand_arguments),
-    "primaries": ("r-primary partitions with signs up to a size", None, _primaries_arguments),
-    "char": ("one exact character value", None, _char_arguments),
-    "table": ("expansion table over several cycle lengths", None, _table_arguments),
+    "expand": ("coefficient vector of one (lambda, r) expansion", None, cmd_expand, (
+        ("--lambda", dict(dest="lam", required=True, metavar="PARTS",
+                          help='partition as descending comma list, e.g. "3,3"; "" is empty')),
+        ("--r", dict(type=_positive_int, required=True, help="cycle length")),
+        ("--format", dict(choices=_FORMATS, default="text")),
+    )),
+    "primaries": ("r-primary partitions with signs up to a size", None, cmd_primaries, (
+        ("--r", dict(type=_positive_int, required=True, help="cycle length")),
+        ("--max-h", dict(dest="max_h", type=_nonneg_int, required=True)),
+        ("--format", dict(choices=_FORMATS, default="text")),
+    )),
+    "char": ("one exact character value", None, cmd_char, (
+        ("--mu", dict(required=True, metavar="PARTS", help="shape partition")),
+        ("--ct", dict(required=True, metavar="PARTS",
+                      help="cycle type incl. fixed points, e.g. 2,1,1")),
+    )),
+    "table": ("expansion table over several cycle lengths", None, cmd_table, (
+        ("--lambda", dict(dest="lam", required=True, metavar="PARTS")),
+        ("--r-list", dict(dest="r_list", required=True, metavar="R,R,...")),
+        ("--format", dict(choices=_FORMATS, default="text")),
+    )),
     "verify": (
         "run the invariant sweeps",
         "Run the invariant sweeps.  At the defaults this takes about "
-        "0.4 s; at all three caps together about 30 s.",
-        _verify_arguments,
+        "0.4 s; at all three caps together about 25 s.",
+        cmd_verify,
+        (
+            ("--max-k", dict(dest="max_k", type=_positive_int, default=8,
+                             help="largest partition size swept, at most "
+                                  f"{_VERIFY_CAPS['max_k']}; time grows about 3x per +2 "
+                                  "(8 s at 14)")),
+            ("--max-r", dict(dest="max_r", type=_positive_int, default=6,
+                             help="largest cycle length swept, at most "
+                                  f"{_VERIFY_CAPS['max_r']} (0.8 s at 14)")),
+            ("--n-window", dict(dest="n_window", type=_positive_int, default=7,
+                                help="values of n checked per polynomial, at most "
+                                     f"{_VERIFY_CAPS['n_window']}; time grows linearly "
+                                     "(0.9 s at 100)")),
+            ("--jobs", dict(type=_positive_int, default=1,
+                            help="suite-level parallelism; 1 keeps runs single-process")),
+            ("--format", dict(choices=("text", "json"), default="text")),
+        ),
     ),
 }
 
 
-@cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, built on its first use and shared
-    after it: the parser the full tree's ``add_parser`` makes for it, with
-    the same prog, description, options and help."""
-    _, description, add_arguments = _COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"charpoly {name}", description=description)
-    add_arguments(parser)
-    return parser
+def _parse_request(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The request ``argv`` makes, read straight from its command's
+    options, or None when argparse must decide.
+
+    Only the plain form is read here: a command, then ``--flag value``
+    pairs, each flag one of the command's own names, spelled out and given
+    at most once, no value starting with "-", each value accepted by its
+    type and its choices, and every required flag given.  argparse reads
+    such an argv to the same values.  Everything else (help,
+    abbreviations, ``--flag=value``, repeats, positionals, a bad value)
+    is left to argparse, so that its help and its error messages stay
+    its own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, _, func, options = _COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) != len(argv) - 1:  # a flag given twice, or a last one alone
+        return None
+    values = {}
+    for flag, spec in options:
+        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default")
+            continue
+        text = given.pop(flag)
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # ValueError or ArgumentTypeError: argparse words it
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    if given:  # a flag the command does not take, or no flag at all
+        return None
+    return SimpleNamespace(func=func, **values)
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser tree, the top level and every subcommand, built on
-    the first call and shared after it.
+    """The argparse tree, the top level and every subcommand, built from
+    ``_COMMANDS`` on the first call and shared after it.
 
-    ``main`` needs it only for top-level help and errors: an argv that
-    does not start with a command name, or one its command's own parser
-    leaves arguments over from.  A well-formed request is parsed by that
-    command's parser alone (``_command_parser``).  Sharing is safe:
-    parsing returns a fresh namespace each time, no default is mutable,
-    and help text reads the terminal width when it is formatted, not here.
+    ``main`` needs it only for what ``_parse_request`` leaves to argparse:
+    help, every usage error argparse reports, and the spellings only
+    argparse reads.  A well-formed request builds no parser and imports
+    no argparse.  Sharing is safe: parsing returns a fresh namespace each
+    time, no default is mutable, and help text reads the terminal width
+    when it is formatted, not here.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="charpoly",
         description="Exact character polynomials of symmetric groups on cycles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, description, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text, description=description))
+    for name, (help_text, description, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, description=description)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = extras = None
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extras:
-        # no command first, or arguments its parser does not know: the full
-        # tree gives the top-level help or error word for word; with
-        # left-over arguments it always exits, as its subparser leaves the
-        # same ones over
+    args = _parse_request(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
-    for name, value in list(vars(args).items()):
-        if value == []:
-            # argparse in some Python versions drops an option's lone "--"
-            # value ("--ct=--") and leaves []; put back what was typed
-            setattr(args, name, "--")
+        for name, value in list(vars(args).items()):
+            if value == []:
+                # argparse in some Python versions drops an option's lone
+                # "--" value ("--ct=--") and leaves []; put back what was typed
+                setattr(args, name, "--")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -59,36 +59,81 @@ class TestImportBudget:
     def test_cli_import_skips_unused_modules(self):
         loaded = _modules_after("import charpoly.cli")
         assert "charpoly.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json"}
+        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json",
+                             "argparse", "gettext", "locale"}
 
     def test_cli_import_skips_verification(self):
         # the oracles load only when ``verify`` runs
         assert "charpoly.verification" not in _modules_after("import charpoly.cli")
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--lambda", "3,3", "--r", "2", "--format", "json"],
+        ["primaries", "--r", "3", "--max-h", "4"],
+        ["char", "--mu", "2,1", "--ct", "2,1"],
+        ["table", "--lambda", "2,1", "--r-list", "1,2", "--format", "latex"],
+        ["verify", "--max-k", "2", "--max-r", "2", "--n-window", "1", "--jobs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_well_formed_request_skips_argparse(self, argv):
+        # a request in the plain form is read without argparse, and so
+        # without the gettext and locale it loads on its first message
+        loaded = _modules_after(
+            "import contextlib, io, charpoly.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert charpoly.cli.main({argv!r}) == 0"
+        )
+        assert "charpoly.cli" in loaded
+        assert not loaded & {"argparse", "gettext", "locale"}
+
+    def test_help_loads_argparse(self):
+        loaded = _modules_after(
+            "import contextlib, io, charpoly.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.suppress(SystemExit):\n"
+            "    charpoly.cli.main(['char', '--help'])"
+        )
+        assert "argparse" in loaded
+
     def test_cli_import_builds_no_parser(self):
-        # the parser is built by the first ``main`` call, not at import,
-        # so start-up time does not pay for it
+        # neither the import nor a well-formed request builds a parser, so
+        # start-up and the request do not pay for one
         code = _COUNT_PARSERS + """
 import charpoly.cli
 print(len(built))
 charpoly.cli.main(["char", "--mu", "1", "--ct", "1"])
-print(len(built) > 0)
+print(len(built))
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        assert proc.stdout.split() == ["0", "1", "True"]
+        assert proc.stdout.split() == ["0", "1", "0"]
 
-    def test_one_command_builds_one_parser(self):
-        # a request is parsed by its own command's parser; the full tree
-        # (top level and all five subcommands) is left unbuilt
+    def test_only_argparse_cases_build_the_tree(self):
+        # well-formed requests of every command build no parser; the first
+        # usage error builds the full tree (top level and all five
+        # subcommands) once, and later errors reuse it
         code = _COUNT_PARSERS + """
+import contextlib, io
 import charpoly.cli
-charpoly.cli.main(["char", "--mu", "1", "--ct", "1"])
+with contextlib.redirect_stdout(io.StringIO()):
+    charpoly.cli.main(["expand", "--lambda", "2", "--r", "2"])
+    charpoly.cli.main(["primaries", "--r", "2", "--max-h", "2"])
+    charpoly.cli.main(["table", "--lambda", "2", "--r-list", "2"])
+    charpoly.cli.main(["verify", "--max-k", "1", "--max-r", "1", "--n-window", "1"])
+print(built)
+with contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["char", "--mu", "1"], ["char", "--mu", "1", "--ct"]):
+        try:
+            charpoly.cli.main(argv)
+        except SystemExit as exc:
+            print(exc.code)
 print(built)
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        assert proc.stdout.splitlines() == ["1", "['charpoly char']"]
+        assert proc.stdout.splitlines() == [
+            "[]", "2", "2",
+            "['charpoly', 'charpoly expand', 'charpoly primaries', 'charpoly char', "
+            "'charpoly table', 'charpoly verify']",
+        ]
 
     def test_verification_import_skips_dataclasses(self):
         loaded = _modules_after("import charpoly.verification")
@@ -425,14 +470,12 @@ class TestParserReuse:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         cli.build_parser.cache_clear()
-        cli._command_parser.cache_clear()
         try:
             got = [_captured_exit(argv) for argv in _REUSE_REQUESTS]
             built_by_first_pass = len(built)
             again = [_captured_exit(argv) for argv in _REUSE_REQUESTS]
         finally:
             cli.build_parser.cache_clear()
-            cli._command_parser.cache_clear()
         assert built_by_first_pass > 0
         assert len(built) == built_by_first_pass
         got = [(code, _without_comments(out)) for code, out in got]
@@ -446,8 +489,8 @@ class TestParserReuse:
 
 
 def _tree_main(argv):
-    """``main`` as it was before each command got its own parser: the
-    full tree parses every argv.  The reference for ``TestRouting``."""
+    """``main`` with argparse reading every argv: the full tree parses
+    it.  The reference for ``TestRouting`` and ``TestParseRequestFuzz``."""
     args = cli.build_parser().parse_args(argv)
     for name, value in list(vars(args).items()):
         if value == []:
@@ -481,6 +524,8 @@ _ROUTING_ARGV = [
     ["expand", "--lambda", "3,3", "--r", "x"],
     ["primaries", "--r", "3", "--max-h", "-1"],
     ["verify", "--max-k", "15"], ["verify", "--max-k", "0"], ["verify", "--help"],
+    ["expand", "--lambda", "", "--r", "+2"], ["expand", "--lambda", "3,3", "--r=2"],
+    ["char", "--mu", "2,1", "--ct", " 1,2"],
 ]
 
 
@@ -489,6 +534,98 @@ class TestRouting:
     def test_same_exit_and_output_as_the_full_tree(self, argv, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         assert _exit_out_err(argv) == _exit_out_err(argv, run=_tree_main)
+
+
+# values each flag takes in a request that runs (but verify has no latex
+# format); verify's bounds stay at most 2, so that every drawn sweep is short
+_GOOD_VALUES = {
+    "--lambda": ["3,3", "2,1", "1", ""], "--r": ["1", "2", "3"],
+    "--format": ["text", "json", "latex"], "--max-h": ["0", "2", "4"],
+    "--mu": ["2,1", "3", "1,1", ""], "--ct": ["2,1", "1,1,1", "3", "1,2"],
+    "--r-list": ["1,2", "2", "3,1"], "--max-k": ["1", "2"], "--max-r": ["1", "2"],
+    "--n-window": ["1", "2"], "--jobs": ["1", "2"],
+}
+# values argparse and the plain reader might take differently: blank,
+# signed, zero, dash-led, non-integer, a non-ASCII digit (ARABIC-INDIC
+# DIGIT TWO, which int() reads as 2) and bad --format choices
+_ODD_VALUES = ["", " 2", "+2", "0", "-1", "-x", "-h", "--", "x", "\u0662", "xml", "TEXT"]
+_STRAY_TOKENS = ["-h", "--help", "--bogus", "extra", "--"]
+_VERIFY_BOUNDS = ("--max-k", "--max-r", "--n-window")
+
+
+@st.composite
+def _request_argvs(draw):
+    """An argv for one of the five commands: a well-formed request, or one
+    changed in up to two places by an odd value, an abbreviated or
+    ``--flag=value`` spelling, a repeated flag, a dropped flag or a stray
+    token (help, an unknown flag, a positional, a lone "--").  ``verify``
+    keeps its three bounds, so that it never sweeps at its defaults."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][3]
+    flags = [flag for flag, _ in options]
+    picked = [flag for flag, spec in options
+              if spec.get("required") or flag in _VERIFY_BOUNDS or draw(st.booleans())]
+    # (flag, value, how it is written)
+    groups = [(flag, draw(st.sampled_from(_GOOD_VALUES[flag])), "pair")
+              for flag in draw(st.permutations(picked))]
+    changes = ["value", "spelling", "repeat", "drop", "stray"]
+    for change in draw(st.lists(st.sampled_from(changes), max_size=2)):
+        i = draw(st.integers(0, len(groups) - 1))
+        flag, value, style = groups[i]
+        if change == "value":
+            groups[i] = (flag, draw(st.sampled_from(_ODD_VALUES)), style)
+        elif change == "spelling" and style != "stray":
+            groups[i] = (flag, value, draw(st.sampled_from(["abbreviated", "equals"])))
+        elif change == "repeat":
+            again = draw(st.sampled_from(flags))
+            value = draw(st.sampled_from(_GOOD_VALUES[again] + _ODD_VALUES))
+            groups.insert(draw(st.integers(0, len(groups))), (again, value, "pair"))
+        elif change == "drop" and len(groups) > 1 and flag not in _VERIFY_BOUNDS:
+            del groups[i]
+        elif change == "stray":
+            token = draw(st.sampled_from(_STRAY_TOKENS))
+            groups.insert(draw(st.integers(0, len(groups))), (None, token, "stray"))
+    argv = [command]
+    for flag, value, style in groups:
+        argv += {"pair": [flag, value], "abbreviated": [flag and flag[:-1], value],
+                 "equals": [f"{flag}={value}"], "stray": [value]}[style]
+    return argv
+
+
+def _in_process_pool(started):
+    """A stand-in for ProcessPoolExecutor that maps in this process and
+    appends each pool's ``max_workers`` to ``started``: no test starts
+    real processes for a large --jobs."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return InProcessPool
+
+
+class TestParseRequestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_request_argvs())
+    def test_same_exit_and_output_as_the_full_tree(self, argv):
+        # help is wrapped to COLUMNS; --jobs 2 runs its suites in process
+        import concurrent.futures
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COLUMNS", "80")
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool([]))
+            got, want = _exit_out_err(argv), _exit_out_err(argv, run=_tree_main)
+        assert (got[0], _without_comments(got[1]), got[2]) == (
+            want[0], _without_comments(want[1]), want[2])
 
 
 @st.composite
@@ -637,25 +774,10 @@ class TestVerify:
         assert strip(seq) == strip(par)
 
     def test_jobs_capped_at_one_process_per_suite(self, monkeypatch):
-        # a fake pool: never start real processes for a large --jobs
         import concurrent.futures
 
         started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(started))
         bounds = verification.Bounds(3, 2, 2)
         many = verification.run_suites(bounds, jobs=10_000)
         one = verification.run_suites(bounds, jobs=1)
