@@ -3,8 +3,12 @@
 Every value here comes from one step, the Murnaghan--Nakayama strip
 peel: ``_peel`` moves each coefficient of a layer {beta-set int:
 coefficient} through the r-cell border strips with sign (-1)^leg, and
-the shapes left are counted by the hook formula, cached per beta-set.
-Fixed points are never peeled.
+the shapes left are counted straight from their beads by the
+beta-number formula (``tableaux._beta_dim``), cached per beta-set.
+Fixed points are never peeled, and a shape (n - k, lam) left with n - r
+fixed points costs a few factors, not n: its long top row is one short
+falling factorial.  Frobenius's formula counts by the hook formula
+(``dim_syt``), so comparing the two checks one route against the other.
 
 * ``character_mn`` -- the Murnaghan--Nakayama rule, one layer per
   non-trivial cycle; the ground truth everything else is checked against.
@@ -24,8 +28,16 @@ from math import comb
 from typing import Iterable
 
 from .binom_poly import BinomPoly, eval_poly
-from .partitions import Partition, _beta, _shape, _size, _strips, transpose, vertical_strip_inners
-from .tableaux import dim_syt
+from .partitions import (
+    Partition,
+    _beta,
+    _known_valid,
+    _size,
+    _strips,
+    transpose,
+    vertical_strip_inners,
+)
+from .tableaux import _beta_dim, dim_syt
 
 
 class SizeMismatch(ValueError):
@@ -49,7 +61,10 @@ class CycleType:
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: Iterable[int] = ()):
-        object.__setattr__(self, "cycles", Partition(sorted(cycles, reverse=True)))
+        cycles = sorted(cycles, reverse=True)
+        # sorted, so Partition's checks can fail only at the last length
+        parts = _known_valid(cycles) if cycles and cycles[-1] >= 1 else Partition(cycles)
+        object.__setattr__(self, "cycles", parts)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -77,7 +92,7 @@ class CycleType:
 @cache
 def _leaf_dim(mask: int) -> int:
     # the one memo: peels end again and again on the same few shapes
-    return dim_syt(_shape(mask))
+    return _beta_dim(mask)
 
 
 def _peel(layer: dict[int, int], r: int) -> dict[int, int]:
@@ -92,7 +107,7 @@ def _peel(layer: dict[int, int], r: int) -> dict[int, int]:
 
 def _mn(mu: Partition, cycles: Iterable[int]) -> int:
     # peel exactly ``cycles``, in order, one layer per cycle; each shape
-    # left is counted by the hook formula, i.e. as the character at the identity
+    # left is counted from its beads, i.e. as the character at the identity
     layer = {_beta(mu, len(mu)): 1}
     for r in cycles:
         layer = _peel(layer, r)
@@ -105,8 +120,8 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
 
     Only the cycles of length at least 2 are peeled, in weakly decreasing
     length order (the value is independent of that order); the fixed
-    points are never peeled but counted by the hook formula on each shape
-    that is left.  There is no recursion: each cycle peels one layer of
+    points are never peeled but counted, as f^shape, on each shape that
+    is left.  There is no recursion: each cycle peels one layer of
     beta-sets, so the depth of the stack does not grow with the input.
     """
     mu = Partition(mu)
@@ -143,7 +158,7 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
     (-1)^{|lam| - |kappa|} and len(lam) beads, so that equal shapes share
     one key.  Each support cycle r is peeled or left out: the layer's
     r-strip peel is added to the layer.  The j-th coefficient sums the
-    coefficients times the hook formula over the final shapes of size j,
+    coefficients times f^shape over the final shapes of size j,
     each size read off its beads.
     Its value at n is the character for n >= max(k + lam_1, |support|).
     """

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from functools import cache
 from types import SimpleNamespace
@@ -168,12 +169,25 @@ def cmd_primaries(args) -> int:
 
 
 def _parse_cycle_type(text: str) -> CycleType:
-    """Parse a comma list of cycle lengths in any order, each at least 1."""
+    """Parse a comma list of cycle lengths in any order, each at least 1.
+
+    A cycle type of n has about n tokens but few distinct ones, so the
+    tokens are counted and each distinct one is read once, in the order
+    it first appears (so the first bad token is the one reported), and
+    the cycles are each value repeated."""
     text = text.strip()
-    lengths = _parse_ints(text) if text else []
-    if lengths and min(lengths) < 1:
-        raise UsageError(f"cycle lengths must be >= 1, got {lengths}")
-    return CycleType(lengths)
+    tokens = text.split(",") if text else []
+    counts = Counter(tokens)
+    try:
+        values = {token: int(token) for token in counts}
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    if values and min(values.values()) < 1:
+        raise UsageError(f"cycle lengths must be >= 1, got {list(map(values.get, tokens))}")
+    cycles: list[int] = []
+    for value, count in sorted(((values[t], m) for t, m in counts.items()), reverse=True):
+        cycles += [value] * count
+    return CycleType(cycles)
 
 
 def cmd_char(args) -> int:

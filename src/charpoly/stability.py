@@ -20,8 +20,8 @@ h <= len(lam) + r.  The dimension coefficient a_h counts a column of h
 boxes inside ``lam``, so ``a_vector`` computes it only for
 h <= len(lam).  ``coeff_b`` and ``a_coeff`` themselves still sum every h
 they are asked for, which is what the vanishing checks test: ``coeff_b``
-skips only the primaries with more rows than ``lam`` or greater than it
-as tuples, so a primary with too few rows for its h would still count.
+skips only the primaries that do not fit inside ``lam``, so a primary
+with too few rows for its h would still count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cache
 from typing import NamedTuple, Sequence
 
 from .binom_poly import BinomPoly
-from .partitions import Partition
+from .partitions import Partition, _known_valid, contains
 from .tableaux import _skew_count, a_coeff
 
 
@@ -72,18 +72,20 @@ def r_primary(r: int, h: int) -> tuple[SignedPartition, ...]:
         raise ValueError(f"cycle length must be positive, got {r}")
     if h < 0:
         raise ValueError(f"size must be nonnegative, got {h}")
+    # each part list below descends as built (a column of 1s, or a first
+    # part of at least 2 over 2s and 1s), so it needs no check
     out = []
     if h <= r - 1:
-        out.append(SignedPartition(Partition([1] * h), 1, Family.COLUMN))
+        out.append(SignedPartition(_known_valid([1] * h), 1, Family.COLUMN))
     u = h - r
     if 0 <= u <= r - 2:
         for v in range(r - 1 - u):
-            nu = Partition([r - u - v] + [2] * u + [1] * v)
+            nu = _known_valid([r - u - v] + [2] * u + [1] * v)
             out.append(SignedPartition(nu, (-1) ** (r - u - v), Family.TYPE_TWO))
     rem = h - r - 1
     if rem >= 0:
         for u in range(min(r - 1, rem) + 1):
-            nu = Partition([r + 1 - u] + [2] * u + [1] * (rem - u))
+            nu = _known_valid([r + 1 - u] + [2] * u + [1] * (rem - u))
             out.append(SignedPartition(nu, (-1) ** (r - u), Family.TYPE_THREE))
     return tuple(out)
 
@@ -92,18 +94,15 @@ def coeff_b(lam: Partition, h: int, r: int) -> int:
     """Coefficient b[h] of the shift-r expansion for ``lam``: the signed
     sum of skew tableau counts over the r-primary partitions of h.
 
-    A primary nu counts only if it fits inside ``lam``, which needs
-    nu <= lam as tuples and no more rows than ``lam``; the pair memo is
-    asked only about the primaries that pass both tests, so it holds no
-    zeros for the ones that cannot fit."""
+    A primary nu counts only if it fits inside ``lam``; the pair memo is
+    asked only about the primaries that fit, so it holds no zeros."""
     lam = Partition(lam)
-    rows = len(lam)
+    b = 0
     # the primaries are built as Partitions, so the pair memo is asked directly
-    return sum(
-        sp.sign * _skew_count(lam, nu)
-        for sp in r_primary(r, h)
-        if (nu := sp.partition) <= lam and len(nu) <= rows
-    )
+    for nu, sign, _ in r_primary(r, h):
+        if contains(lam, nu):
+            b += sign * _skew_count(lam, nu)
+    return b
 
 
 class CharPolyExpansion(NamedTuple):

@@ -34,11 +34,17 @@ takes minors of size <= 2 by their closed forms and only larger ones by
 Bareiss elimination.  Remainders are formed the first time a count
 needs them.  Three global memos hold the work: one record per outer (Q,
 f^outer and the remainders), one set of Frobenius coordinates per inner
-and one count per (outer, inner) pair asked for.  The pairs are mostly
-ones that fit: ``coeff_b`` asks only about the r-primary inners that are
-no greater than the outer as tuples and have no more rows, and
-``verify``'s skew sweep only about the subpartitions of each outer, each
-inner as one shared object per shape.
+and one count per (outer, inner) pair that fits.  ``skew_syt_count`` and
+``coeff_b`` test containment before they ask the pair memo, so it holds
+no zeros; ``verify``'s skew sweep asks it only about the subpartitions of
+each outer, each inner as one shared object per shape.
+
+``_beta_dim`` counts f^lam from a beta-set by the beta-number formula
+(James--Kerber 1981, 2.7), with the long top row of a stable shape
+(n - k, lam) as one short falling factorial; it gives f^outer to each
+record and the leaf dimensions to Murnaghan--Nakayama in ``characters``.
+``dim_syt`` stays the hook-run formula, a second route to the same
+numbers.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial, perm, prod
 
-from .partitions import Partition, contains, transpose
+from .partitions import Partition, _beta, contains, transpose
 
 
 def dim_syt(mu: Partition) -> int:
@@ -69,6 +75,45 @@ def dim_syt(mu: Partition) -> int:
     n_fact = factorial(mu.size)
     assert n_fact % hooks == 0, f"hook product does not divide {mu.size}!"
     return n_fact // hooks
+
+
+def _beta_dim(mask: int) -> int:
+    """f^lam, the number of standard tableaux of shape lam, from the
+    beta-set ``mask`` of lam (one bit per bead, as ``partitions._beta``
+    writes it; beads of zero parts are allowed).
+
+    Over the beads b_1 > ... > b_ell of the nonzero parts this is the
+    beta-number formula f = n! prod_(i<j) (b_i - b_j) / prod b_i!, read
+    in the orientation with fewer beads: the conjugate's beads are the
+    gaps below the top bead, reflected.  The top row is one short falling
+    factorial, n! / b_1! = (n)_(n - b_1), times its differences
+    prod_(j>1) (b_1 - b_j); every other row divides by its hook product
+    b_i! / prod_(j>i) (b_i - b_j), in which the beads of its own run,
+    b_i - 1 down to lo, cancel b_i! to the falling factorial (b_i)_lo.
+    So the cost follows the shorter side of lam, not n.
+    """
+    mask >>= (~mask & mask + 1).bit_length() - 1  # the beads of zero parts
+    if not mask:
+        return 1
+    top = mask.bit_length() - 1
+    if 2 * mask.bit_count() > top + 1:
+        # more beads than gaps below the top one: the gaps g, as top - g
+        mask = int(format(mask ^ (1 << top + 1) - 1, f"0{top + 1}b")[::-1], 2)
+    mask ^= 1 << top
+    rows = []  # the beads below the top one, ascending
+    while mask:
+        low = mask & -mask
+        rows.append(low.bit_length() - 1)
+        mask ^= low
+    n = top + sum(rows) - len(rows) * (len(rows) + 1) // 2
+    hooks, start = 1, 0
+    for i, b in enumerate(rows):
+        if i and b != rows[i - 1] + 1:
+            start = i  # rows[start] is the lowest bead of b's run
+        hooks *= perm(b, rows[start]) // prod(map(b.__sub__, rows[:start]))
+    dim, rem = divmod(perm(n, n - top) * prod(map(top.__sub__, rows)), hooks)
+    assert rem == 0, f"hook product does not divide {n}!"
+    return dim
 
 
 def _det(m: list[list[int]]) -> int:
@@ -122,12 +167,9 @@ class _Record:
             outer = transpose(outer)
         self.size = outer.size
         ell = self.ell = len(outer)
-        a = [p - i + ell for i, p in enumerate(outer, 1)]
-        self.q = _node_polynomial(a)
-        # f^outer = |outer|! D / prod a_i!, the empty inner's count
-        det = prod(a[i] - a[j] for i in range(ell) for j in range(i + 1, ell))
-        self.dim, rem = divmod(factorial(self.size) * det, prod(map(factorial, a)))
-        assert rem == 0, f"dimension not integral for {outer}"
+        self.q = _node_polynomial([p - i + ell for i, p in enumerate(outer, 1)])
+        # f^outer = |outer|! D / prod a_i!, the empty inner's count, from the a_i
+        self.dim = _beta_dim(_beta(outer, ell))
         self.columns: list[list[int]] = []
 
     def extend(self, top: int) -> None:
@@ -187,13 +229,11 @@ def _frobenius(nu: Partition) -> tuple[tuple, tuple, int]:
 
 
 # one entry per (outer, inner) pair asked for, holding the pair's two shapes
-# alive; ``coeff_b`` asks only about primaries that pass two tests necessary
-# for fitting, so few entries are zeros.  The outer's record is shared
-# through ``_record``, so a pair costs one minor of Durfee-rank size
+# alive; every caller asks only about an inner that fits, so no entry is a
+# zero.  The outer's record is shared through ``_record``, so a pair costs
+# one minor of Durfee-rank size
 @cache
 def _skew_count(outer: Partition, inner: Partition) -> int:
-    if not contains(outer, inner):
-        return 0
     rec = _record(outer)
     plain, conjugate, size = _frobenius(inner)
     alpha, beta, odd = conjugate if rec.transposed else plain
@@ -217,7 +257,7 @@ def skew_syt_count(outer: Partition, inner: Partition) -> int:
         outer = Partition(outer)
     if type(inner) is not Partition:
         inner = Partition(inner)
-    return _skew_count(outer, inner)
+    return _skew_count(outer, inner) if contains(outer, inner) else 0
 
 
 def a_coeff(lam: Partition, h: int) -> int:

@@ -484,7 +484,7 @@ def _ascending_walk(cts: Sequence[Partition]) -> list[tuple[int, int, tuple[int,
 def _mn_ascending(mu: Partition, walk: list[tuple[int, int, tuple[int, ...]]]) -> list[int]:
     """``_mn(mu, reversed(ct))`` for each cycle type ct of ``walk``, by
     index: every cycle is peeled, the 1s first, with the same peel step
-    and hook-formula sum, and a stack of layers keeps each shared prefix
+    and leaf-dimension sum, and a stack of layers keeps each shared prefix
     peeled once."""
     values = [0] * len(walk)
     layers = [{_beta(mu, len(mu)): 1}]
@@ -499,7 +499,7 @@ def _mn_ascending(mu: Partition, walk: list[tuple[int, int, tuple[int, ...]]]) -
 def check_mn_peel_order(bounds: Bounds) -> SuiteResult:
     """Murnaghan--Nakayama does not depend on the order of the cycles:
     ``character_mn`` peels the cycles of length >= 2 in decreasing order
-    and ends at the hook formula, the ascending walk peels every cycle."""
+    and ends at the leaf dimensions, the ascending walk peels every cycle."""
     res = SuiteResult("mn_peel_order")
     for n in range(bounds.max_k + 1):
         cts = _partitions(n)

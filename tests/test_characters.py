@@ -17,7 +17,7 @@ from charpoly.characters import (
     recpart_poly,
 )
 from charpoly.binom_poly import BinomPoly
-from charpoly.partitions import Partition, partitions_of
+from charpoly.partitions import Partition, _shape, partitions_of
 from charpoly.tableaux import dim_syt
 from charpoly.verification import (
     Bounds,
@@ -124,9 +124,10 @@ class TestMurnaghanNakayama:
     def test_peel_order_catches_wrong_fixed_point_end(self, monkeypatch):
         # the descending side ends at the hook formula, the ascending side
         # peels every cycle: a wrong dimension must show as a peel-order fault
-        real = characters.dim_syt
+        real = characters._beta_dim
         monkeypatch.setattr(
-            characters, "dim_syt", lambda mu: real(mu) + (mu == Partition([2, 1]))
+            characters, "_beta_dim",
+            lambda mask: real(mask) + (_shape(mask) == Partition([2, 1])),
         )
         characters._leaf_dim.cache_clear()
         try:

@@ -16,7 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charpoly.characters as characters
-from charpoly.characters import CycleType, character_recpart
+from charpoly.characters import (
+    CycleType,
+    character_frobenius_transposition,
+    character_recpart,
+)
 import charpoly.cli as cli
 from charpoly.cli import main, parse_partition
 from charpoly.partitions import NotWeaklyDecreasing, Partition
@@ -303,6 +307,45 @@ class TestChar:
         code, out, err = run_cli("char", "--mu", "1000,1000", "--ct", ",".join(["2"] * 1000))
         assert (code, err) == (0, "")
         assert int(out) == comb(1000, 500)
+
+
+    def test_stable_shape_at_ten_thousand(self):
+        ct = CycleType([4] + [1] * 9996)
+        argv = ["char", "--mu", "9994,2,2,2", "--ct", ",".join(map(str, ct.cycles))]
+        assert _captured_main(argv) == (0, f"{character_recpart(Partition([2, 2, 2]), ct)}\n")
+
+    @pytest.mark.parametrize("mu", [(9994, 3, 3), (1,) * 300])
+    def test_transposition_at_large_n(self, mu):
+        ct = "2," + ",".join(["1"] * (sum(mu) - 2))
+        argv = ["char", "--mu", ",".join(map(str, mu)), "--ct", ct]
+        want = character_frobenius_transposition(Partition(mu))
+        assert _captured_main(argv) == (0, f"{want}\n")
+
+
+def _parse_cycle_type_by_token(text):
+    # the parse the counting one replaced: every token read in order
+    text = text.strip()
+    lengths = cli._parse_ints(text) if text else []
+    if lengths and min(lengths) < 1:
+        raise cli.UsageError(f"cycle lengths must be >= 1, got {lengths}")
+    return CycleType(lengths)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except cli.UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+class TestParseCycleType:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["1", "2", "4", "01", " 1", "+1", "0", "-1", "x", "", "\u0661", "9" * 4301]
+    ), max_size=10))
+    def test_same_as_reading_every_token(self, tokens):
+        text = ",".join(tokens)
+        assert _parsed(cli._parse_cycle_type, text) == _parsed(_parse_cycle_type_by_token, text)
 
 
 class TestExitCodes:

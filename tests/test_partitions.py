@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charpoly import partitions, verification
+from charpoly.characters import CycleType
 from charpoly.partitions import (
     NotWeaklyDecreasing,
     Partition,
@@ -15,6 +16,7 @@ from charpoly.partitions import (
     transpose,
     vertical_strip_inners,
 )
+from charpoly.stability import r_primary
 from charpoly.verification import (
     Bounds,
     _shrunk,
@@ -319,6 +321,10 @@ def test_generated_partitions_have_the_type():
         assert all(type(nu) is Partition for nu in produced), lam
         assert all(nu == Partition(list(nu)) for nu in produced), lam
         assert decoded == lam
+    # r_primary and CycleType wrap their parts with ``_known_valid`` too
+    produced = [sp.partition for r in range(1, 9) for h in range(20) for sp in r_primary(r, h)]
+    produced += [CycleType(ct).cycles for ct in ([], [1], [1, 3, 2, 2], [2, 0, 5, 1, 0])]
+    assert all(type(nu) is Partition and nu == Partition(list(nu)) for nu in produced)
 
 
 def test_subpartitions_contained_and_complete():

@@ -11,9 +11,11 @@ import charpoly.cli as cli
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
 from charpoly.binom_poly import eval_poly
-from charpoly.partitions import Partition, contains, partitions_of, subpartitions, transpose
+from charpoly.partitions import (
+    Partition, _beta, _shape, contains, partitions_of, subpartitions, transpose,
+)
 from charpoly.stability import a_vector, char_poly, dim_poly, r_primary
-from charpoly.tableaux import _det, a_coeff, dim_syt, skew_syt_count
+from charpoly.tableaux import _beta_dim, _det, a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
     _shrunk,
@@ -63,6 +65,42 @@ class TestDimSyt:
         # the shapes of the char benchmark; dim_poly comes from Aitken counts
         lam = Partition(lam)
         assert dim_syt(Partition((n - lam.size, *lam))) == eval_poly(dim_poly(lam), n)
+
+
+def _staircase(rows):
+    return tuple(range(rows, 0, -1))
+
+
+class TestBetaDim:
+    # the beta-number count from the beads against the hook-run formula
+
+    @pytest.mark.parametrize("zeros", range(4))
+    def test_every_small_shape(self, zeros):
+        for n in range(13):
+            for lam in partitions_of(n):
+                mask = _beta(lam, len(lam) + zeros)
+                assert _beta_dim(mask) == dim_syt(_shape(mask)), (lam, zeros)
+
+    @pytest.mark.parametrize("lam", [
+        (1,) * 300, (2,) * 150, (5,) * 60, (300,), (30,) * 30, (60,) * 10,
+        _staircase(40), _staircase(80), _staircase(100),
+    ])
+    @pytest.mark.parametrize("zeros", [0, 2])
+    def test_long_wide_and_square_shapes(self, lam, zeros):
+        # the orientation with fewer beads is read: (1^300) has one gap
+        mask = _beta(Partition(lam), len(lam) + zeros)
+        assert _beta_dim(mask) == dim_syt(_shape(mask))
+
+    @pytest.mark.parametrize("lam", [(2, 2, 2), (3, 3), (4, 2)])
+    def test_stable_shapes_up_to_ten_thousand(self, lam):
+        # (n - 6, lam): the long top row is one short falling factorial
+        for n in [*range(10, 40), 100, 300, 1000, 3000, 10_000]:
+            mask = _beta(Partition((n - 6, *lam)), len(lam) + 1)
+            assert _beta_dim(mask) == dim_syt(_shape(mask)), n
+
+    def test_empty_shape(self):
+        for zeros in range(4):
+            assert _beta_dim(_beta(Partition(), zeros)) == 1
 
 
 class TestSkewCount:

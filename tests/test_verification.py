@@ -8,6 +8,7 @@ tautology, or a check that describes the wrong case, fails here.
 """
 
 import ast
+import functools
 import operator
 from pathlib import Path
 
@@ -345,6 +346,26 @@ def test_vanishing_bound_asks_the_pair_memo_nothing():
         res = verification.check_vanishing_bound(Bounds())
         assert res.ok and res.checks > 0
         assert tableaux._skew_count.cache_info().currsize == 0
+    finally:
+        _clear_memos()
+
+
+def test_pair_memo_holds_no_zeros(monkeypatch):
+    # every caller tests containment before it asks the pair memo, so the
+    # memo counts no pair that does not fit
+    counted = []
+
+    def recorded(outer, inner):
+        counted.append(count := _skew_count.__wrapped__(outer, inner))
+        return count
+
+    memo = functools.cache(recorded)
+    for module in (tableaux, stability):
+        monkeypatch.setattr(module, "_skew_count", memo)
+    _clear_memos()
+    try:
+        assert all(res.ok for res in verification.run_suites(Bounds(4, 3, 2)))
+        assert counted and 0 not in counted
     finally:
         _clear_memos()
 
