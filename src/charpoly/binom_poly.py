@@ -5,6 +5,8 @@ polynomial ``sum(c[m] * C(x - s, m))``, where ``C(a, m)`` is the falling
 factorial ``a (a-1) ... (a-m+1) / m!``.  For any fixed ``s`` these
 binomials are an integral basis of the integer-valued polynomials, so the
 representation is unique and evaluation at integers stays in ``int``.
+Evaluation is all the library needs; interpolation and reshifting, which
+only the checks use, live in ``verification``.
 """
 
 from __future__ import annotations
@@ -56,25 +58,3 @@ def eval_poly(p: BinomPoly, x: int) -> int:
         total += c * basis
         basis = basis * (a - m) // (m + 1)
     return total
-
-
-def interpolate(values: Sequence[int], shift: int) -> BinomPoly:
-    """The unique polynomial of degree < len(values) in basis {C(x - shift, m)}
-    taking the given values at x = shift, shift + 1, ...
-
-    The m-th coefficient is the m-th forward difference of the values.
-    """
-    diffs = list(values)
-    coeffs = []
-    while diffs:
-        coeffs.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return BinomPoly(shift, coeffs)
-
-
-def reshift(p: BinomPoly, new_shift: int) -> BinomPoly:
-    """Rewrite ``p`` in the basis shifted by ``new_shift``; same function."""
-    if new_shift == p.shift or not p.coeffs:
-        return BinomPoly(new_shift, p.coeffs)
-    values = [eval_poly(p, new_shift + i) for i in range(len(p.coeffs))]
-    return interpolate(values, new_shift)

@@ -44,10 +44,12 @@ class SizeMismatch(ValueError):
     """Partition and cycle type describe different symmetric groups."""
 
 
+# check-only; kept here because perfbench/checks.py imports character_frobenius_transposition
 class TooSmall(ValueError):
     """The formula needs a larger symmetric group."""
 
 
+# check-only; kept here because perfbench/checks.py imports character_recpart
 class OutOfStableRange(ValueError):
     """n is below the validity threshold of the stable-range formula."""
 
@@ -84,6 +86,7 @@ class CycleType:
     def n(self) -> int:
         return self.cycles.size
 
+    # check-only; kept here because perfbench/checks.py calls it
     def multiplicities(self) -> dict[int, int]:
         """Map cycle length i -> number of cycles of that length."""
         return dict(Counter(self.cycles))
@@ -132,6 +135,7 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
     return _mn(mu, cycles[: cycles.index(1)] if cycles and cycles[-1] == 1 else cycles)
 
 
+# check-only; kept here because perfbench/checks.py imports it
 def character_frobenius_transposition(mu: Partition) -> int:
     """Character of shape ``mu`` at a transposition, by Frobenius's formula.
 
@@ -148,6 +152,7 @@ def character_frobenius_transposition(mu: Partition) -> int:
     return value
 
 
+# check-only; kept here because perfbench/checks.py imports character_recpart
 def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
     """Character of shape (n - k, lam), k = |lam|, at the cycles ``support``
     (all of length at least 2) plus n - |support| fixed points, as a
@@ -178,6 +183,7 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
     return BinomPoly(support.n, coeffs)
 
 
+# check-only; kept here because perfbench/checks.py and perfbench/test_smoke.py import it
 def character_recpart(lam: Partition, ct: CycleType) -> int:
     """Character of shape (n - k, lam) at a permutation of cycle type ``ct``,
     where k = |lam| and n is the size of ``ct``.
@@ -186,12 +192,9 @@ def character_recpart(lam: Partition, ct: CycleType) -> int:
     2, at n.  Requires n >= k + lam_1 so that (n - k, lam) is a partition
     in the stable range.
     """
-    lam = Partition(lam)
-    k = lam.size
-    n = ct.n
-    if n < k + (lam[0] if lam else 0):
-        raise OutOfStableRange(
-            f"need n >= {k + (lam[0] if lam else 0)} for lam = {lam}, got n = {n}"
-        )
+    lam, n = Partition(lam), ct.n
+    need = lam.size + (lam[0] if lam else 0)
+    if n < need:
+        raise OutOfStableRange(f"need n >= {need} for lam = {lam}, got n = {n}")
     return eval_poly(recpart_poly(lam, [c for c in ct.cycles if c >= 2]), n)
 

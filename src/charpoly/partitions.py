@@ -1,7 +1,7 @@
 """Partitions and shape-level combinatorics: transpose, containment,
-vertical strips, enumeration, and border strips on the beta-set held as
-one int, one bit per bead.  ``_strips`` is the one strip step, for both
-``skew_hooks`` and the character peel in ``characters``.
+vertical strips, and the beta-set of a shape held as one int, one bit
+per bead (``_beta`` encodes, ``_shape`` decodes).  ``_strips`` is the
+one border-strip step, for the character peel in ``characters``.
 
 All values here are immutable and all functions are pure, so everything
 is safe to share between threads and to memoize.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate, chain, groupby, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class NotWeaklyDecreasing(ValueError):
@@ -64,14 +64,6 @@ def _known_valid(parts: Iterable[int]) -> Partition:
     """``parts`` as a Partition without validation, for callers that build
     weakly decreasing positive parts with no trailing zero."""
     return tuple.__new__(Partition, parts)
-
-
-class SkewHook(NamedTuple):
-    """A border strip as Murnaghan--Nakayama reads it: its leg length (the
-    number of rows it spans, minus one) and the partition it leaves."""
-
-    leg_length: int
-    complement: Partition
 
 
 def transpose(lam: Partition) -> Partition:
@@ -136,18 +128,7 @@ def _strips(mask: int, r: int) -> Iterator[tuple[int, int]]:
         yield (mask >> t + 1 & between).bit_count(), mask ^ (1 << t | 1 << t + r)
 
 
-def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
-    """All border strips of ``lam`` with exactly ``r`` cells by increasing
-    top row: the strips of its beta-set (James--Kerber 1981, 2.7), decoded.
-    For r = 1 these are the internal corners with leg length 0.
-    """
-    if r < 1:
-        raise ValueError(f"hook size must be positive, got {r}")
-    if type(lam) is not Partition:
-        lam = Partition(lam)
-    return [SkewHook(leg, _shape(rest)) for leg, rest in _strips(_beta(lam, len(lam)), r)]
-
-
+# check-only (recpart_poly); kept here because perfbench/checks.py imports character_recpart
 def vertical_strip_inners(lam: Partition) -> list[Partition]:
     """All partitions obtained by removing at most one box per row of ``lam``.
 
@@ -166,46 +147,3 @@ def vertical_strip_inners(lam: Partition) -> list[Partition]:
         low = (v - 1,) if v > 1 else ()
         blocks.append([(v,) * (m - j) + low * j for j in range(m + 1)])
     return [_known_valid(chain.from_iterable(rows)) for rows in product(*blocks)]
-
-
-def partitions_of(n: int) -> Iterator[Partition]:
-    """Generate all partitions of ``n`` in decreasing lexicographic order."""
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield _known_valid(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            yield from rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    yield from rec(n, n, [])
-
-
-def subpartitions(lam: Partition) -> Iterator[Partition]:
-    """Generate every partition contained in ``lam``, each one before its
-    extensions by a further row and smaller last parts first, from the
-    empty partition on.
-
-    Iterative, an odometer over the rows: no recursion, so no depth
-    limit however many rows ``lam`` has.
-    """
-    rows = len(lam)
-    parts: list[int] = []
-    while True:
-        yield _known_valid(parts)
-        if len(parts) < rows:
-            parts.append(1)
-            continue
-        # advance the lowest row that can still grow (it is capped by lam
-        # and by the row above it) and drop the rows below it
-        while parts:
-            i = len(parts) - 1
-            p = parts[i] + 1
-            if p <= lam[i] and (i == 0 or p <= parts[i - 1]):
-                parts[i] = p
-                break
-            parts.pop()
-        else:
-            return

@@ -55,6 +55,7 @@ from math import factorial, perm, prod
 from .partitions import Partition, _beta, contains, transpose
 
 
+# check-only (the second route to _beta_dim); kept here because perfbench/checks.py imports it
 def dim_syt(mu: Partition) -> int:
     """Number of standard Young tableaux of shape ``mu`` (hook formula).
 

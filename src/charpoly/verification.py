@@ -16,14 +16,15 @@ vertical-strip evaluators (the latter as one polynomial in n per
 support), interpolation of Murnaghan--Nakayama values and the
 peel-order and orthogonality laws.
 
-The second derivations that only the suites use live here too, each next
-to its suite, each one plain function of its inputs: a shape less each
-of its corners and plus each cell that grows it (branching rules, both
-at the outer shape and at the inner one for skew counts), hook lengths
-cell by cell with each leg counted from the rows below, centralizer
-orders, the constant term from the r-signs and from vertical strips, the
-four transposition closed forms and the two-sided split of the
-transposition coefficients.
+The second derivations and helpers that only the suites use live here
+too, each next to its suite, each one plain function of its inputs: the
+partitions of n and those inside a shape, a shape less each of its
+corners and plus each cell that grows it (branching rules, both at the
+outer shape and at the inner one for skew counts), hook lengths with
+each leg counted from the rows below, the strip step decoded into
+hooks, centralizer orders, interpolation and reshifting, the constant
+term from the r-signs and from vertical strips, the four transposition
+closed forms and the two-sided split of the transposition coefficients.
 
 The sweeps build their inputs once, not once per check: the partitions
 of each size once per process, the cycle supports once per sweep, a
@@ -48,7 +49,7 @@ from math import comb, factorial, prod
 from operator import eq, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .binom_poly import BinomPoly, eval_poly, interpolate, reshift
+from .binom_poly import BinomPoly, eval_poly
 from .characters import (
     CycleType,
     _leaf_dim,
@@ -58,15 +59,7 @@ from .characters import (
     character_mn,
     recpart_poly,
 )
-from .partitions import (
-    Partition,
-    _beta,
-    contains,
-    partitions_of,
-    skew_hooks,
-    subpartitions,
-    transpose,
-)
+from .partitions import Partition, _beta, _known_valid, _shape, _strips, contains, transpose
 from .tableaux import a_coeff, dim_syt, skew_syt_count
 from . import stability
 
@@ -124,6 +117,21 @@ class SuiteResult:
         failed = list(compress(range(len(oks)), map(not_, oks)))
         self.disagreements += len(failed)
         return failed
+
+
+def partitions_of(n: int) -> Iterator[Partition]:
+    """Generate all partitions of ``n`` in decreasing lexicographic order."""
+
+    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
+        if remaining == 0:
+            yield _known_valid(prefix)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            prefix.append(part)
+            yield from rec(remaining - part, part, prefix)
+            prefix.pop()
+
+    yield from rec(n, n, [])
 
 
 # the sweeps list sizes up to max(max_k + 4, max_r), at most 18 at the CLI's caps
@@ -197,6 +205,34 @@ def _fillings(outer: Partition) -> Callable[[frozenset], int]:
         return total
 
     return fill
+
+
+def subpartitions(lam: Partition) -> Iterator[Partition]:
+    """Generate every partition contained in ``lam``, each one before its
+    extensions by a further row and smaller last parts first, from the
+    empty partition on.
+
+    Iterative, an odometer over the rows: no recursion, so no depth
+    limit however many rows ``lam`` has.
+    """
+    rows = len(lam)
+    parts: list[int] = []
+    while True:
+        yield _known_valid(parts)
+        if len(parts) < rows:
+            parts.append(1)
+            continue
+        # advance the lowest row that can still grow (it is capped by lam
+        # and by the row above it) and drop the rows below it
+        while parts:
+            i = len(parts) - 1
+            p = parts[i] + 1
+            if p <= lam[i] and (i == 0 or p <= parts[i - 1]):
+                parts[i] = p
+                break
+            parts.pop()
+        else:
+            return
 
 
 def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
@@ -275,6 +311,26 @@ def check_partition_contains_transpose(bounds: Bounds) -> SuiteResult:
         for j in res.check_each(agree):
             res.fail(f"lam={list(lam)} nu={list(nus[j])}: containment not transpose-invariant")
     return res
+
+
+class SkewHook(NamedTuple):
+    """A border strip as Murnaghan--Nakayama reads it: its leg length (the
+    number of rows it spans, minus one) and the partition it leaves."""
+
+    leg_length: int
+    complement: Partition
+
+
+def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
+    """All border strips of ``lam`` with exactly ``r`` cells by increasing
+    top row: the strips of its beta-set (James--Kerber 1981, 2.7), decoded.
+    For r = 1 these are the internal corners with leg length 0.
+    """
+    if r < 1:
+        raise ValueError(f"hook size must be positive, got {r}")
+    if type(lam) is not Partition:
+        lam = Partition(lam)
+    return [SkewHook(leg, _shape(rest)) for leg, rest in _strips(_beta(lam, len(lam)), r)]
 
 
 def check_skew_hook_bruteforce(bounds: Bounds) -> SuiteResult:
@@ -537,6 +593,28 @@ def check_column_orthogonality(bounds: Bounds) -> SuiteResult:
 
 # ---------------------------------------------------------------------------
 # binomial-basis suites
+
+
+def interpolate(values: Sequence[int], shift: int) -> BinomPoly:
+    """The unique polynomial of degree < len(values) in basis {C(x - shift, m)}
+    taking the given values at x = shift, shift + 1, ...
+
+    The m-th coefficient is the m-th forward difference of the values.
+    """
+    diffs = list(values)
+    coeffs = []
+    while diffs:
+        coeffs.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return BinomPoly(shift, coeffs)
+
+
+def reshift(p: BinomPoly, new_shift: int) -> BinomPoly:
+    """Rewrite ``p`` in the basis shifted by ``new_shift``; same function."""
+    if new_shift == p.shift or not p.coeffs:
+        return BinomPoly(new_shift, p.coeffs)
+    values = [eval_poly(p, new_shift + i) for i in range(len(p.coeffs))]
+    return interpolate(values, new_shift)
 
 
 def _sample_polys(rng: random.Random, count: int = 40) -> list[BinomPoly]:

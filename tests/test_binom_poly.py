@@ -4,9 +4,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from charpoly.binom_poly import BinomPoly, eval_poly, interpolate, reshift
+from charpoly.binom_poly import BinomPoly, eval_poly
 from charpoly.partitions import Partition
 from charpoly.tableaux import dim_syt
+from charpoly.verification import interpolate, reshift
 
 coeffs_st = st.lists(st.integers(-9, 9), min_size=1, max_size=9)
 shift_st = st.integers(-3, 8)

@@ -17,7 +17,7 @@ from charpoly.characters import (
     recpart_poly,
 )
 from charpoly.binom_poly import BinomPoly
-from charpoly.partitions import Partition, _shape, partitions_of
+from charpoly.partitions import Partition, _shape
 from charpoly.tableaux import dim_syt
 from charpoly.verification import (
     Bounds,
@@ -28,6 +28,7 @@ from charpoly.verification import (
     check_mn_peel_order,
     check_recpart_band,
     check_recpart_vs_mn,
+    partitions_of,
 )
 
 

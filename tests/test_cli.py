@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import importlib
 import io
 import json
 import random
@@ -139,6 +141,24 @@ print(built)
             "'charpoly table', 'charpoly verify']",
         ]
 
+    def test_check_only_helpers_live_in_verification(self):
+        # the enumerators, the strip decode and interpolation are not on
+        # the path every request imports
+        code = """
+import charpoly, charpoly.cli
+from charpoly import binom_poly, partitions
+print(sorted(set(vars(partitions)) & {"partitions_of", "subpartitions", "skew_hooks", "SkewHook"}))
+print(sorted(set(vars(binom_poly)) & {"interpolate", "reshift"}))
+print(hasattr(charpoly, "skew_hooks"))
+from charpoly.verification import (
+    SkewHook, interpolate, partitions_of, reshift, skew_hooks, subpartitions)
+print(sorted({f.__module__ for f in (
+    SkewHook, interpolate, partitions_of, reshift, skew_hooks, subpartitions)}))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines() == ["[]", "[]", "False", "['charpoly.verification']"]
+
     def test_verification_import_skips_dataclasses(self):
         loaded = _modules_after("import charpoly.verification")
         assert "charpoly.verification" in loaded
@@ -165,6 +185,39 @@ worker.cache_stats()
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_every_library_name_the_benchmark_imports_resolves(self):
+        # the static half: every ``charpoly`` import anywhere in the
+        # scripts, in function bodies too, and every layer the tracer wraps
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        names = set()
+        for script in ("checks", "test_smoke", "run", "worker"):
+            for node in ast.walk(ast.parse((bench / f"{script}.py").read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("charpoly"):
+                    names.update((node.module, alias.name) for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    names.update((alias.name, None) for alias in node.names
+                                 if alias.name.startswith("charpoly"))
+        assert ("charpoly.characters", "character_recpart") in names
+        (layers,) = [ast.literal_eval(node.value)
+                     for node in ast.parse((bench / "spans.py").read_text()).body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]]
+        names.update((f"charpoly.{layer}", None) for layer in layers)
+        missing = sorted(
+            f"{module}.{name}" if name else module
+            for module, name in names
+            if not _resolves(module, name)
+        )
+        assert missing == []
+
+
+def _resolves(module, name):
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    return name is None or hasattr(mod, name)
 
 
 class TestParsePartition:

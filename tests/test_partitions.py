@@ -8,17 +8,14 @@ from charpoly.characters import CycleType
 from charpoly.partitions import (
     NotWeaklyDecreasing,
     Partition,
-    SkewHook,
     contains,
-    partitions_of,
-    skew_hooks,
-    subpartitions,
     transpose,
     vertical_strip_inners,
 )
 from charpoly.stability import r_primary
 from charpoly.verification import (
     Bounds,
+    SkewHook,
     _shrunk,
     border_strips_bruteforce,
     check_hook_product_divides_factorial,
@@ -26,6 +23,9 @@ from charpoly.verification import (
     check_partition_corner_count,
     check_skew_hook_bruteforce,
     hook_lengths,
+    partitions_of,
+    skew_hooks,
+    subpartitions,
 )
 
 parts_st = st.lists(st.integers(1, 6), max_size=6).map(

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 import charpoly.cli as cli
 import charpoly.stability as stability
 from charpoly.characters import CycleType, character_mn, recpart_poly
-from charpoly.binom_poly import BinomPoly, eval_poly, reshift
-from charpoly.partitions import Partition, partitions_of
+from charpoly.binom_poly import BinomPoly, eval_poly
+from charpoly.partitions import Partition
 from charpoly.stability import (
     Family,
     a_vector,
@@ -39,6 +39,8 @@ from charpoly.verification import (
     coeff_b_transposition_split,
     constant_coeff,
     constant_coeff_vertical_strip,
+    partitions_of,
+    reshift,
 )
 
 

@@ -11,9 +11,7 @@ import charpoly.cli as cli
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
 from charpoly.binom_poly import eval_poly
-from charpoly.partitions import (
-    Partition, _beta, _shape, contains, partitions_of, subpartitions, transpose,
-)
+from charpoly.partitions import Partition, _beta, _shape, contains, transpose
 from charpoly.stability import a_vector, char_poly, dim_poly, r_primary
 from charpoly.tableaux import _beta_dim, _det, a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
@@ -25,6 +23,8 @@ from charpoly.verification import (
     check_skew_recursion,
     check_syt_branching,
     hook_lengths,
+    partitions_of,
+    subpartitions,
     syt_count_backtracking,
 )
 

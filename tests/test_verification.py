@@ -32,6 +32,8 @@ _peel = characters._peel
 _leaf_dim = characters._leaf_dim
 _skew_count = tableaux._skew_count
 _frobenius = tableaux._frobenius
+_beta_dim = tableaux._beta_dim
+_dim_syt = tableaux.dim_syt
 _transpose = partitions.transpose
 
 
@@ -77,6 +79,18 @@ def _leaf_dim_plus_one_at_4(mask):
     return _leaf_dim(mask) + (partitions._size(mask) == 4)
 
 
+# a sign flip, not a +1: a count off by one trips the integrality asserts
+# of the kernels that divide by it, and the suites crash instead of counting
+def _beta_dim_negated_at_5(mask):
+    dim = _beta_dim(mask)
+    return -dim if partitions._size(mask) == 5 else dim
+
+
+def _dim_syt_negated_at_5(mu):
+    dim = _dim_syt(mu)
+    return -dim if sum(mu) == 5 else dim
+
+
 def _skew_count_plus_one_over_a_box(outer, inner):
     count = _skew_count(outer, inner)
     return count + (inner == (1,) and len(outer) >= 3 and count != 0)
@@ -119,7 +133,8 @@ MUTANTS = {
     ),
     "leg_plus_one_at_3": (
         [(partitions, "_strips", _leg_plus_one_at_3),
-         (characters, "_strips", _leg_plus_one_at_3)],
+         (characters, "_strips", _leg_plus_one_at_3),
+         (verification, "_strips", _leg_plus_one_at_3)],
         {
             "skew_hook_bruteforce": (
                 661, "lam=[3] r=3: malformed hook SkewHook(leg_length=1, complement=Partition())"),
@@ -185,6 +200,45 @@ MUTANTS = {
             "interpolation_route": (9, "lam=[1] r=1: interpolated (-2, 2) != (0, 1)"),
             "main_band": (21, "lam=[2] r=1 n=4: poly 2 != mn 3"),
             "recpart_band": (605, "lam=[] support=[] n=4: recpart 1 != mn 2"),
+        },
+    ),
+    "beta_dim_negated_at_5": (
+        [(tableaux, "_beta_dim", _beta_dim_negated_at_5),
+         (characters, "_beta_dim", _beta_dim_negated_at_5)],
+        {
+            "skew_recursion": (160, "lam=[5] nu=[]: count -1, corner sum 1, growth sum -1"),
+            "skew_count_vs_backtracking": (58, "outer=[5] inner=[]: counts differ"),
+            "dim_equals_skew_over_empty": (7, "lam=[5]: hook formula != skew count"),
+            "mn_identity_is_dimension": (
+                7, "mu=[5]: MN peel 1, MN at identity -1, tableaux 1 differ"),
+            "frobenius_vs_mn": (14, "mu=[7]: frobenius 1 != mn -1"),
+            "recpart_vs_mn": (348, "lam=[] support=[2] n=7: recpart 1 != mn -1"),
+            "mn_peel_order": (
+                42, "mu=[5] ct=[1, 1, 1, 1, 1]: peel order changed value -1 -> 1"),
+            "main_oracle": (328, "lam=[] r=1 n=5: poly 1 != mn -1"),
+            "coefficient_recurrence": (443, "lam=[5] h=0 r=1: -1 != corner sum 1"),
+            "leading_coefficient": (42, "lam=[5] r=1: b[0] = -1 != dim"),
+            "interpolation_route": (
+                44, "lam=[2] r=1: interpolated (-151, 50, -9) != (-1, 0, 1)"),
+            "frobenius_route": (47, "lam=[5] n=12: poly -117 != frobenius 117"),
+            "constant_coeff_routes": (13, "lam=[5] r=4: primary 1, strips 1, main -1"),
+            "basis2_forms": (
+                4, "case 1 k=5: char_poly b [-1, -1, 0, 0, 0, 0] "
+                   "!= closed form [1, 1, 0, 0, 0, 0]"),
+            "main_band": (69, "lam=[3] r=2 n=7: poly 4 != mn -4"),
+            "recpart_band": (381, "lam=[] support=[] n=5: recpart 1 != mn -1"),
+        },
+    ),
+    "dim_syt_negated_at_5": (
+        [(module, "dim_syt", _dim_syt_negated_at_5)
+         for module in (tableaux, characters, verification)],
+        {
+            "hook_product_divides_factorial": (7, "lam=[5]: dim times hook product != size!"),
+            "syt_branching": (18, "lam=[5]: dim -1 != corner sum 1"),
+            "dim_equals_skew_over_empty": (7, "lam=[5]: hook formula != skew count"),
+            "frobenius_vs_mn": (6, "mu=[5]: frobenius -1 != mn 1"),
+            "leading_coefficient": (42, "lam=[5] r=1: b[0] = 1 != dim"),
+            "frobenius_route": (2, "lam=[] n=5: poly 1 != frobenius -1"),
         },
     ),
     "skew_count_plus_one_over_a_box": (
@@ -331,8 +385,7 @@ def _subpartitions_first_row_stuck(lam):
 def test_library_bug_under_verify_exits_3_not_2(monkeypatch, capsys):
     # the slip's non-partitions raise inside the sweeps; that is an
     # internal error, not a usage error, however the library words it
-    patches = [(module, "subpartitions", _subpartitions_first_row_stuck)
-               for module in (partitions, verification)]
+    patches = [(verification, "subpartitions", _subpartitions_first_row_stuck)]
     code, out, err = _verify_under(patches, monkeypatch, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1
