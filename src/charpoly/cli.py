@@ -3,7 +3,9 @@
 Subcommands: ``expand`` (one coefficient vector), ``primaries`` (the
 r-primary table), ``char`` (one exact character value), ``table`` (the
 expansion table of one partition over several cycle lengths, plus the
-dimension row), and ``verify`` (the invariant sweeps).
+dimension row), and ``verify`` (the invariant sweeps).  The library
+computes; this module writes the text, JSON and LaTeX of every command
+but ``verify``, whose report ``verification`` writes.
 
 Exit codes: 0 on success, 1 when ``verify`` finds a counterexample, 2 on
 usage errors (malformed partitions or integers, size mismatches, bad
@@ -35,10 +37,11 @@ from typing import TYPE_CHECKING, Sequence
 from . import stability
 from .characters import CycleType, character_mn
 from .partitions import NotWeaklyDecreasing, Partition
-from .stability import format_terms
 
 if TYPE_CHECKING:
     import argparse
+
+    from .stability import CharPolyExpansion
 
 
 class UsageError(ValueError):
@@ -108,6 +111,63 @@ def _latex_partition(lam: Partition) -> str:
     return "\\emptyset" if not lam else "(" + ",".join(str(p) for p in lam) + ")"
 
 
+def _shape_in_n(lam: Partition) -> str:
+    """Render the stable shape (n - k, lam) as it appears under chi or f,
+    e.g. "(n-6,3,3)"; the empty partition gives "(n)"."""
+    lam = Partition(lam)
+    if not lam:
+        return "(n)"
+    return f"(n-{lam.size}" + "".join(f",{p}" for p in lam) + ")"
+
+
+def _format_terms(b: Sequence[int | str], arg: str, latex: bool = False) -> str:
+    """Render sum of (-1)^h b[h] C(arg, k-h) as text ("5C(n-2,6) -5C(n-2,5)")
+    or LaTeX ("5\\binom{n-2}{6} -5\\binom{n-2}{5}"), skipping zero terms.
+
+    Each b[h] is an int or its decimal string, so that a caller that also
+    prints the vector converts each coefficient once."""
+    k = len(b) - 1
+    pieces = []
+    for h, bh in enumerate(b):
+        digits = str(bh)
+        if digits == "0":
+            continue
+        negative = (digits[0] == "-") != (h % 2 == 1)
+        if latex:
+            binom = f"\\binom{{{arg}}}{{{k - h}}}"
+        else:
+            binom = f"C({arg},{k - h})"
+        sign = "-" if negative else ("+" if pieces else "")
+        pieces.append(f"{sign}{digits.lstrip('-')}{binom}")
+    return " ".join(pieces) if pieces else "0"
+
+
+def _latex_expansion_line(exp: CharPolyExpansion, *, collapsed_from: int | None = None) -> str:
+    """One display-math line in the style of the worked (3,3) table.
+
+    With ``collapsed_from`` the line stands for every cycle length >= that
+    value: the subscript becomes "r >= a" and the shift is the symbol r.
+    """
+    if collapsed_from is not None:
+        sigma = f"\\sigma_{{r\\geq{collapsed_from}}}"
+        arg = "n-r"
+    else:
+        sigma = f"\\sigma_{{{exp.r}}}"
+        arg = f"n-{exp.r}"
+    terms = _format_terms(exp.b, arg, latex=True)
+    return f"\\[\\chi^{{{_shape_in_n(exp.lam)}}}({sigma}) = {terms}\\]"
+
+
+def _latex_dimension_line(lam: Partition) -> str:
+    """The dimension row: f^{(n-k,lam)} in the plain binomial basis."""
+    a = stability.a_vector(lam)
+    return f"\\[f^{{{_shape_in_n(lam)}}} = {_format_terms(a, 'n', latex=True)}\\]"
+
+
+def _expansion_json(exp: CharPolyExpansion) -> dict:
+    return {"lambda": list(exp.lam), "r": exp.r, "k": exp.k, "shift": exp.r, "b": list(exp.b)}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -119,16 +179,16 @@ def cmd_expand(args) -> int:
         if args.format == "json":
             import json
 
-            print(json.dumps(exp.to_json_dict(), separators=(",", ":")))
+            print(json.dumps(_expansion_json(exp), separators=(",", ":")))
         elif args.format == "latex":
-            print(stability.latex_expansion_line(exp))
+            print(_latex_expansion_line(exp))
         else:
             print(f"lambda={_fmt_parts(lam)} r={exp.r} k={exp.k} shift={exp.r}")
             # each coefficient is written out once and printed twice:
             # int-to-str is quadratic in the digit count
             b = list(map(str, exp.b))
             print(f"b = {_fmt_parts(b)}")
-            print(f"chi = {format_terms(b, f'n-{exp.r}')}")
+            print(f"chi = {_format_terms(b, f'n-{exp.r}')}")
     return 0
 
 
@@ -173,8 +233,9 @@ def _parse_cycle_type(text: str) -> CycleType:
 
     A cycle type of n has about n tokens but few distinct ones, so the
     tokens are counted and each distinct one is read once, in the order
-    it first appears (so the first bad token is the one reported), and
-    the cycles are each value repeated."""
+    it first appears (so the first bad token is the one reported).  The
+    cycles are each value repeated, in that order; ``CycleType`` sorts
+    them."""
     text = text.strip()
     tokens = text.split(",") if text else []
     counts = Counter(tokens)
@@ -185,8 +246,8 @@ def _parse_cycle_type(text: str) -> CycleType:
     if values and min(values.values()) < 1:
         raise UsageError(f"cycle lengths must be >= 1, got {list(map(values.get, tokens))}")
     cycles: list[int] = []
-    for value, count in sorted(((values[t], m) for t, m in counts.items()), reverse=True):
-        cycles += [value] * count
+    for token, count in counts.items():
+        cycles += [values[token]] * count
     return CycleType(cycles)
 
 
@@ -198,28 +259,6 @@ def cmd_char(args) -> int:
     with _exact_output():
         print(value)
     return 0
-
-
-def _stable_tail_start(
-    lam: Partition, expansions: Sequence[stability.CharPolyExpansion]
-) -> int | None:
-    """Index in ``expansions`` (ascending in r) where a provably infinite
-    run of identical coefficient vectors starts, or None.
-
-    The vectors stabilize for every cycle length above the tail value
-    exactly when they already match through k + 1, since past k the
-    vector is the plain tableau-count one.  Only the cycle lengths up to
-    k + 1 missing from ``expansions`` are expanded.
-    """
-    start = len(expansions) - 1
-    while start > 0 and expansions[start - 1].b == expansions[-1].b:
-        start -= 1
-    r_start, reference = expansions[start].r, expansions[start].b
-    known = {exp.r for exp in expansions[start:]}
-    for r in range(r_start + 1, lam.size + 2):
-        if r not in known and stability.char_poly(lam, r).b != reference:
-            return None
-    return start
 
 
 def cmd_table(args) -> int:
@@ -239,29 +278,29 @@ def cmd_table(args) -> int:
             doc = {
                 "lambda": list(lam),
                 "k": k,
-                "rows": [exp.to_json_dict() for exp in expansions],
+                "rows": [_expansion_json(exp) for exp in expansions],
                 "dim": {"shift": dim.shift, "coeffs": list(dim.coeffs)},
             }
             print(json.dumps(doc, separators=(",", ":")))
         elif args.format == "latex":
-            ascending = all(a < b for a, b in zip(r_list, r_list[1:]))
-            tail = _stable_tail_start(lam, expansions) if ascending and len(r_list) > 1 else None
+            collapsible = len(r_list) > 1 and all(a < b for a, b in zip(r_list, r_list[1:]))
+            tail = stability.stable_tail_start(lam, expansions) if collapsible else None
             for idx, exp in enumerate(expansions):
                 if tail is not None and idx == tail:
-                    print(stability.latex_expansion_line(exp, collapsed_from=exp.r))
+                    print(_latex_expansion_line(exp, collapsed_from=exp.r))
                     break
-                print(stability.latex_expansion_line(exp))
-            print(stability.latex_dimension_line(lam))
+                print(_latex_expansion_line(exp))
+            print(_latex_dimension_line(lam))
         else:
             print(f"lambda={_fmt_parts(lam)} k={k}")
             # as in cmd_expand, each coefficient is written out once
             for exp in expansions:
                 b = list(map(str, exp.b))
-                terms = format_terms(b, f"n-{exp.r}")
+                terms = _format_terms(b, f"n-{exp.r}")
                 print(f"r={exp.r} shift={exp.r} b={_fmt_parts(b)} chi = {terms}")
             a_vec = list(map(str, stability.a_vector(lam)))
             print(
-                f"dim shift=0 a={_fmt_parts(a_vec)} f = {format_terms(a_vec, 'n')}"
+                f"dim shift=0 a={_fmt_parts(a_vec)} f = {_format_terms(a_vec, 'n')}"
             )
     return 0
 

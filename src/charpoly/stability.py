@@ -9,9 +9,9 @@ polynomial in n.  Written as
 each coefficient ``b[h]`` is a signed count of skew standard tableaux of
 ``lam`` over the r-primary partitions of h.  This module builds those
 coefficient vectors, the plain-basis dimension polynomial (whose shift-1
-form is the r = 1 expansion) and their text and LaTeX renderings, one
-algorithm each; the second derivations that check them live in
-``verification``.
+form is the r = 1 expansion) and the r past which the vectors no longer
+change, one algorithm each; the second derivations that check them live
+in ``verification``.
 
 Expansions sum only the coefficients that can be nonzero.  An r-primary
 partition of h has at least h - r parts, so none fits inside ``lam``
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .binom_poly import BinomPoly
 from .partitions import Partition, _known_valid, contains
@@ -125,15 +125,6 @@ class CharPolyExpansion(NamedTuple):
             coeffs[k - h] = bh if h % 2 == 0 else -bh
         return BinomPoly(self.r, coeffs)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "r": self.r,
-            "k": self.k,
-            "shift": self.r,
-            "b": list(self.b),
-        }
-
 
 def char_poly(lam: Partition, r: int) -> CharPolyExpansion:
     """Full coefficient vector of the character polynomial of ``lam`` on
@@ -152,6 +143,26 @@ def char_poly(lam: Partition, r: int) -> CharPolyExpansion:
     return CharPolyExpansion(lam, r, b)
 
 
+def stable_tail_start(lam: Partition, expansions: list[CharPolyExpansion]) -> int | None:
+    """Index in ``expansions`` (ascending in r) where a provably infinite
+    run of identical coefficient vectors starts, or None.
+
+    The vectors stabilize for every cycle length above the tail value
+    exactly when they already match through k + 1, since past k the
+    vector is the plain tableau-count one.  Only the cycle lengths up to
+    k + 1 missing from ``expansions`` are expanded.
+    """
+    start = len(expansions) - 1
+    while start > 0 and expansions[start - 1].b == expansions[-1].b:
+        start -= 1
+    r_start, reference = expansions[start].r, expansions[start].b
+    known = {exp.r for exp in expansions[start:]}
+    for r in range(r_start + 1, lam.size + 2):
+        if r not in known and char_poly(lam, r).b != reference:
+            return None
+    return start
+
+
 def a_vector(lam: Partition) -> list[int]:
     """The dimension coefficients a_coeff(lam, h) for h = 0..k.
 
@@ -167,55 +178,3 @@ def dim_poly(lam: Partition) -> BinomPoly:
     ``a_vector``, so only h <= len(lam) are counted."""
     a = a_vector(lam)
     return BinomPoly(0, [ah if h % 2 == 0 else -ah for h, ah in enumerate(a)][::-1])
-
-
-def shape_in_n(lam: Partition) -> str:
-    """Render the stable shape (n - k, lam) as it appears under chi or f,
-    e.g. "(n-6,3,3)"; the empty partition gives "(n)"."""
-    lam = Partition(lam)
-    if not lam:
-        return "(n)"
-    return f"(n-{lam.size}" + "".join(f",{p}" for p in lam) + ")"
-
-
-def format_terms(b: Sequence[int | str], arg: str, latex: bool = False) -> str:
-    """Render sum of (-1)^h b[h] C(arg, k-h) as text ("5C(n-2,6) -5C(n-2,5)")
-    or LaTeX ("5\\binom{n-2}{6} -5\\binom{n-2}{5}"), skipping zero terms.
-
-    Each b[h] is an int or its decimal string, so that a caller that also
-    prints the vector converts each coefficient once."""
-    k = len(b) - 1
-    pieces = []
-    for h, bh in enumerate(b):
-        digits = str(bh)
-        if digits == "0":
-            continue
-        negative = (digits[0] == "-") != (h % 2 == 1)
-        if latex:
-            binom = f"\\binom{{{arg}}}{{{k - h}}}"
-        else:
-            binom = f"C({arg},{k - h})"
-        sign = "-" if negative else ("+" if pieces else "")
-        pieces.append(f"{sign}{digits.lstrip('-')}{binom}")
-    return " ".join(pieces) if pieces else "0"
-
-
-def latex_expansion_line(exp: CharPolyExpansion, *, collapsed_from: int | None = None) -> str:
-    """One display-math line in the style of the worked (3,3) table.
-
-    With ``collapsed_from`` the line stands for every cycle length >= that
-    value: the subscript becomes "r >= a" and the shift is the symbol r.
-    """
-    if collapsed_from is not None:
-        sigma = f"\\sigma_{{r\\geq{collapsed_from}}}"
-        arg = "n-r"
-    else:
-        sigma = f"\\sigma_{{{exp.r}}}"
-        arg = f"n-{exp.r}"
-    terms = format_terms(exp.b, arg, latex=True)
-    return f"\\[\\chi^{{{shape_in_n(exp.lam)}}}({sigma}) = {terms}\\]"
-
-
-def latex_dimension_line(lam: Partition) -> str:
-    """The dimension row: f^{(n-k,lam)} in the plain binomial basis."""
-    return f"\\[f^{{{shape_in_n(lam)}}} = {format_terms(a_vector(lam), 'n', latex=True)}\\]"

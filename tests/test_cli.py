@@ -170,13 +170,16 @@ class TestBenchmarkImports:
         # perfbench/ is a frozen copy that imports library names; a change
         # that drops one of them must fail here, not in the benchmark run
         root = Path(__file__).resolve().parents[1]
+        # every request of every workload, through the benchmark's own
+        # output checks, so an output the benchmark would reject fails here
         code = f"""
-import sys
+import json, sys
 sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
 import checks, spans, worker
 spans.Tracer().install()
-requests = [["char", "--mu", "4,3,3", "--ct", "2,2,1,1,1,1,1,1"],
-            ["expand", "--lambda", "3,3", "--r", "2", "--format", "json"]]
+requests = [argv for name in ("verify", "expand", "char") for argv in json.loads(
+    open({str(root / "perfbench" / "requests")!r} + f"/{{name}}.json").read())]
+assert len(requests) == 44, len(requests)
 _, _, results = worker.run_requests(requests)
 for argv, res in zip(requests, results):
     problem = checks.check(argv, res["code"], res["out"])
@@ -237,6 +240,11 @@ class TestParsePartition:
 
 
 class TestExpand:
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"), ("latex", "tex")])
+    def test_golden(self, golden, fmt, ext):
+        got = _captured_main(["expand", "--lambda", "3,3", "--r", "2", "--format", fmt])
+        assert got == (0, (golden / f"expand_33_r2.{ext}").read_text())
+
     def test_json_record(self, run_cli):
         code, out, _ = run_cli("expand", "--lambda", "3,3", "--r", "2", "--format", "json")
         assert code == 0
@@ -261,6 +269,31 @@ class TestExpand:
     def test_nonpositive_r_exits_2(self, run_cli):
         code, _, _ = run_cli("expand", "--lambda", "3,3", "--r", "0")
         assert code == 2
+
+
+class TestModuleSplit:
+    def test_stability_computes_cli_renders(self):
+        # output formats are decided in cli alone, the stable-tail proof
+        # in stability alone, and the package exports are unchanged
+        code = """
+import charpoly, charpoly.cli, charpoly.stability
+print(sorted(set(vars(charpoly.stability)) & {
+    "shape_in_n", "format_terms", "latex_expansion_line", "latex_dimension_line"}))
+print(hasattr(charpoly.stability.CharPolyExpansion, "to_json_dict"))
+print(hasattr(charpoly.cli, "_stable_tail_start"))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines() == ["[]", "False", "False"]
+        proc = subprocess.run([sys.executable, "-c", "import charpoly; print(dir(charpoly))"],
+                              capture_output=True, text=True, check=True)
+        assert ast.literal_eval(proc.stdout) == [
+            "BinomPoly", "CycleType", "NotWeaklyDecreasing", "Partition", "SizeMismatch",
+            "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+            "__package__", "__path__", "__spec__", "__version__", "a_coeff", "binom_poly",
+            "char_poly", "character_mn", "characters", "coeff_b", "dim_poly", "dim_syt",
+            "partitions", "r_primary", "skew_syt_count", "stability", "tableaux",
+        ]
 
 
 class TestPrimaries:
@@ -292,6 +325,11 @@ class TestPrimaries:
             "h=2 nu=[2] sign=+ family=type2",
             "h=3 nu=[3] sign=+ family=type3",
         ]
+
+    def test_r3_latex_golden(self, golden):
+        # the empty primary is written \emptyset
+        got = _captured_main(["primaries", "--r", "3", "--max-h", "8", "--format", "latex"])
+        assert got == (0, (golden / "primaries_r3.tex").read_text())
 
     def test_latex_lines(self, run_cli):
         code, out, _ = run_cli("primaries", "--r", "3", "--max-h", "3", "--format", "latex")

@@ -14,10 +14,12 @@ from charpoly.stability import (
     char_poly,
     coeff_b,
     dim_poly,
-    format_terms,
-    latex_dimension_line,
-    latex_expansion_line,
     r_primary,
+)
+from charpoly.cli import (
+    _format_terms as format_terms,
+    _latex_dimension_line as latex_dimension_line,
+    _latex_expansion_line as latex_expansion_line,
 )
 from charpoly.tableaux import a_coeff, dim_syt, skew_syt_count
 from charpoly.verification import (
@@ -161,7 +163,7 @@ class TestCharPoly:
 
     def test_json_record(self):
         exp = char_poly(Partition([3, 3]), 2)
-        assert exp.to_json_dict() == {
+        assert cli._expansion_json(exp) == {
             "lambda": [3, 3], "r": 2, "k": 6, "shift": 2, "b": [5, 5, 3, 1, 0, 0, 0]
         }
 
