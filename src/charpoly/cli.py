@@ -193,12 +193,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_primaries(args) -> int:
-    # each row is written as it is made, and r_primary's cache is bypassed,
-    # so memory does not grow with --max-h
+    # each row is written as it is made, and the memos of r_primary and
+    # its enumeration are bypassed, so memory does not grow with --max-h
     rows = (
-        (h, sp)
+        (h, stability._signed(*shape))
         for h in range(args.max_h + 1)
-        for sp in stability.r_primary.__wrapped__(args.r, h)
+        for shape in stability._primaries.__wrapped__(args.r, h)
     )
     if args.format == "json":
         import json

@@ -11,17 +11,23 @@ each coefficient ``b[h]`` is a signed count of skew standard tableaux of
 coefficient vectors, the plain-basis dimension polynomial (whose shift-1
 form is the r = 1 expansion) and the r past which the vectors no longer
 change, one algorithm each; the second derivations that check them live
-in ``verification``.
+in ``verification``, among them ``coeff_b``, the definition summed term
+by term through the skew-count memo.
+
+Every r-primary partition is a hook or has Durfee rank 2, so each of its
+counts f(lam / nu) = f^lam s*_nu(lam) / (k)_h (Okounkov and Olshanski's
+dimension formula) is one entry or one 2 x 2 minor of the hook table
+that ``tableaux`` keeps in one record per shape.  ``char_poly`` adds up
+the signed table terms of the primaries of each h, divides once per h,
+and keeps the finished vector on the shape's record, so asking again
+for the same shape and r costs one lookup and no pair is memoized.
 
 Expansions sum only the coefficients that can be nonzero.  An r-primary
 partition of h has at least h - r parts, so none fits inside ``lam``
 once h > len(lam) + r and ``char_poly`` computes b[h] only for
 h <= len(lam) + r.  The dimension coefficient a_h counts a column of h
 boxes inside ``lam``, so ``a_vector`` computes it only for
-h <= len(lam).  ``coeff_b`` and ``a_coeff`` themselves still sum every h
-they are asked for, which is what the vanishing checks test: ``coeff_b``
-skips only the primaries that do not fit inside ``lam``, so a primary
-with too few rows for its h would still count.
+h <= len(lam).
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from functools import cache
 from typing import NamedTuple
 
 from .binom_poly import BinomPoly
-from .partitions import Partition, _known_valid, contains
-from .tableaux import _skew_count, a_coeff
+from .partitions import Partition, _known_valid
+from .tableaux import _Record, _record, a_coeff
 
 
 class Family(Enum):
@@ -52,6 +58,35 @@ class SignedPartition(NamedTuple):
 
 
 @cache
+def _primaries(r: int, h: int) -> tuple[tuple[int, int, int, int, Family], ...]:
+    """The r-primary partitions of ``h`` as (sign, a, u, v, family): the
+    shape (a, 2^u, 1^v) with its r-sign, and a = 0 only for the empty
+    partition.  The one definition of the three families, which
+    ``r_primary`` builds partitions from and ``char_poly`` reads as hook
+    coordinates; memoized on (r, h), unchecked."""
+    out = []
+    if h <= r - 1:
+        # the column (1^h) is (1, 1^(h-1))
+        out.append((1, 1, 0, h - 1, Family.COLUMN) if h else (1, 0, 0, 0, Family.COLUMN))
+    u = h - r
+    if 0 <= u <= r - 2:
+        for v in range(r - 1 - u):
+            out.append(((-1) ** (r - u - v), r - u - v, u, v, Family.TYPE_TWO))
+    rem = h - r - 1
+    if rem >= 0:
+        for u in range(min(r - 1, rem) + 1):
+            out.append(((-1) ** (r - u), r + 1 - u, u, rem - u, Family.TYPE_THREE))
+    return tuple(out)
+
+
+def _signed(sign: int, a: int, u: int, v: int, family: Family) -> SignedPartition:
+    """One entry of ``_primaries`` as a SignedPartition."""
+    # the parts descend as built (a column of 1s, or a first part of at
+    # least 2 over 2s and 1s), so they need no check
+    return SignedPartition(_known_valid(([a] if a else []) + [2] * u + [1] * v), sign, family)
+
+
+@cache
 def r_primary(r: int, h: int) -> tuple[SignedPartition, ...]:
     """The r-primary partitions of ``h`` with their r-signs, as a tuple.
 
@@ -65,44 +100,14 @@ def r_primary(r: int, h: int) -> tuple[SignedPartition, ...]:
 
     Listed columns first, then the second family by increasing v, then
     the third by increasing u.  There are 1 of them for h < r, r - 1 for
-    r <= h < 2r, and r for h >= 2r.  Memoized on (r, h), since every
-    coefficient b[h] asks for them again.
+    r <= h < 2r, and r for h >= 2r.  Memoized on (r, h), since the
+    verify sweeps ask for them again and again.
     """
     if r < 1:
         raise ValueError(f"cycle length must be positive, got {r}")
     if h < 0:
         raise ValueError(f"size must be nonnegative, got {h}")
-    # each part list below descends as built (a column of 1s, or a first
-    # part of at least 2 over 2s and 1s), so it needs no check
-    out = []
-    if h <= r - 1:
-        out.append(SignedPartition(_known_valid([1] * h), 1, Family.COLUMN))
-    u = h - r
-    if 0 <= u <= r - 2:
-        for v in range(r - 1 - u):
-            nu = _known_valid([r - u - v] + [2] * u + [1] * v)
-            out.append(SignedPartition(nu, (-1) ** (r - u - v), Family.TYPE_TWO))
-    rem = h - r - 1
-    if rem >= 0:
-        for u in range(min(r - 1, rem) + 1):
-            nu = _known_valid([r + 1 - u] + [2] * u + [1] * (rem - u))
-            out.append(SignedPartition(nu, (-1) ** (r - u), Family.TYPE_THREE))
-    return tuple(out)
-
-
-def coeff_b(lam: Partition, h: int, r: int) -> int:
-    """Coefficient b[h] of the shift-r expansion for ``lam``: the signed
-    sum of skew tableau counts over the r-primary partitions of h.
-
-    A primary nu counts only if it fits inside ``lam``; the pair memo is
-    asked only about the primaries that fit, so it holds no zeros."""
-    lam = Partition(lam)
-    b = 0
-    # the primaries are built as Partitions, so the pair memo is asked directly
-    for nu, sign, _ in r_primary(r, h):
-        if contains(lam, nu):
-            b += sign * _skew_count(lam, nu)
-    return b
+    return tuple(_signed(*shape) for shape in _primaries(r, h))
 
 
 class CharPolyExpansion(NamedTuple):
@@ -126,20 +131,72 @@ class CharPolyExpansion(NamedTuple):
         return BinomPoly(self.r, coeffs)
 
 
+def _b_vector(lam: Partition, rec: _Record, r: int, top: int) -> tuple[int, ...]:
+    """b[0..top] of the shift-r expansion for ``lam``, read off the hook
+    table of its record ``rec``.
+
+    The primary (a, 2^u, 1^v) is the hook (a-1 | v) when u = 0 and
+    otherwise (a-1, 0 | u+v, u-1), with these coordinates swapped when
+    ``rec`` holds the conjugate.  Its count is f^lam times the signed
+    entry or 2 x 2 minor that ``tableaux._skew_count`` would take, over
+    (k)_h, so b[h] sums the signed terms of all its primaries and divides
+    once.
+
+    A primary is skipped when its first row or first column is longer
+    than lam's.  In the record's orientation one of the two tests keeps
+    the row indices inside the table and the other forms columns only
+    for primaries that can fit.  Rows of 2 need no test: s*_nu(lam)
+    vanishes, and so does the minor, when nu does not fit.
+    """
+    columns, dim, flip, size = rec.columns, rec.dim, rec.transposed, rec.size
+    width, height = (lam[0], len(lam)) if lam else (0, 0)
+    b, falling = [], 1
+    for h in range(top + 1):
+        total = 0
+        for sign, a, u, v, _ in _primaries(r, h):
+            if not a:  # the empty partition: no hook, and its minor is 1
+                total += sign
+                continue
+            arm, leg = a - 1, u + v
+            if arm >= width or leg >= height:
+                continue
+            # the first hook at column x, row y of the table; y + t, the
+            # sum of the record's beta, gives the sign
+            x, y = (leg, arm) if flip else (arm, leg)
+            if x >= len(columns):
+                rec.extend(x)
+            if u:
+                s, t = (u - 1, 0) if flip else (0, u - 1)
+                term = columns[x][y] * columns[s][t] - columns[s][y] * columns[x][t]
+                y += t
+            else:
+                term = columns[x][y]
+            total += -sign * term if y & 1 else sign * term
+        count, rem = divmod(dim * total, falling)
+        assert rem == 0, f"hook-table sum not integral for {lam} at r={r}, h={h}"
+        b.append(count)
+        falling *= size - h
+    return tuple(b)
+
+
 def char_poly(lam: Partition, r: int) -> CharPolyExpansion:
     """Full coefficient vector of the character polynomial of ``lam`` on
     r-cycles.  Evaluating the polynomial at n >= k + lam_1 + r gives the
     character of (n - k, lam) at an r-cycle with n - r fixed points.
 
     Only b[0..min(k, len(lam) + r)] are summed; the rest are 0, since no
-    r-primary partition of a larger h fits inside ``lam``."""
+    r-primary partition of a larger h fits inside ``lam``.  The vector is
+    kept on lam's record, one per r asked."""
     lam = Partition(lam)
     if r < 1:
         raise ValueError(f"cycle length must be positive, got {r}")
-    k = lam.size
-    # an r-primary partition of h has at least h - r parts
-    top = min(k, lam.length + r)
-    b = tuple(coeff_b(lam, h, r) for h in range(top + 1)) + (0,) * (k - top)
+    rec = _record(lam)
+    b = rec.vectors.get(r)
+    if b is None:
+        k = lam.size
+        # an r-primary partition of h has at least h - r parts
+        top = min(k, lam.length + r)
+        b = rec.vectors[r] = _b_vector(lam, rec, r, top) + (0,) * (k - top)
     return CharPolyExpansion(lam, r, b)
 
 
@@ -147,17 +204,22 @@ def stable_tail_start(lam: Partition, expansions: list[CharPolyExpansion]) -> in
     """Index in ``expansions`` (ascending in r) where a provably infinite
     run of identical coefficient vectors starts, or None.
 
-    The vectors stabilize for every cycle length above the tail value
-    exactly when they already match through k + 1, since past k the
-    vector is the plain tableau-count one.  Only the cycle lengths up to
-    k + 1 missing from ``expansions`` are expanded.
+    From r = lam_1 + len(lam) on, the vector is the dimension vector
+    ``a_vector(lam)``.  No second- or third-family primary fits inside
+    ``lam`` there: one with at most len(lam) rows has u + v <= len(lam) - 1,
+    so its first part, r - u - v or r + 1 - u, is at least
+    r - len(lam) + 1 > lam_1.  Every column (1^h) with h <= len(lam) is a
+    primary, since len(lam) < r, and fits, and no longer column fits.
+    So the run is infinite exactly when the vectors match through
+    lam_1 + len(lam), and only the cycle lengths up to there missing from
+    ``expansions`` are expanded.
     """
     start = len(expansions) - 1
     while start > 0 and expansions[start - 1].b == expansions[-1].b:
         start -= 1
     r_start, reference = expansions[start].r, expansions[start].b
     known = {exp.r for exp in expansions[start:]}
-    for r in range(r_start + 1, lam.size + 2):
+    for r in range(r_start + 1, (lam[0] + len(lam) if lam else 0) + 1):
         if r not in known and char_poly(lam, r).b != reference:
             return None
     return start

@@ -32,12 +32,15 @@ integers because Q is monic.  A count costs one d x d minor, and the
 r-primary inners of the character polynomials have d <= 2, so ``_det``
 takes minors of size <= 2 by their closed forms and only larger ones by
 Bareiss elimination.  Remainders are formed the first time a count
-needs them.  Three global memos hold the work: one record per outer (Q,
-f^outer and the remainders), one set of Frobenius coordinates per inner
-and one count per (outer, inner) pair that fits.  ``skew_syt_count`` and
-``coeff_b`` test containment before they ask the pair memo, so it holds
-no zeros; ``verify``'s skew sweep asks it only about the subpartitions of
-each outer, each inner as one shared object per shape.
+needs them.  Three global memos hold the work: one record per outer
+shape (Q, f^outer, the remainders and the coefficient vectors that
+``stability.char_poly`` reads off them), one set of Frobenius
+coordinates per inner and one count per (outer, inner) pair that fits.
+``char_poly`` reads its entries and minors straight off the record and
+asks the pair memo nothing; ``skew_syt_count`` and ``verify``'s
+``coeff_b`` test containment before they ask it, so it holds no zeros,
+and ``verify``'s skew sweep asks it only about the subpartitions of each
+outer, each inner as one shared object per shape.
 
 ``_beta_dim`` counts f^lam from a beta-set by the beta-number formula
 (James--Kerber 1981, 2.7), with the long top row of a stable shape
@@ -157,10 +160,11 @@ class _Record:
     coefficients of Q below its leading (x)_ell and ``dim`` is f^outer.
     ``columns[j]`` holds R_(ell + j).  Both are read from the top: entry
     k is the coefficient of (x)_(ell - 1 - k).  Columns are appended the
-    first time a count needs them.
+    first time a count needs them.  ``vectors`` holds the finished
+    coefficient vectors of ``stability.char_poly``, keyed by r.
     """
 
-    __slots__ = ("transposed", "size", "ell", "q", "dim", "columns")
+    __slots__ = ("transposed", "size", "ell", "q", "dim", "columns", "vectors")
 
     def __init__(self, outer: Partition) -> None:
         self.transposed = bool(outer) and len(outer) > outer[0]
@@ -172,6 +176,7 @@ class _Record:
         # f^outer = |outer|! D / prod a_i!, the empty inner's count, from the a_i
         self.dim = _beta_dim(_beta(outer, ell))
         self.columns: list[list[int]] = []
+        self.vectors: dict[int, tuple[int, ...]] = {}
 
     def extend(self, top: int) -> None:
         """Append the columns R_(ell + j) for j up to ``top``."""

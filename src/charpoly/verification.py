@@ -18,13 +18,15 @@ peel-order and orthogonality laws.
 
 The second derivations and helpers that only the suites use live here
 too, each next to its suite, each one plain function of its inputs: the
-partitions of n and those inside a shape, a shape less each of its
-corners and plus each cell that grows it (branching rules, both at the
-outer shape and at the inner one for skew counts), hook lengths with
-each leg counted from the rows below, the strip step decoded into
-hooks, centralizer orders, interpolation and reshifting, the constant
-term from the r-signs and from vertical strips, the four transposition
-closed forms and the two-sided split of the transposition coefficients.
+coefficient b[h] by its definition, summed over the r-primaries through
+the pair memo of skew counts, the partitions of n and those inside a
+shape, a shape less each of its corners and plus each cell that grows
+it (branching rules, both at the outer shape and at the inner one for
+skew counts), hook lengths with each leg counted from the rows below,
+the strip step decoded into hooks, centralizer orders, interpolation
+and reshifting, the constant term from the r-signs and from vertical
+strips, the four transposition closed forms and the two-sided split of
+the transposition coefficients.
 
 The sweeps build their inputs once, not once per check: the partitions
 of each size once per process, the cycle supports once per sweep, a
@@ -60,7 +62,7 @@ from .characters import (
     recpart_poly,
 )
 from .partitions import Partition, _beta, _known_valid, _shape, _strips, contains, transpose
-from .tableaux import a_coeff, dim_syt, skew_syt_count
+from .tableaux import _skew_count, a_coeff, dim_syt, skew_syt_count
 from . import stability
 
 
@@ -708,6 +710,24 @@ def check_main_band(bounds: Bounds) -> SuiteResult:
     return _main_cases(res, max(0, bounds.max_k - 2), max(1, bounds.max_r - 2), window)
 
 
+def coeff_b(lam: Partition, h: int, r: int) -> int:
+    """Coefficient b[h] of the shift-r expansion for ``lam``: the signed
+    sum of skew tableau counts over the r-primary partitions of h, the
+    definition that ``stability.char_poly`` reads off the hook table.
+
+    Every h asked for is summed, which is what the vanishing checks
+    test.  A primary nu counts only if it fits inside ``lam``; the pair
+    memo is asked only about the primaries that fit, so it holds no
+    zeros."""
+    lam = Partition(lam)
+    b = 0
+    # the primaries are built as Partitions, so the pair memo is asked directly
+    for nu, sign, _ in stability.r_primary(r, h):
+        if contains(lam, nu):
+            b += sign * _skew_count(lam, nu)
+    return b
+
+
 def check_coefficient_recurrence(bounds: Bounds) -> SuiteResult:
     """b[h] of lam is the sum of b[h] over lam minus each corner, for
     h < |lam|.  Each coefficient is computed once and read from the
@@ -720,7 +740,7 @@ def check_coefficient_recurrence(bounds: Bounds) -> SuiteResult:
         hs = range(k + 1 if k < bounds.max_k else k)
         level = {}
         for lam in _partitions(k):
-            coeffs = level[lam] = {(r, h): stability.coeff_b(lam, h, r) for r in rs for h in hs}
+            coeffs = level[lam] = {(r, h): coeff_b(lam, h, r) for r in rs for h in hs}
             if not lam:
                 continue
             smaller = [below[m] for m in _shrunk(lam)]
@@ -739,7 +759,7 @@ def check_vanishing_bound(bounds: Bounds) -> SuiteResult:
     for lam in _shapes_upto(bounds.max_k):
         for r in range(1, bounds.max_r + 1):
             for h in range(lam.length + r + 1, lam.size + r + 2):
-                got = stability.coeff_b(lam, h, r)
+                got = coeff_b(lam, h, r)
                 if not res.check(got == 0):
                     res.fail(f"lam={list(lam)} h={h} r={r}: expected 0 past length+r, got {got}")
     return res
@@ -751,7 +771,7 @@ def check_limit_stabilization(bounds: Bounds) -> SuiteResult:
         for h in range(lam.size + 1):
             want = a_coeff(lam, h)
             for r in range(h + 1, bounds.max_r + 5):
-                got = stability.coeff_b(lam, h, r)
+                got = coeff_b(lam, h, r)
                 if not res.check(got == want):
                     res.fail(f"lam={list(lam)} h={h} r={r}: {got} != a_coeff {want}")
     return res
@@ -773,7 +793,7 @@ def check_transpose_small_h(bounds: Bounds) -> SuiteResult:
     for lam in _shapes_upto(bounds.max_k):
         lam_t = transpose(lam)
         for h in range(4):
-            got = stability.coeff_b(lam, h, 2)
+            got = coeff_b(lam, h, 2)
             want = a_coeff(lam_t, h)
             if not res.check(got == want):
                 res.fail(f"lam={list(lam)} h={h}: b2 {got} != transposed a {want}")
@@ -856,7 +876,7 @@ def check_constant_coeff_routes(bounds: Bounds) -> SuiteResult:
         for r in range(1, bounds.max_r + 1):
             via_primary = constant_coeff(lam, r)
             via_strips = constant_coeff_vertical_strip(lam, r)
-            via_main = stability.coeff_b(lam, lam.size, r)
+            via_main = coeff_b(lam, lam.size, r)
             if not res.check(via_primary == via_strips == via_main):
                 res.fail(
                     f"lam={list(lam)} r={r}: primary {via_primary}, strips {via_strips}, "
@@ -911,7 +931,7 @@ def check_transposition_split(bounds: Bounds) -> SuiteResult:
     for lam in _shapes_upto(bounds.max_k):
         for h in range(lam.size + 2):
             plus, minus = coeff_b_transposition_split(lam, h)
-            got = stability.coeff_b(lam, h, 2)
+            got = coeff_b(lam, h, 2)
             if not res.check(plus - minus == got):
                 res.fail(f"lam={list(lam)} h={h}: {plus} - {minus} != b2 {got}")
     return res

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -5,16 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 import charpoly.cli as cli
 import charpoly.stability as stability
+import charpoly.tableaux as tableaux
+import charpoly.verification as verification
 from charpoly.characters import CycleType, character_mn, recpart_poly
 from charpoly.binom_poly import BinomPoly, eval_poly
 from charpoly.partitions import Partition
 from charpoly.stability import (
     Family,
+    SignedPartition,
     a_vector,
     char_poly,
-    coeff_b,
     dim_poly,
     r_primary,
+    stable_tail_start,
 )
 from charpoly.cli import (
     _format_terms as format_terms,
@@ -38,6 +42,7 @@ from charpoly.verification import (
     check_transpose_small_h,
     check_transposition_split,
     check_vanishing_bound,
+    coeff_b,
     coeff_b_transposition_split,
     constant_coeff,
     constant_coeff_vertical_strip,
@@ -96,6 +101,31 @@ class TestRPrimary:
             r_primary(0, 1)
         with pytest.raises(ValueError):
             r_primary(2, -1)
+
+    def test_unchanged_through_forty(self):
+        # the three families written out directly as validated partitions,
+        # not through the (sign, a, u, v) enumeration char_poly shares
+        def reference(r, h):
+            out = []
+            if h <= r - 1:
+                out.append(([1] * h, 1, Family.COLUMN))
+            u = h - r
+            if 0 <= u <= r - 2:
+                for v in range(r - 1 - u):
+                    out.append(([r - u - v] + [2] * u + [1] * v, (-1) ** (r - u - v),
+                                Family.TYPE_TWO))
+            rem = h - r - 1
+            if rem >= 0:
+                for u in range(min(r - 1, rem) + 1):
+                    out.append(([r + 1 - u] + [2] * u + [1] * (rem - u), (-1) ** (r - u),
+                                Family.TYPE_THREE))
+            return tuple(SignedPartition(Partition(nu), sign, family)
+                         for nu, sign, family in out)
+
+        for r in range(1, 13):
+            for h in range(41):
+                got, want = r_primary(r, h), reference(r, h)
+                assert got == want and repr(got) == repr(want), (r, h)
 
 
 class TestCoeffB:
@@ -213,24 +243,25 @@ class TestWholePolynomialOracle:
         assert char_poly(lam, r).poly == _recpart_expansion(lam, r)
 
 
-def _counting(monkeypatch, name):
-    """Replace ``stability.<name>`` by a wrapper that records each call."""
+def _counting(monkeypatch, name, module=stability):
+    """Replace ``module.<name>`` by a wrapper that records each call."""
     calls = []
-    real = getattr(stability, name)
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(stability, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 class TestWorkBound:
     def test_char_poly_sums_through_length_plus_r(self, monkeypatch):
-        calls = _counting(monkeypatch, "coeff_b")
+        # the primaries of each h are enumerated once, for h = 0..len + r
+        calls = _counting(monkeypatch, "_primaries")
         exp = char_poly(Partition([30, 20, 10]), 3)
-        assert [h for _, h, _ in calls] == list(range(7))
+        assert [h for _, h in calls] == list(range(7))
         assert len(exp.b) == 61 and not any(exp.b[7:])
 
     def test_a_vector_counts_through_length(self, monkeypatch):
@@ -249,7 +280,7 @@ class TestWorkBound:
 
     def test_coefficient_recurrence_computes_each_coefficient_once(self, monkeypatch):
         # asking again at every corner of every lam would be 7,230 calls
-        calls = _counting(monkeypatch, "coeff_b")
+        calls = _counting(monkeypatch, "coeff_b", verification)
         assert check_coefficient_recurrence(Bounds()).ok
         assert len(calls) == len(set(calls)) == 2_766
 
@@ -258,6 +289,98 @@ class TestWorkBound:
             assert char_poly(lam, r).b == tuple(coeff_b(lam, h, r) for h in range(lam.size + 1))
         for lam in {lam for lam, _ in SMALL_PAIRS}:
             assert a_vector(lam) == [a_coeff(lam, h) for h in range(lam.size + 1)]
+
+
+def _tall_shapes():
+    # more rows than columns, so each record holds the conjugate
+    return st.lists(st.integers(1, 4), min_size=5, max_size=16).map(
+        lambda xs: Partition(sorted(xs, reverse=True)))
+
+
+def _agrees_with_oracle(lam, r):
+    """char_poly(lam, r).b is the definition term by term through
+    len(lam) + r, and zero past it."""
+    top = min(lam.size, lam.length + r)
+    b = char_poly(lam, r).b
+    return b[:top + 1] == tuple(coeff_b(lam, h, r) for h in range(top + 1)) and not any(b[top + 1:])
+
+
+class TestHookTable:
+    """The kernel that reads every b[h] off the shape's hook table,
+    against ``verification.coeff_b``, the definition summed through the
+    pair memo."""
+
+    def test_every_shape_through_fourteen(self):
+        pairs = [(lam, r) for k in range(15) for lam in partitions_of(k) for r in range(1, 17)]
+        assert len(pairs) == 8128
+        bad = [(lam, r) for lam, r in pairs
+               if char_poly(lam, r).b != tuple(coeff_b(lam, h, r) for h in range(lam.size + 1))]
+        assert bad == []
+
+    def test_staircases_through_forty_rows(self):
+        for rows in range(41):
+            lam = Partition(range(rows, 0, -1))
+            for r in range(1, 9):
+                assert _agrees_with_oracle(lam, r), (rows, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tall_shapes(), st.integers(1, 12))
+    def test_tall_shapes(self, lam, r):
+        assert len(lam) > lam[0]
+        assert _agrees_with_oracle(lam, r)
+
+    def test_sweep_asks_the_pair_memo_nothing(self):
+        # the vectors are kept on the records; no skew count is memoized
+        tableaux._skew_count.cache_clear()
+        tableaux._record.cache_clear()
+        try:
+            for k in range(11):
+                for lam in partitions_of(k):
+                    for r in range(1, 9):
+                        assert char_poly(lam, r).b is char_poly(lam, r).b
+            assert tableaux._skew_count.cache_info().currsize == 0
+        finally:
+            tableaux._record.cache_clear()
+
+
+def _tail_start_through_k_plus_one(lam, expansions):
+    """``stable_tail_start`` with its first proof: every missing r up to
+    k + 1 is expanded."""
+    start = len(expansions) - 1
+    while start > 0 and expansions[start - 1].b == expansions[-1].b:
+        start -= 1
+    r_start, reference = expansions[start].r, expansions[start].b
+    known = {exp.r for exp in expansions[start:]}
+    for r in range(r_start + 1, lam.size + 2):
+        if r not in known and char_poly(lam, r).b != reference:
+            return None
+    return start
+
+
+class TestStableTail:
+    def test_same_start_as_through_k_plus_one(self):
+        rng = random.Random(7)
+        starts = []
+        for k in range(12):
+            for lam in partitions_of(k):
+                for _ in range(12):
+                    rs = sorted(rng.sample(range(1, k + 4), rng.randint(1, min(5, k + 3))))
+                    expansions = [char_poly(lam, r) for r in rs]
+                    start = stable_tail_start(lam, expansions)
+                    assert start == _tail_start_through_k_plus_one(lam, expansions), (lam, rs)
+                    starts.append(start)
+        assert len(starts) == 2340
+        assert 0 < starts.count(None) < len(starts)
+
+    def test_expands_nothing_past_first_part_plus_length(self, monkeypatch):
+        # (10,8,6,4,2) is constant in r from 15 = 10 + 5 on, not only from k + 1 = 31
+        lam = Partition([10, 8, 6, 4, 2])
+        assert char_poly(lam, 14).b != char_poly(lam, 15).b == tuple(a_vector(lam))
+        expansions = [char_poly(lam, r) for r in (14, 15)]
+        calls = _counting(monkeypatch, "char_poly")
+        assert stable_tail_start(lam, expansions) == 1
+        assert stable_tail_start(lam, [char_poly(lam, 12)]) is None
+        assert [r for _, r in calls] == [13]
 
 
 class TestDimPoly:

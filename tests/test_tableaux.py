@@ -7,7 +7,6 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-import charpoly.cli as cli
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
 from charpoly.binom_poly import eval_poly
@@ -210,12 +209,15 @@ class TestWorkBound:
         assert check_skew_count_vs_backtracking(Bounds(max_k=6)).ok
         assert len(reductions) == sum(1 for n in range(7) for _ in partitions_of(n))
 
-    def test_minors_stay_two_by_two(self, monkeypatch, capsys):
-        # every r-primary partition has Durfee rank at most 2
+    def test_minors_stay_two_by_two(self, monkeypatch):
+        # every r-primary partition has Durfee rank at most 2, so the
+        # definition asks the pair memo for minors of size <= 2 only
         sizes = _recording(monkeypatch, "_det", len)
-        char_poly(Partition(range(15, 0, -1)), 10)
-        argv = ["table", "--lambda", "10,8,6,4,2", "--r-list", "1,2,3,4,5,6,7,8"]
-        assert cli.main(argv) == 0
+        cases = [(Partition(range(15, 0, -1)), [10]), (Partition([10, 8, 6, 4, 2]), range(1, 9))]
+        for lam, rs in cases:
+            for r in rs:
+                for h in range(lam.length + r + 1):
+                    verification.coeff_b(lam, h, r)
         assert set(sizes) == {0, 1, 2}
 
     def test_growth_lists_once_per_inner(self, monkeypatch):

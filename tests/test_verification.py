@@ -28,6 +28,8 @@ _det = tableaux._det
 _strips = partitions._strips
 _eval_poly = binom_poly.eval_poly
 _r_primary = stability.r_primary
+_primaries = stability._primaries
+_b_vector = stability._b_vector
 _peel = characters._peel
 _leaf_dim = characters._leaf_dim
 _skew_count = tableaux._skew_count
@@ -40,7 +42,7 @@ _transpose = partitions.transpose
 def _clear_memos():
     # a mutant's values stay in these memos after it is undone
     for memo in (tableaux._skew_count, tableaux._record, tableaux._frobenius,
-                 characters._leaf_dim, _r_primary, verification._fillings):
+                 characters._leaf_dim, _r_primary, _primaries, verification._fillings):
         memo.cache_clear()
 
 
@@ -60,8 +62,8 @@ def _eval_plus_one_at_13(p, x):
 
 def _type_three_signs_flipped_at_4(r, h):
     return tuple(
-        sp._replace(sign=-sp.sign) if r == 4 and sp.family is Family.TYPE_THREE else sp
-        for sp in _r_primary(r, h)
+        (-sign, *rest) if r == 4 and rest[-1] is Family.TYPE_THREE else (sign, *rest)
+        for sign, *rest in _primaries(r, h)
     )
 
 
@@ -96,6 +98,11 @@ def _skew_count_plus_one_over_a_box(outer, inner):
     return count + (inner == (1,) and len(outer) >= 3 and count != 0)
 
 
+def _b_vector_short_by_one(lam, rec, r, top):
+    # the sum stops one h early, as range(top) would
+    return _b_vector(lam, rec, r, top - 1) + (0,)
+
+
 def _frobenius_first_parity_even(nu):
     (alpha, beta, _), conjugate, size = _frobenius(nu)
     return (alpha, beta, 0), conjugate, size
@@ -121,14 +128,7 @@ MUTANTS = {
             "skew_recursion": (
                 1969, "lam=[2, 2] nu=[2, 1]: count 1, corner sum 1, growth sum -1"),
             "skew_count_vs_backtracking": (171, "outer=[2, 2] inner=[2, 2]: counts differ"),
-            "main_oracle": (826, "lam=[2, 2] r=2 n=8: poly 6 != mn 4"),
-            "interpolation_route": (
-                22, "lam=[2, 2] r=2: interpolated (-1, 0, 1, -2, 2) != (1, 0, 1, -2, 2)"),
-            "frobenius_route": (210, "lam=[2, 2] n=8: poly 6 != frobenius 4"),
             "constant_coeff_routes": (52, "lam=[2, 2] r=2: primary -1, strips -1, main 1"),
-            "basis2_forms": (
-                9, "case 4 k=4: char_poly b [2, 2, 1, 0, 1] != closed form [2, 2, 1, 0, -1]"),
-            "main_band": (64, "lam=[2, 2] r=2 n=6: poly 1 != mn -1"),
         },
     ),
     "leg_plus_one_at_3": (
@@ -163,7 +163,7 @@ MUTANTS = {
         },
     ),
     "type_three_signs_flipped_at_4": (
-        [(stability, "r_primary", _type_three_signs_flipped_at_4)],
+        [(stability, "_primaries", _type_three_signs_flipped_at_4)],
         {
             "main_oracle": (175, "lam=[5] r=4 n=14: poly 53 != mn 51"),
             "interpolation_route": (
@@ -243,21 +243,14 @@ MUTANTS = {
     ),
     "skew_count_plus_one_over_a_box": (
         [(tableaux, "_skew_count", _skew_count_plus_one_over_a_box),
-         (stability, "_skew_count", _skew_count_plus_one_over_a_box)],
+         (verification, "_skew_count", _skew_count_plus_one_over_a_box)],
         {
             "skew_recursion": (
                 446, "lam=[1, 1, 1] nu=[]: count 1, corner sum 1, growth sum 2"),
             "column_removal_difference": (103, "lam=[1, 1, 1] h=2: 1 != 0"),
             "skew_count_vs_backtracking": (42, "outer=[1, 1, 1] inner=[1]: counts differ"),
-            "main_oracle": (1470, "lam=[1, 1, 1] r=2 n=6: poly -8 != mn -2"),
             "coefficient_recurrence": (140, "lam=[1, 1, 1] h=1 r=2: 2 != corner sum 1"),
             "transpose_small_h": (38, "lam=[3] h=1: b2 1 != transposed a 2"),
-            "interpolation_route": (
-                42, "lam=[1, 1, 1] r=2: interpolated (0, 0, -1, 1) != (0, 0, -2, 1)"),
-            "frobenius_route": (294, "lam=[1, 1, 1] n=6: poly -8 != frobenius -2"),
-            "basis2_forms": (
-                35, "case 1 k=3: char_poly b [1, 2, 0, 0] != closed form [1, 1, 0, 0]"),
-            "main_band": (108, "lam=[1, 1, 1] r=2 n=4: poly -2 != mn -1"),
         },
     ),
     "frobenius_first_parity_even": (
@@ -267,16 +260,20 @@ MUTANTS = {
                 3551, "lam=[2, 1] nu=[1]: count 2, corner sum 2, growth sum 0"),
             "column_removal_difference": (132, "lam=[2, 1] h=2: 3 != 1"),
             "skew_count_vs_backtracking": (211, "outer=[2, 1] inner=[1, 1]: counts differ"),
-            "main_oracle": (1225, "lam=[2, 1] r=1 n=6: poly 14 != mn 16"),
             "coefficient_recurrence": (133, "lam=[2, 1] h=2 r=3: -1 != corner sum 1"),
             "transpose_small_h": (30, "lam=[2, 1] h=2: b2 1 != transposed a -1"),
-            "interpolation_route": (
-                40, "lam=[2, 1] r=1: interpolated (1, -1, 0, 2) != (-1, -1, 0, 2)"),
-            "frobenius_route": (175, "lam=[3, 1] n=9: poly 34 != frobenius 36"),
             "constant_coeff_routes": (29, "lam=[2, 1] r=1: primary -1, strips -1, main 1"),
-            "basis2_forms": (
-                3, "case 3 k=4: char_poly b [3, 3, 2, 1, -1] != closed form [3, 3, 2, 1, 1]"),
-            "main_band": (102, "lam=[2, 1] r=1 n=5: poly 3 != mn 5"),
+        },
+    ),
+    "b_vector_short_by_one": (
+        [(stability, "_b_vector", _b_vector_short_by_one)],
+        {
+            "main_oracle": (1561, "lam=[] r=1 n=1: poly 0 != mn 1"),
+            "leading_coefficient": (6, "lam=[] r=1: b[0] = 0 != dim"),
+            "interpolation_route": (72, "lam=[] r=1: interpolated (1,) != ()"),
+            "frobenius_route": (322, "lam=[] n=2: poly 0 != frobenius 1"),
+            "basis2_forms": (22, "case 1 k=0: char_poly b [0] != closed form [1]"),
+            "main_band": (150, "lam=[1] r=2 n=2: poly 0 != mn -1"),
         },
     ),
     "contains_ignoring_last_part": (
@@ -413,7 +410,7 @@ def test_pair_memo_holds_no_zeros(monkeypatch):
         return count
 
     memo = functools.cache(recorded)
-    for module in (tableaux, stability):
+    for module in (tableaux, verification):
         monkeypatch.setattr(module, "_skew_count", memo)
     _clear_memos()
     try:
