@@ -342,12 +342,14 @@ class TestPrimaries:
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_streamed_json_is_one_document(self, r):
         # item by item, the output is the document json.dumps gives, and
-        # no row lands in r_primary's cache
+        # no row lands in r_primary's cache or its enumeration's
         stability.r_primary.cache_clear()
+        stability._primaries.cache_clear()
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["primaries", "--r", str(r), "--max-h", "25", "--format", "json"]) == 0
         assert stability.r_primary.cache_info().currsize == 0
+        assert stability._primaries.cache_info().currsize == 0
         doc = {
             "r": r,
             "max_h": 25,
