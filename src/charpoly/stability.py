@@ -14,13 +14,13 @@ change, one algorithm each; the second derivations that check them live
 in ``verification``, among them ``coeff_b``, the definition summed term
 by term through the skew-count memo.
 
-Every r-primary partition is a hook or has Durfee rank 2, so each of its
-counts f(lam / nu) = f^lam s*_nu(lam) / (k)_h (Okounkov and Olshanski's
-dimension formula) is one entry or one 2 x 2 minor of the hook table
-that ``tableaux`` keeps in one record per shape.  ``char_poly`` adds up
-the signed table terms of the primaries of each h, divides once per h,
-and keeps the finished vector on the shape's record, so asking again
-for the same shape and r costs one lookup and no pair is memoized.
+Each count f(lam / nu) = f^lam s*_nu(lam) / (k)_h (Okounkov and
+Olshanski's dimension formula) is f^lam times one ``tableaux._Record.term``
+of lam's hook table over (k)_h.  ``char_poly`` adds up the terms of the
+primaries of each h, divides once per h, and keeps the finished vector
+on the shape's record, so asking again for the same shape and r costs
+one lookup and no pair is memoized.  ``a_vector`` is the same sum at an
+r where each h has one primary, the column (1^h).
 
 Expansions sum only the coefficients that can be nonzero.  An r-primary
 partition of h has at least h - r parts, so none fits inside ``lam``
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .binom_poly import BinomPoly
 from .partitions import Partition, _known_valid
-from .tableaux import _Record, _record, a_coeff
+from .tableaux import _Record, _record
 
 
 class Family(Enum):
@@ -92,13 +92,13 @@ def r_primary(r: int, h: int) -> tuple[SignedPartition, ...]:
 
     Three disjoint families:
 
-    * columns (1^t) for 0 <= t <= r - 1, sign +1;
+    * the column (1^t) for each 0 <= t <= r - 1, sign +1;
     * (r-u-v, 2^u, 1^v) of size r + u with u, v >= 0 and u + v <= r - 2,
       sign (-1)^(r-u-v);
     * (r+1-u, 2^u, 1^v) of size r + 1 + u + v with 0 <= u <= r - 1 and
       v >= 0, sign (-1)^(r-u).
 
-    Listed columns first, then the second family by increasing v, then
+    Listed the column first, then the second family by increasing v, then
     the third by increasing u.  There are 1 of them for h < r, r - 1 for
     r <= h < 2r, and r for h >= 2r.  Memoized on (r, h), since the
     verify sweeps ask for them again and again.
@@ -133,22 +133,17 @@ class CharPolyExpansion(NamedTuple):
 
 def _b_vector(lam: Partition, rec: _Record, r: int, top: int) -> tuple[int, ...]:
     """b[0..top] of the shift-r expansion for ``lam``, read off the hook
-    table of its record ``rec``.
-
-    The primary (a, 2^u, 1^v) is the hook (a-1 | v) when u = 0 and
-    otherwise (a-1, 0 | u+v, u-1), with these coordinates swapped when
-    ``rec`` holds the conjugate.  Its count is f^lam times the signed
-    entry or 2 x 2 minor that ``tableaux._skew_count`` would take, over
-    (k)_h, so b[h] sums the signed terms of all its primaries and divides
-    once.
+    table of its record ``rec``: b[h] is f^lam times the signed
+    ``rec.term`` of each primary of h, summed, over (k)_h.  The primary
+    (a, 2^u, 1^v) is the hook (a-1 | v) when u = 0 and otherwise
+    (a-1, 0 | u+v, u-1).
 
     A primary is skipped when its first row or first column is longer
     than lam's.  In the record's orientation one of the two tests keeps
-    the row indices inside the table and the other forms columns only
+    the row indices inside the table and the other extends the table only
     for primaries that can fit.  Rows of 2 need no test: s*_nu(lam)
     vanishes, and so does the minor, when nu does not fit.
     """
-    columns, dim, flip, size = rec.columns, rec.dim, rec.transposed, rec.size
     width, height = (lam[0], len(lam)) if lam else (0, 0)
     b, falling = [], 1
     for h in range(top + 1):
@@ -156,26 +151,13 @@ def _b_vector(lam: Partition, rec: _Record, r: int, top: int) -> tuple[int, ...]
         for sign, a, u, v, _ in _primaries(r, h):
             if not a:  # the empty partition: no hook, and its minor is 1
                 total += sign
-                continue
-            arm, leg = a - 1, u + v
-            if arm >= width or leg >= height:
-                continue
-            # the first hook at column x, row y of the table; y + t, the
-            # sum of the record's beta, gives the sign
-            x, y = (leg, arm) if flip else (arm, leg)
-            if x >= len(columns):
-                rec.extend(x)
-            if u:
-                s, t = (u - 1, 0) if flip else (0, u - 1)
-                term = columns[x][y] * columns[s][t] - columns[s][y] * columns[x][t]
-                y += t
-            else:
-                term = columns[x][y]
-            total += -sign * term if y & 1 else sign * term
-        count, rem = divmod(dim * total, falling)
+            elif a <= width and u + v < height:
+                term = rec.term((a - 1, 0), (u + v, u - 1)) if u else rec.term((a - 1,), (v,))
+                total += sign * term
+        count, rem = divmod(rec.dim * total, falling)
         assert rem == 0, f"hook-table sum not integral for {lam} at r={r}, h={h}"
         b.append(count)
-        falling *= size - h
+        falling *= rec.size - h
     return tuple(b)
 
 
@@ -226,12 +208,16 @@ def stable_tail_start(lam: Partition, expansions: list[CharPolyExpansion]) -> in
 
 
 def a_vector(lam: Partition) -> list[int]:
-    """The dimension coefficients a_coeff(lam, h) for h = 0..k.
-
-    Only h <= len(lam) are counted; the rest are 0, since a column of
-    more than len(lam) boxes does not fit inside ``lam``."""
+    """The dimension coefficients a_coeff(lam, h) for h = 0..k: by
+    ``stable_tail_start``'s proof, ``char_poly(lam, r).b`` at
+    r = lam_1 + len(lam), where each h <= len(lam) < r has one primary
+    that fits, the column (1^h).  Only those h are summed; the rest are
+    0, since a longer column does not fit inside ``lam``."""
     lam = Partition(lam)
-    return [a_coeff(lam, h) for h in range(lam.length + 1)] + [0] * (lam.size - lam.length)
+    if not lam:
+        return [1]
+    top = lam.length
+    return [*_b_vector(lam, _record(lam), lam[0] + top, top)] + [0] * (lam.size - top)
 
 
 def dim_poly(lam: Partition) -> BinomPoly:

@@ -24,23 +24,27 @@ the dimension formula f^outer s*_inner(outer) / (|outer|)_|inner| of
 Okounkov and Olshanski (Shifted Schur functions, 1997): entry (i, j)
 times (-1)^beta_i is the shifted Schur function of the hook
 (alpha_j | beta_i) at outer, so the signed minor is their Giambelli
-formula for s*.  No matrix is inverted.  Each outer is taken once, in the orientation with fewer
+formula for s*.  No matrix is inverted.
+
+The hook table.  Each outer is taken once, in the orientation with fewer
 rows: Q is built in the falling-factorial basis from
 (x)_k (x - a) = (x)_(k+1) + (k - a) (x)_k, R_ell = (x)_ell - Q, and
 R_(b+1) is (x - b) R_b less its top coefficient times Q, all in
-integers because Q is monic.  A count costs one d x d minor, and the
-r-primary inners of the character polynomials have d <= 2, so ``_det``
-takes minors of size <= 2 by their closed forms and only larger ones by
-Bareiss elimination.  Remainders are formed the first time a count
-needs them.  Three global memos hold the work: one record per outer
-shape (Q, f^outer, the remainders and the coefficient vectors that
+integers because Q is monic.  Column j of the table is R_(ell + j) read
+from the top, so the hook (x | y) sits at column x, row y; a column is
+formed the first time a count reads it.  ``_Record.term`` is the one
+reader, and the r-primary inners of the character polynomials have
+Durfee rank <= 2, so it takes their minors in closed form.
+
+Three global memos hold the work: one record per outer shape (Q,
+f^outer, the remainders and the coefficient vectors that
 ``stability.char_poly`` reads off them), one set of Frobenius
 coordinates per inner and one count per (outer, inner) pair that fits.
-``char_poly`` reads its entries and minors straight off the record and
-asks the pair memo nothing; ``skew_syt_count`` and ``verify``'s
-``coeff_b`` test containment before they ask it, so it holds no zeros,
-and ``verify``'s skew sweep asks it only about the subpartitions of each
-outer, each inner as one shared object per shape.
+``stability`` sums ``term`` over the primaries of each h and asks the
+pair memo nothing; ``skew_syt_count`` and ``verify``'s ``coeff_b`` test
+containment before they ask it, so it holds no zeros, and ``verify``'s
+skew sweep asks it only about the subpartitions of each outer, each
+inner as one shared object per shape.
 
 ``_beta_dim`` counts f^lam from a beta-set by the beta-number formula
 (James--Kerber 1981, 2.7), with the long top row of a stable shape
@@ -121,19 +125,12 @@ def _beta_dim(mask: int) -> int:
 
 
 def _det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix.
-
-    Up to 2 x 2 by the closed forms, which cover every r-primary inner;
-    larger by Bareiss elimination, fraction-free, so every division is
-    exact.  A zero pivot is replaced by swapping in a lower row; ``m`` is
-    overwritten.
+    """Determinant of a square integer matrix by Bareiss elimination,
+    fraction-free, so every division is exact: the minors of rank 3 and up
+    of ``_Record.term``, which takes smaller ones in closed form.  A zero
+    pivot is replaced by swapping in a lower row; ``m`` is overwritten.
     """
     n = len(m)
-    if n <= 2:
-        if n == 2:
-            (a, b), (c, d) = m
-            return a * d - b * c
-        return m[0][0] if n else 1
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
@@ -149,18 +146,18 @@ def _det(m: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 class _Record:
-    """One outer shape in closed form: Q, f^outer and the remainders.
+    """One outer shape in closed form: Q, f^outer and the hook table.
 
     ``ell`` rows in the orientation with fewer rows (``transposed`` says
     whether that is the conjugate) and ``size`` boxes.  ``q`` holds the
     coefficients of Q below its leading (x)_ell and ``dim`` is f^outer.
     ``columns[j]`` holds R_(ell + j).  Both are read from the top: entry
-    k is the coefficient of (x)_(ell - 1 - k).  Columns are appended the
-    first time a count needs them.  ``vectors`` holds the finished
+    k is the coefficient of (x)_(ell - 1 - k).  Only ``extend`` and
+    ``term`` touch ``columns``.  ``vectors`` holds the finished
     coefficient vectors of ``stability.char_poly``, keyed by r.
     """
 
@@ -177,6 +174,29 @@ class _Record:
         self.dim = _beta_dim(_beta(outer, ell))
         self.columns: list[list[int]] = []
         self.vectors: dict[int, tuple[int, ...]] = {}
+
+    def term(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+        """s*_inner(outer) = (-1)^(sum beta) det[R_(ell + alpha_j) at
+        (x)_(ell - 1 - beta_i)], for an inner (alpha | beta) that fits, in
+        the outer's own orientation.  On a record of the conjugate alpha and
+        beta are swapped first, and the sign is read from the swapped beta.
+        The hook (x | y) is the entry at column x, row y; rank 2 is the
+        closed 2 x 2 minor, and only rank 3 and up goes to ``_det``."""
+        if self.transposed:
+            alpha, beta = beta, alpha
+        if not alpha:
+            return 1
+        columns = self.columns
+        if alpha[0] >= len(columns):
+            self.extend(alpha[0])
+        if len(alpha) == 1:
+            det = columns[alpha[0]][beta[0]]
+        elif len(alpha) == 2:
+            (x, s), (y, t) = alpha, beta
+            det = columns[x][y] * columns[s][t] - columns[s][y] * columns[x][t]
+        else:
+            det = _det([[columns[a][b] for a in alpha] for b in beta])
+        return -det if sum(beta) & 1 else det
 
     def extend(self, top: int) -> None:
         """Append the columns R_(ell + j) for j up to ``top``."""
@@ -214,12 +234,10 @@ _record = cache(_Record)
 
 
 @cache
-def _frobenius(nu: Partition) -> tuple[tuple, tuple, int]:
-    """The Frobenius coordinates (alpha | beta) of ``nu`` in both
-    orientations, each with the parity of its row sum, and |nu|:
-    ((alpha, beta, sum(beta) odd), (beta, alpha, sum(alpha) odd), |nu|),
-    where alpha_j = nu_j - j and beta_j = nu'_j - j for j up to the
-    Durfee rank."""
+def _frobenius(nu: Partition) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The Frobenius coordinates (alpha | beta) of ``nu`` and |nu|, where
+    alpha_j = nu_j - j and beta_j = nu'_j - j for j up to the Durfee
+    rank."""
     alpha = []
     for j, p in enumerate(nu, 1):
         if p < j:
@@ -230,8 +248,7 @@ def _frobenius(nu: Partition) -> tuple[tuple, tuple, int]:
         while nu[height - 1] < j:
             height -= 1
         beta.append(height - j)
-    alpha, beta = tuple(alpha), tuple(beta)
-    return (alpha, beta, sum(beta) & 1), (beta, alpha, sum(alpha) & 1), nu.size
+    return tuple(alpha), tuple(beta), nu.size
 
 
 # one entry per (outer, inner) pair asked for, holding the pair's two shapes
@@ -241,15 +258,9 @@ def _frobenius(nu: Partition) -> tuple[tuple, tuple, int]:
 @cache
 def _skew_count(outer: Partition, inner: Partition) -> int:
     rec = _record(outer)
-    plain, conjugate, size = _frobenius(inner)
-    alpha, beta, odd = conjugate if rec.transposed else plain
-    columns = rec.columns
-    if alpha and alpha[0] >= len(columns):
-        rec.extend(alpha[0])
-    # f = (-1)^sum(beta) f^outer det[R_(ell + alpha_j) at (x)_(ell - 1 - beta_i)]
-    #     / (|outer|)_|inner|
-    num = rec.dim * _det([[columns[a][b] for a in alpha] for b in beta])
-    count, rem = divmod(-num if odd else num, perm(rec.size, size))
+    alpha, beta, size = _frobenius(inner)
+    # f = f^outer s*_inner(outer) / (|outer|)_|inner|
+    count, rem = divmod(rec.dim * rec.term(alpha, beta), perm(rec.size, size))
     assert rem == 0, f"Aitken determinant not integral for {outer} / {inner}"
     return count
 

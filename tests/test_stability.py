@@ -265,18 +265,20 @@ class TestWorkBound:
         assert len(exp.b) == 61 and not any(exp.b[7:])
 
     def test_a_vector_counts_through_length(self, monkeypatch):
-        calls = _counting(monkeypatch, "a_coeff")
+        calls = _counting(monkeypatch, "_b_vector")
         a = a_vector(Partition([30, 20, 10]))
-        assert [h for _, h in calls] == list(range(4))
+        assert [h for *_, top in calls for h in range(top + 1)] == list(range(4))
         assert len(a) == 61 and not any(a[4:])
 
     def test_dimension_rows_use_a_vector(self, monkeypatch):
-        calls = _counting(monkeypatch, "a_coeff")
+        calls = _counting(monkeypatch, "_b_vector")
         dim_poly(Partition([30, 20, 10]))
         latex_dimension_line(Partition([30, 20, 10]))
         for fmt in ("text", "json", "latex"):
             assert cli.main(["table", "--lambda", "30,20,10", "--r-list", "1", "--format", fmt]) == 0
-        assert [h for _, h in calls] == list(range(4)) * 5
+        # a_vector sums at r = 30 + 3; char_poly's r = 1 row reads the same kernel
+        dimension = [top for _, _, r, top in calls if r == 33]
+        assert [h for top in dimension for h in range(top + 1)] == list(range(4)) * 5
 
     def test_coefficient_recurrence_computes_each_coefficient_once(self, monkeypatch):
         # asking again at every corner of every lam would be 7,230 calls
@@ -338,6 +340,43 @@ class TestHookTable:
                 for lam in partitions_of(k):
                     for r in range(1, 9):
                         assert char_poly(lam, r).b is char_poly(lam, r).b
+            assert tableaux._skew_count.cache_info().currsize == 0
+        finally:
+            tableaux._record.cache_clear()
+
+
+@st.composite
+def _shapes_upto(draw, n):
+    """A partition of at most ``n`` boxes, one part at a time."""
+    parts, left = [], draw(st.integers(0, n))
+    while left:
+        parts.append(draw(st.integers(1, min(left, parts[-1] if parts else left))))
+        left -= parts[-1]
+    return Partition(parts)
+
+
+class TestDimensionRow:
+    """``a_vector``, read off the hook table at r = lam_1 + len(lam),
+    against ``a_coeff``, the column counts through the pair memo."""
+
+    def test_every_shape_through_twelve(self):
+        shapes = [lam for k in range(13) for lam in partitions_of(k)]
+        assert len(shapes) == 272
+        for lam in shapes:
+            assert a_vector(lam) == [a_coeff(lam, h) for h in range(lam.size + 1)], lam
+
+    @settings(max_examples=100, deadline=None)
+    @given(_shapes_upto(25))
+    def test_random_up_to_twenty_five(self, lam):
+        assert a_vector(lam) == [a_coeff(lam, h) for h in range(lam.size + 1)]
+
+    def test_table_asks_the_pair_memo_nothing(self, capsys):
+        tableaux._skew_count.cache_clear()
+        tableaux._record.cache_clear()
+        try:
+            for fmt in ("text", "json", "latex"):
+                argv = ["table", "--lambda", "10,8,6,4,2", "--r-list", "1,2,3,4,5,6,7,8"]
+                assert cli.main([*argv, "--format", fmt]) == 0
             assert tableaux._skew_count.cache_info().currsize == 0
         finally:
             tableaux._record.cache_clear()

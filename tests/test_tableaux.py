@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import cache
 from itertools import permutations
 from math import factorial, perm, prod
@@ -175,16 +176,16 @@ class TestReducedAitken:
             assert skew_syt_count(lam, Partition()) == dim_syt(lam), lam
 
 
-def _recording(monkeypatch, name, record):
-    """Replace ``tableaux.<name>`` by a wrapper that appends record(*args)."""
+def _recording(monkeypatch, name, record, owner=tableaux):
+    """Replace ``owner.<name>`` by a wrapper that appends record(*args)."""
     calls = []
-    real = getattr(tableaux, name)
+    real = getattr(owner, name)
 
     def recorded(*args):
         calls.append(record(*args))
         return real(*args)
 
-    monkeypatch.setattr(tableaux, name, recorded)
+    monkeypatch.setattr(owner, name, recorded)
     return calls
 
 
@@ -212,7 +213,8 @@ class TestWorkBound:
     def test_minors_stay_two_by_two(self, monkeypatch):
         # every r-primary partition has Durfee rank at most 2, so the
         # definition asks the pair memo for minors of size <= 2 only
-        sizes = _recording(monkeypatch, "_det", len)
+        sizes = _recording(
+            monkeypatch, "term", lambda rec, alpha, beta: len(alpha), tableaux._Record)
         cases = [(Partition(range(15, 0, -1)), [10]), (Partition([10, 8, 6, 4, 2]), range(1, 9))]
         for lam, rs in cases:
             for r in rs:
@@ -380,10 +382,34 @@ def _leibniz(m):
     return total
 
 
+class TestTerm:
+    def test_closed_minors_match_bareiss(self):
+        # every inner of Durfee rank <= 2 inside every outer through 10
+        # boxes, on records of lam and of its conjugate: the entry or the
+        # closed 2 x 2 minor against Bareiss on the same submatrix
+        seen = Counter()
+        for n in range(11):
+            for lam in partitions_of(n):
+                rec = tableaux._record(lam)
+                for nu in subpartitions(lam):
+                    alpha, beta, _ = tableaux._frobenius(nu)
+                    if len(alpha) > 2:
+                        continue
+                    got = rec.term(alpha, beta)
+                    if rec.transposed:
+                        alpha, beta = beta, alpha
+                    m = [[rec.columns[a][b] for a in alpha] for b in beta]
+                    assert got == (-1) ** sum(beta) * _det(m), (lam, nu)
+                    seen[rec.transposed, len(alpha)] += 1
+        # (transposed, rank): the rank-0 rows are the empty inner of each outer
+        assert seen == {(False, 0): 79, (False, 1): 1029, (False, 2): 531,
+                        (True, 0): 60, (True, 1): 804, (True, 2): 380}
+
+
 class TestDeterminant:
     def test_matches_leibniz_expansion(self):
-        # closed forms up to 2 x 2, Bareiss past them; zero pivots and
-        # singular matrices (a row repeated or scaled) on both sides
+        # Bareiss at every size from the empty matrix on; zero pivots and
+        # singular matrices (a row repeated or scaled) among them
         rng = random.Random(20)
         singular = 0
         for n in range(5):

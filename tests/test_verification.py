@@ -24,7 +24,7 @@ from charpoly.cli import main
 from charpoly.stability import Family
 from charpoly.verification import SUITES, Bounds
 
-_det = tableaux._det
+_term = tableaux._Record.term
 _strips = partitions._strips
 _eval_poly = binom_poly.eval_poly
 _r_primary = stability.r_primary
@@ -33,7 +33,6 @@ _b_vector = stability._b_vector
 _peel = characters._peel
 _leaf_dim = characters._leaf_dim
 _skew_count = tableaux._skew_count
-_frobenius = tableaux._frobenius
 _beta_dim = tableaux._beta_dim
 _dim_syt = tableaux.dim_syt
 _transpose = partitions.transpose
@@ -46,9 +45,9 @@ def _clear_memos():
         memo.cache_clear()
 
 
-def _det_negated_on_2x2(m):
-    det = _det(m)
-    return -det if len(m) == 2 else det
+def _det_negated_on_2x2(rec, alpha, beta):
+    term = _term(rec, alpha, beta)
+    return -term if len(alpha) == 2 else term
 
 
 def _leg_plus_one_at_3(mask, r):
@@ -103,9 +102,17 @@ def _b_vector_short_by_one(lam, rec, r, top):
     return _b_vector(lam, rec, r, top - 1) + (0,)
 
 
-def _frobenius_first_parity_even(nu):
-    (alpha, beta, _), conjugate, size = _frobenius(nu)
-    return (alpha, beta, 0), conjugate, size
+def _frobenius_first_parity_even(rec, alpha, beta):
+    # the sign (-1)^(sum beta) dropped on a record of lam itself
+    term = _term(rec, alpha, beta)
+    return term if rec.transposed or not sum(beta) & 1 else -term
+
+
+def _term_parity_before_swap(rec, alpha, beta):
+    # on a record of the conjugate the sign comes from the caller's beta,
+    # not the swapped one
+    term = _term(rec, alpha, beta)
+    return -term if rec.transposed and (sum(alpha) + sum(beta)) & 1 else term
 
 
 def _transpose_fixes_two_row_rectangles(lam):
@@ -123,7 +130,7 @@ _TRANSPOSE_SLIP = [(module, "transpose", _transpose_fixes_two_row_rectangles)
 # name -> (every binding the mutant replaces, {suite: (disagreements, first failure)})
 MUTANTS = {
     "det_negated_on_2x2": (
-        [(tableaux, "_det", _det_negated_on_2x2)],
+        [(tableaux._Record, "term", _det_negated_on_2x2)],
         {
             "skew_recursion": (
                 1969, "lam=[2, 2] nu=[2, 1]: count 1, corner sum 1, growth sum -1"),
@@ -254,7 +261,7 @@ MUTANTS = {
         },
     ),
     "frobenius_first_parity_even": (
-        [(tableaux, "_frobenius", _frobenius_first_parity_even)],
+        [(tableaux._Record, "term", _frobenius_first_parity_even)],
         {
             "skew_recursion": (
                 3551, "lam=[2, 1] nu=[1]: count 2, corner sum 2, growth sum 0"),
@@ -263,6 +270,26 @@ MUTANTS = {
             "coefficient_recurrence": (133, "lam=[2, 1] h=2 r=3: -1 != corner sum 1"),
             "transpose_small_h": (30, "lam=[2, 1] h=2: b2 1 != transposed a -1"),
             "constant_coeff_routes": (29, "lam=[2, 1] r=1: primary -1, strips -1, main 1"),
+        },
+    ),
+    "term_parity_before_swap": (
+        [(tableaux._Record, "term", _term_parity_before_swap)],
+        {
+            "skew_recursion": (
+                3840, "lam=[1, 1] nu=[1]: count 1, corner sum 1, growth sum -1"),
+            "column_removal_difference": (267, "lam=[1, 1] h=2: 2 != 0"),
+            "skew_count_vs_backtracking": (162, "outer=[1, 1] inner=[1, 1]: counts differ"),
+            "main_oracle": (1078, "lam=[1, 1] r=3 n=6: poly -1 != mn 1"),
+            "coefficient_recurrence": (133, "lam=[2, 1] h=2 r=3: 1 != corner sum -1"),
+            "transpose_small_h": (49, "lam=[2] h=2: b2 1 != transposed a -1"),
+            "interpolation_route": (
+                38, "lam=[1, 1] r=3: interpolated (1, -1, 1) != (-1, -1, 1)"),
+            "frobenius_route": (147, "lam=[2, 1, 1] n=8: poly -30 != frobenius 0"),
+            "constant_coeff_routes": (32, "lam=[1, 1] r=3: primary 1, strips 1, main -1"),
+            "basis2_forms": (
+                24, "case 2 k=4: char_poly b [3, 3, -1, 0, 0] "
+                    "!= closed form [3, 3, 1, 0, 0]"),
+            "main_band": (100, "lam=[1, 1] r=3 n=3: poly -1 != mn 1"),
         },
     ),
     "b_vector_short_by_one": (
