@@ -2,12 +2,19 @@
 
 Every value here comes from one step, the Murnaghan--Nakayama strip
 peel: ``_peel`` moves each coefficient of a layer {beta-set int:
-coefficient} through the r-cell border strips with sign (-1)^leg, and
-the shapes left are counted straight from their beads by the
-beta-number formula (``tableaux._beta_dim``), cached per beta-set.
-Fixed points are never peeled, and a shape (n - k, lam) left with n - r
-fixed points costs a few factors, not n: its long top row is one short
-falling factorial.  Frobenius's formula counts by the hook formula
+coefficient} through the r-cell border strips with sign (-1)^leg.
+``character_mn`` peels every non-trivial cycle but the last one so, and
+reads the last one off each shape of the layer before it as that
+shape's character at one r-cycle (``_at_cycle``).  Each leaf's f is
+read back from the memo of dimensions when it is there, and otherwise
+counted from the shape's own f by the bead ratio, one bead moved by r
+(James--Kerber 1981, 2.7).  Every f in the memo is counted from its
+beads by the beta-number formula (``tableaux._beta_dim``), and only
+there, so the oracles in ``verification`` that sum the memo's entries
+never read a ratio.  Fixed points are never peeled: the cycle type
+keeps them as a count, and a shape (n - k, lam) with n - r fixed points
+costs a few factors, not n, since its long top row is one short falling
+factorial.  Frobenius's formula counts by the hook formula
 (``dim_syt``), so comparing the two checks one route against the other.
 
 * ``character_mn`` -- the Murnaghan--Nakayama rule, one layer per
@@ -23,9 +30,8 @@ falling factorial.  Frobenius's formula counts by the hook formula
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
-from math import comb
-from typing import Iterable
+from math import comb, perm, prod
+from typing import Iterable, Mapping, Sequence
 
 from .binom_poly import BinomPoly, eval_poly
 from .partitions import (
@@ -55,18 +61,41 @@ class OutOfStableRange(ValueError):
 
 
 class CycleType:
-    """Cycle type of a permutation: all cycle lengths, fixed points included.
+    """Cycle type of a permutation: its cycles of length at least 2, as a
+    sorted Partition (``support``), and its number of fixed points
+    (``fixed``), so a permutation of n with few moved points costs a few
+    numbers, not n.
 
-    Immutable and hashable; the lengths are kept as a sorted Partition.
+    Immutable and hashable.  The constructor takes all the cycle lengths,
+    fixed points included, in any order; ``of_counts`` takes the number of
+    cycles of each length.  ``cycles``, all the lengths as one sorted
+    Partition, is built when it is asked for.
     """
 
-    __slots__ = ("cycles",)
+    __slots__ = ("support", "fixed", "n")
 
     def __init__(self, cycles: Iterable[int] = ()):
-        cycles = sorted(cycles, reverse=True)
-        # sorted, so Partition's checks can fail only at the last length
-        parts = _known_valid(cycles) if cycles and cycles[-1] >= 1 else Partition(cycles)
-        object.__setattr__(self, "cycles", parts)
+        self._set_counts(Counter(cycles))
+
+    @classmethod
+    def of_counts(cls, counts: Mapping[int, int]) -> CycleType:
+        """The cycle type with ``counts[c]`` cycles of length c."""
+        ct = cls.__new__(cls)
+        ct._set_counts(counts)
+        return ct
+
+    def _set_counts(self, counts: Mapping[int, int]) -> None:
+        lengths = sorted(counts, reverse=True)
+        if lengths and lengths[-1] < 1:
+            raise ValueError(f"cycle lengths must be >= 1, got {lengths[-1]}")
+        support: list[int] = []
+        for c in lengths:
+            if c > 1:
+                support += [c] * counts[c]
+        fixed = counts.get(1, 0)
+        object.__setattr__(self, "support", _known_valid(support))
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "n", sum(support) + fixed)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -74,7 +103,7 @@ class CycleType:
     def __eq__(self, other):
         if type(other) is not CycleType:
             return NotImplemented
-        return self.cycles == other.cycles
+        return self.fixed == other.fixed and self.support == other.support
 
     def __hash__(self) -> int:
         return hash(self.cycles)
@@ -83,19 +112,35 @@ class CycleType:
         return f"CycleType(cycles={self.cycles!r})"
 
     @property
-    def n(self) -> int:
-        return self.cycles.size
+    def cycles(self) -> Partition:
+        return _known_valid(self.support + (1,) * self.fixed)
 
     # check-only; kept here because perfbench/checks.py calls it
     def multiplicities(self) -> dict[int, int]:
         """Map cycle length i -> number of cycles of that length."""
-        return dict(Counter(self.cycles))
+        counts = Counter(self.support)
+        if self.fixed:
+            counts[1] = self.fixed
+        return dict(counts)
 
 
-@cache
-def _leaf_dim(mask: int) -> int:
-    # the one memo: peels end again and again on the same few shapes
-    return _beta_dim(mask)
+class _Dims(dict):
+    """f^shape per beta-set int, counted by ``_beta_dim`` the first time
+    it is asked for: ``dims[mask]`` counts a missing one, ``dims.get(mask)``
+    only reads."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> int:
+        dim = self[mask] = _beta_dim(mask)
+        return dim
+
+
+# the one memo of dimensions: peels end again and again on the same few
+# shapes.  Only ``_beta_dim`` writes it; the bead ratio reads it and never
+# writes it, so the oracles that sum its entries (recpart_poly here,
+# verification._mn_ascending) read no dimension the ratio produced
+_leaf_dims = _Dims()
 
 
 def _peel(layer: dict[int, int], r: int) -> dict[int, int]:
@@ -108,13 +153,66 @@ def _peel(layer: dict[int, int], r: int) -> dict[int, int]:
     return peeled
 
 
-def _mn(mu: Partition, cycles: Iterable[int]) -> int:
-    # peel exactly ``cycles``, in order, one layer per cycle; each shape
-    # left is counted from its beads, i.e. as the character at the identity
-    layer = {_beta(mu, len(mu)): 1}
-    for r in cycles:
+def _by_ratio(mask: int, r: int, leaves: list[int]) -> int:
+    """The sum of (-1)^leg f^leaf over ``leaves``, r-strip leaves of the
+    beta-set ``mask``, each counted from f of ``mask`` (read from the memo)
+    by the bead ratio (James--Kerber 1981, 2.7).  A leaf moves one bead b
+    of the n-box shape to the gap b - r, so
+
+        f^leaf = f (b)_r / (n)_r prod_(c != b) (b - r - c) / (b - c)
+
+    over the other beads c.  The product's sign is (-1)^leg, for the leg
+    beads between b - r and b, so the peel's sign is in it already.  Both
+    products stay small, and one exact division per leaf brings in f."""
+    f = _leaf_dims[mask]
+    # the beads of zero parts, at the bottom, change no ratio
+    zeros = (~mask & mask + 1).bit_length() - 1
+    beads, rest = [], mask >> zeros
+    while rest:
+        top = rest.bit_length() - 1
+        beads.append(top)
+        rest ^= 1 << top
+    n = sum(beads) - len(beads) * (len(beads) - 1) // 2
+    total, falling = 0, perm(n, r)
+    for leaf in leaves:
+        b = (mask ^ leaf).bit_length() - 1 - zeros
+        t, num, den = b - r, perm(b, r), falling
+        for c in beads:
+            if c != b:
+                num *= t - c
+                den *= b - c
+        dim, rem = divmod(f * num, den)
+        assert rem == 0, f"bead ratio not integral moving bead {b} by {r}"
+        total += dim
+    return total
+
+
+def _at_cycle(mask: int, r: int) -> int:
+    """The character of the shape with beta-set ``mask`` at one r-cycle
+    plus fixed points: its r-strip leaves' f, each with the sign (-1)^leg.
+    A leaf already in the memo is read back; the new ones are counted from
+    the shape's own f by ``_by_ratio``."""
+    total, new = 0, []
+    for leg, rest in _strips(mask, r):
+        dim = _leaf_dims.get(rest)
+        if dim is None:
+            new.append(rest)
+        else:
+            total += -dim if leg & 1 else dim
+    return total + _by_ratio(mask, r, new) if new else total
+
+
+def _mn(mu: Partition, cycles: Sequence[int]) -> int:
+    # peel exactly ``cycles``, in order, one layer per cycle; the last cycle
+    # is read off each shape of the layer before it by ``_at_cycle``
+    mask = _beta(mu, len(mu))
+    if not cycles:
+        return _leaf_dims[mask]
+    layer = {mask: 1}
+    for r in cycles[:-1]:
         layer = _peel(layer, r)
-    return sum(c * _leaf_dim(mask) for mask, c in layer.items())
+    r = cycles[-1]
+    return sum(c * _at_cycle(mask, r) for mask, c in layer.items())
 
 
 def character_mn(mu: Partition, ct: CycleType) -> int:
@@ -122,17 +220,18 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
     cycle type ``ct``, by the Murnaghan--Nakayama rule.
 
     Only the cycles of length at least 2 are peeled, in weakly decreasing
-    length order (the value is independent of that order); the fixed
+    length order (the value is independent of that order), the last one
+    with each leaf's f read back or counted by the bead ratio; the fixed
     points are never peeled but counted, as f^shape, on each shape that
     is left.  There is no recursion: each cycle peels one layer of
     beta-sets, so the depth of the stack does not grow with the input.
+    Reading n and the non-trivial cycles off ``ct`` costs nothing per
+    fixed point.
     """
     mu = Partition(mu)
-    cycles = ct.cycles
-    if sum(mu) != sum(cycles):
+    if sum(mu) != ct.n:
         raise SizeMismatch(f"|mu| = {mu.size} but cycle type fills {ct.n}")
-    # ``cycles`` is weakly decreasing, so the 1s, if any, are its tail
-    return _mn(mu, cycles[: cycles.index(1)] if cycles and cycles[-1] == 1 else cycles)
+    return _mn(mu, ct.support)
 
 
 # check-only; kept here because perfbench/checks.py imports it
@@ -167,20 +266,20 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
     each size read off its beads.
     Its value at n is the character for n >= max(k + lam_1, |support|).
     """
-    lam, support = Partition(lam), CycleType(support)
-    if 1 in support.cycles:
-        raise ValueError(f"support must hold cycles of length >= 2, got {list(support.cycles)}")
+    lam, ct = Partition(lam), CycleType(support)
+    if ct.fixed:
+        raise ValueError(f"support must hold cycles of length >= 2, got {list(ct.cycles)}")
     layer = {
         _beta(kappa, len(lam)): -1 if (lam.size - kappa.size) % 2 else 1
         for kappa in vertical_strip_inners(lam)
     }
-    for r in support.cycles:
+    for r in ct.support:
         for mask, c in _peel(layer, r).items():
             layer[mask] = layer.get(mask, 0) + c
     coeffs = [0] * (lam.size + 1)
     for mask, c in layer.items():
-        coeffs[_size(mask)] += c * _leaf_dim(mask)
-    return BinomPoly(support.n, coeffs)
+        coeffs[_size(mask)] += c * _leaf_dims[mask]
+    return BinomPoly(ct.n, coeffs)
 
 
 # check-only; kept here because perfbench/checks.py and perfbench/test_smoke.py import it
@@ -196,5 +295,5 @@ def character_recpart(lam: Partition, ct: CycleType) -> int:
     need = lam.size + (lam[0] if lam else 0)
     if n < need:
         raise OutOfStableRange(f"need n >= {need} for lam = {lam}, got n = {n}")
-    return eval_poly(recpart_poly(lam, [c for c in ct.cycles if c >= 2]), n)
+    return eval_poly(recpart_poly(lam, ct.support), n)
 

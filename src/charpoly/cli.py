@@ -234,8 +234,8 @@ def _parse_cycle_type(text: str) -> CycleType:
     A cycle type of n has about n tokens but few distinct ones, so the
     tokens are counted and each distinct one is read once, in the order
     it first appears (so the first bad token is the one reported).  The
-    cycles are each value repeated, in that order; ``CycleType`` sorts
-    them."""
+    cycle type is built from the count of each length, with no list of
+    its n cycles."""
     text = text.strip()
     tokens = text.split(",") if text else []
     counts = Counter(tokens)
@@ -245,10 +245,11 @@ def _parse_cycle_type(text: str) -> CycleType:
         raise UsageError(exc) from None
     if values and min(values.values()) < 1:
         raise UsageError(f"cycle lengths must be >= 1, got {list(map(values.get, tokens))}")
-    cycles: list[int] = []
+    lengths: dict[int, int] = {}
     for token, count in counts.items():
-        cycles += [values[token]] * count
-    return CycleType(cycles)
+        value = values[token]
+        lengths[value] = lengths.get(value, 0) + count
+    return CycleType.of_counts(lengths)
 
 
 def cmd_char(args) -> int:

@@ -49,7 +49,8 @@ inner as one shared object per shape.
 ``_beta_dim`` counts f^lam from a beta-set by the beta-number formula
 (James--Kerber 1981, 2.7), with the long top row of a stable shape
 (n - k, lam) as one short falling factorial; it gives f^outer to each
-record and the leaf dimensions to Murnaghan--Nakayama in ``characters``.
+record and fills the memo of dimensions in ``characters``, from which
+Murnaghan--Nakayama's bead ratio starts.
 ``dim_syt`` stays the hook-run formula, a second route to the same
 numbers.
 """

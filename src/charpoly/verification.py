@@ -14,7 +14,10 @@ and, for characters and the stable-range polynomials,
 Murnaghan--Nakayama peeling every fixed point, the Frobenius and
 vertical-strip evaluators (the latter as one polynomial in n per
 support), interpolation of Murnaghan--Nakayama values and the
-peel-order and orthogonality laws.
+peel-order and orthogonality laws.  Frobenius's residue formula at one
+r-cycle (``character_residue``), in integer power series with f from
+the hook formula, is a third route for the paper's case that the tier-1
+tests hold against Murnaghan--Nakayama; no suite runs it yet.
 
 The second derivations and helpers that only the suites use live here
 too, each next to its suite, each one plain function of its inputs: the
@@ -47,14 +50,14 @@ import random
 import time
 from functools import cache, lru_cache
 from itertools import compress, repeat
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from operator import eq, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .binom_poly import BinomPoly, eval_poly
 from .characters import (
     CycleType,
-    _leaf_dim,
+    _leaf_dims,
     _mn,
     _peel,
     character_frobenius_transposition,
@@ -491,6 +494,39 @@ def check_frobenius_vs_mn(bounds: Bounds) -> SuiteResult:
     return res
 
 
+def character_residue(mu: Partition, r: int) -> int:
+    """Character of shape ``mu`` at one r-cycle plus |mu| - r fixed
+    points, by Frobenius's residue formula (Frobenius 1900; Ivanov and
+    Olshanski 2002): with phi(u) = prod_i (u + i) / (u - mu_i + i),
+
+        (n)_r chi / f^mu = -(1/r) [u^-1] (u)_r phi(u) / phi(u - r).
+
+    In t = 1/u, (u)_r phi(u) / phi(u - r) = u^r S(t), with S a product of
+    factors 1 + c t and their inverses, so its [u^-1] is the coefficient
+    of t^(r + 1) in S.  S is kept in integers, truncated past t^(r + 1),
+    one factor at a time, and one exact division ends it.  f^mu comes
+    from the hook formula; there are no beta-sets, strips or bead ratios.
+    """
+    n = mu.size
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= |mu| = {n}, got r = {r}")
+    series = [1] + [0] * (r + 1)
+    ups = [-j for j in range(r)]
+    downs = []
+    for i, p in enumerate(mu, 1):
+        ups += [i, i - r - p]
+        downs += [i - p, i - r]
+    for c in ups:  # times 1 + c t
+        for k in range(r + 1, 0, -1):
+            series[k] += c * series[k - 1]
+    for c in downs:  # over 1 + c t
+        for k in range(1, r + 2):
+            series[k] -= c * series[k - 1]
+    value, rem = divmod(-dim_syt(mu) * series[r + 1], r * perm(n, r))
+    assert rem == 0, f"residue not divisible for mu={list(mu)} r={r}"
+    return value
+
+
 def _recpart_cases(res: SuiteResult, bounds: Bounds, lo: int, hi: int) -> SuiteResult:
     """Check recpart against MN into ``res`` at every n from
     max(k + lam_1 + lo, |support|) up to k + lam_1 + hi; the recpart
@@ -550,14 +586,16 @@ def _mn_ascending(mu: Partition, walk: list[tuple[int, int, tuple[int, ...]]]) -
         del layers[shared + 1 :]
         for r in rest:
             layers.append(_peel(layers[-1], r))
-        values[i] = sum(c * _leaf_dim(mask) for mask, c in layers[-1].items())
+        values[i] = sum(c * _leaf_dims[mask] for mask, c in layers[-1].items())
     return values
 
 
 def check_mn_peel_order(bounds: Bounds) -> SuiteResult:
     """Murnaghan--Nakayama does not depend on the order of the cycles:
     ``character_mn`` peels the cycles of length >= 2 in decreasing order
-    and ends at the leaf dimensions, the ascending walk peels every cycle."""
+    and reads its last layer's leaves back from the memo or counts them by
+    the bead ratio, the ascending walk peels every cycle and sums the
+    memo's ``_beta_dim`` counts."""
     res = SuiteResult("mn_peel_order")
     for n in range(bounds.max_k + 1):
         cts = _partitions(n)

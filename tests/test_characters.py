@@ -1,10 +1,11 @@
 import random
+from functools import cache
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from charpoly import characters, verification
+from charpoly import characters, tableaux, verification
 from charpoly.characters import (
     CycleType,
     OutOfStableRange,
@@ -17,11 +18,12 @@ from charpoly.characters import (
     recpart_poly,
 )
 from charpoly.binom_poly import BinomPoly
-from charpoly.partitions import Partition, _shape
+from charpoly.partitions import Partition, _beta, _shape
 from charpoly.tableaux import dim_syt
 from charpoly.verification import (
     Bounds,
     centralizer_order,
+    character_residue,
     check_column_orthogonality,
     check_frobenius_vs_mn,
     check_mn_identity_is_dimension,
@@ -48,6 +50,22 @@ class TestCycleType:
         assert repr(a) == "CycleType(cycles=Partition(2, 1, 1))"
         with pytest.raises(AttributeError):
             a.cycles = Partition([3])
+
+    def test_fixed_points_kept_as_a_count(self):
+        ct = CycleType([1, 3, 1, 2, 1])
+        assert (ct.support, ct.fixed, ct.n) == (Partition([3, 2]), 3, 8)
+        assert ct.cycles == Partition([3, 2, 1, 1, 1])
+        assert ct == CycleType.of_counts({1: 3, 2: 1, 3: 1})
+        assert ct.multiplicities() == {3: 1, 2: 1, 1: 3}
+        assert CycleType.of_counts({1: 10**6}).support == Partition()
+
+    @pytest.mark.parametrize("cycles", [[2, 0, 5, 1, 0], [2, 0], [0], [3, -1], [-2, 2]])
+    def test_lengths_below_one_rejected(self, cycles):
+        # a 0 used to vanish: CycleType([2, 0]) == CycleType([2])
+        with pytest.raises(ValueError, match=f"cycle lengths must be >= 1, got {min(cycles)}$"):
+            CycleType(cycles)
+        with pytest.raises(ValueError):
+            CycleType.of_counts({c: 1 for c in cycles})
 
     def test_centralizer(self):
         # (2,1,1) in S_4: z = 2 * 1!^... = 2 * 1 * 2! = 4
@@ -130,11 +148,11 @@ class TestMurnaghanNakayama:
             characters, "_beta_dim",
             lambda mask: real(mask) + (_shape(mask) == Partition([2, 1])),
         )
-        characters._leaf_dim.cache_clear()
+        characters._leaf_dims.clear()
         try:
             assert not check_mn_peel_order(Bounds(4, 3, 2)).ok
         finally:
-            characters._leaf_dim.cache_clear()
+            characters._leaf_dims.clear()
 
     def test_ascending_walk_matches_mn(self):
         # the shared-prefix walk against one ascending peel per cycle type
@@ -158,6 +176,111 @@ class TestMurnaghanNakayama:
         monkeypatch.setattr(verification, "_peel", counted)
         assert check_mn_peel_order(Bounds()).ok
         assert len(peels) <= 3_297
+
+
+_beta_dims = cache(tableaux._beta_dim)
+
+
+def _mn_per_strip(mu, cycles):
+    # the route the bead ratio replaced: every cycle peeled, then each leaf
+    # counted from its beads by _beta_dim
+    layer = {_beta(mu, len(mu)): 1}
+    for r in cycles:
+        layer = characters._peel(layer, r)
+    return sum(c * _beta_dims(mask) for mask, c in layer.items())
+
+
+def _staircase(rows):
+    return Partition(range(rows, 0, -1))
+
+
+def _at_r_cycle(mu, r):
+    return CycleType([r] + [1] * (mu.size - r))
+
+
+@cache
+def _staircase_values():
+    # character_mn on every staircase through 100 rows at each r <= 8
+    return {(rows, r): character_mn(_staircase(rows), _at_r_cycle(_staircase(rows), r))
+            for rows in range(1, 101) for r in range(1, 9) if r <= rows * (rows + 1) // 2}
+
+
+class TestBeadRatio:
+    def test_matches_per_strip_route_through_eleven(self):
+        pairs = 0
+        for n in range(12):
+            cts = list(partitions_of(n))
+            for mu in cts:
+                for ct in cts:
+                    support = [c for c in ct if c > 1]
+                    assert character_mn(mu, CycleType(ct)) == _mn_per_strip(mu, support), (mu, ct)
+                    pairs += 1
+        assert pairs == 6_719
+
+    def test_matches_per_strip_route_on_staircases(self):
+        # the per-strip route spends about 3 ms per leaf at 100 rows, so it
+        # samples the staircases that the residue route below checks in full
+        values = _staircase_values()
+        for rows in [*range(1, 21), 50, 100]:
+            for r in range(1, 9):
+                if (rows, r) in values:
+                    assert values[rows, r] == _mn_per_strip(_staircase(rows), [r]), (rows, r)
+
+    @pytest.mark.parametrize("m", range(1, 61))
+    def test_matches_per_strip_route_on_two_row_squares(self, m):
+        mu = Partition([m, m])
+        assert character_mn(mu, CycleType([2] * m)) == _mn_per_strip(mu, [2] * m)
+
+    def test_new_leaves_not_written_to_the_memo(self):
+        # the oracles read the memo, so it must hold only _beta_dim's counts
+        characters._leaf_dims.clear()
+        try:
+            mu = _staircase(20)
+            character_mn(mu, _at_r_cycle(mu, 5))
+            assert list(characters._leaf_dims) == [_beta(mu, len(mu))]
+        finally:
+            characters._leaf_dims.clear()
+
+
+class TestResidueRoute:
+    def test_matches_mn_through_ten(self):
+        pairs = 0
+        for n in range(1, 11):
+            for mu in partitions_of(n):
+                for r in range(1, n + 1):
+                    assert character_residue(mu, r) == character_mn(mu, _at_r_cycle(mu, r)), (mu, r)
+                    pairs += 1
+        assert pairs == 1_106
+
+    def test_matches_mn_on_staircases(self):
+        for (rows, r), value in _staircase_values().items():
+            assert character_residue(_staircase(rows), r) == value, (rows, r)
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_cycle_must_fit(self, r):
+        with pytest.raises(ValueError):
+            character_residue(Partition([2, 1]), r)
+
+
+class TestWorkBound:
+    def test_staircase_counts_one_dimension(self, monkeypatch):
+        # the 100-row staircase at a 5-cycle has 98 leaves, each counted
+        # by the bead ratio from the one _beta_dim count of the staircase
+        mu, want = _staircase(100), _staircase_values()[100, 5]
+        calls = []
+        real = tableaux._beta_dim
+
+        def counted(mask):
+            calls.append(mask)
+            return real(mask)
+
+        monkeypatch.setattr(characters, "_beta_dim", counted)
+        characters._leaf_dims.clear()
+        try:
+            assert character_mn(mu, _at_r_cycle(mu, 5)) == want
+        finally:
+            characters._leaf_dims.clear()
+        assert len(calls) <= 1
 
 
 class TestFrobenius:

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from importlib.resources import files
 from math import comb
 from pathlib import Path
@@ -25,7 +26,7 @@ from charpoly.characters import (
 )
 import charpoly.cli as cli
 from charpoly.cli import main, parse_partition
-from charpoly.partitions import NotWeaklyDecreasing, Partition
+from charpoly.partitions import NotWeaklyDecreasing, Partition, _known_valid
 from charpoly.stability import SignedPartition
 from charpoly.tableaux import dim_syt
 import charpoly.stability as stability
@@ -432,6 +433,56 @@ def _parsed(parse, text):
         return f"UsageError: {exc}"
 
 
+class _ListedCycleType:
+    # CycleType before it kept its fixed points as a count: all the
+    # lengths as one sorted Partition
+    __slots__ = ("cycles",)
+
+    def __init__(self, cycles=()):
+        cycles = sorted(cycles, reverse=True)
+        parts = _known_valid(cycles) if cycles and cycles[-1] >= 1 else Partition(cycles)
+        object.__setattr__(self, "cycles", parts)
+
+    def __hash__(self):
+        return hash(self.cycles)
+
+    def __repr__(self):
+        return f"CycleType(cycles={self.cycles!r})"
+
+    @property
+    def n(self):
+        return self.cycles.size
+
+    def multiplicities(self):
+        return dict(Counter(self.cycles))
+
+
+def _parse_cycle_type_listing(text, cycle_type=CycleType):
+    # the parse that built the cycle type from a list of its n cycles
+    text = text.strip()
+    tokens = text.split(",") if text else []
+    counts = Counter(tokens)
+    try:
+        values = {token: int(token) for token in counts}
+    except ValueError as exc:
+        raise cli.UsageError(exc) from None
+    if values and min(values.values()) < 1:
+        raise cli.UsageError(f"cycle lengths must be >= 1, got {list(map(values.get, tokens))}")
+    cycles = []
+    for token, count in counts.items():
+        cycles += [values[token]] * count
+    return cycle_type(cycles)
+
+
+def _surface(ct):
+    """Everything a caller can read off a cycle type, the key order included."""
+    counts = ct.multiplicities()
+    return hash(ct), repr(ct), ct.cycles, type(ct.cycles), ct.n, counts, list(counts)
+
+
+_CYCLE_TOKENS = ["1", "2", "3", "7", "01", " 2", "+3", "2 ", "", "0", "-1", "-0", "x", "1.5"]
+
+
 class TestParseCycleType:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(
@@ -440,6 +491,28 @@ class TestParseCycleType:
     def test_same_as_reading_every_token(self, tokens):
         text = ",".join(tokens)
         assert _parsed(cli._parse_cycle_type, text) == _parsed(_parse_cycle_type_by_token, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_CYCLE_TOKENS), max_size=12), st.randoms())
+    def test_same_as_listing_every_cycle(self, tokens, rng):
+        rng.shuffle(tokens)
+        text = ",".join(tokens)
+        new, old = _parsed(cli._parse_cycle_type, text), _parsed(_parse_cycle_type_listing, text)
+        if isinstance(old, str):
+            assert new == old
+            return
+        assert new == old and _surface(new) == _surface(old)
+        assert _surface(new) == _surface(_parse_cycle_type_listing(text, _ListedCycleType))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 6), max_size=12), st.randoms())
+    def test_constructor_same_as_listed_class(self, lengths, rng):
+        rng.shuffle(lengths)
+        want = _surface(_ListedCycleType(lengths))
+        for cycles in (lengths, tuple(lengths), iter(lengths), Partition(sorted(lengths)[::-1])):
+            ct = CycleType(cycles)
+            assert _surface(ct) == want
+            assert ct == CycleType.of_counts(Counter(lengths))
 
 
 class TestExitCodes:

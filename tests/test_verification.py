@@ -31,7 +31,9 @@ _r_primary = stability.r_primary
 _primaries = stability._primaries
 _b_vector = stability._b_vector
 _peel = characters._peel
-_leaf_dim = characters._leaf_dim
+_by_ratio = characters._by_ratio
+_at_cycle = characters._at_cycle
+_mn = characters._mn
 _skew_count = tableaux._skew_count
 _beta_dim = tableaux._beta_dim
 _dim_syt = tableaux.dim_syt
@@ -41,8 +43,9 @@ _transpose = partitions.transpose
 def _clear_memos():
     # a mutant's values stay in these memos after it is undone
     for memo in (tableaux._skew_count, tableaux._record, tableaux._frobenius,
-                 characters._leaf_dim, _r_primary, _primaries, verification._fillings):
+                 _r_primary, _primaries, verification._fillings):
         memo.cache_clear()
+    characters._leaf_dims.clear()
 
 
 def _det_negated_on_2x2(rec, alpha, beta):
@@ -76,8 +79,33 @@ def _peel_unsigned_at_2(layer, r):
     return peeled
 
 
-def _leaf_dim_plus_one_at_4(mask):
-    return _leaf_dim(mask) + (partitions._size(mask) == 4)
+def _at_cycle_unsigned_at_2(mask, r):
+    if r != 2:
+        return _at_cycle(mask, r)
+    return sum(characters._leaf_dims[rest] for rest in _peel({mask: 1}, r))
+
+
+# on the leaves MN sums, not in the memo: a parent's f off by one would make
+# the bead ratio non-integral, and the suites would crash instead of counting
+def _leaf_dim_plus_one_at_4(mask, r):
+    # f + 1 on each last-layer leaf of 4 boxes, under the leaf's sign
+    return _at_cycle(mask, r) + sum(
+        -1 if leg & 1 else 1 for leg, rest in _strips(mask, r) if partitions._size(rest) == 4)
+
+
+def _mn_leaf_plus_one_at_4(mu, cycles):
+    # with no cycle left to peel, mu itself is the leaf
+    return _mn(mu, cycles) + (not cycles and sum(mu) == 4)
+
+
+def _ratio_sign_applied_twice(mask, r, leaves):
+    # the peel's (-1)^leg on top of the sign the bead ratio carries
+    total = 0
+    for leg, rest in _strips(mask, r):
+        if rest in leaves:
+            dim = _by_ratio(mask, r, [rest])
+            total += -dim if leg & 1 else dim
+    return total
 
 
 # a sign flip, not a +1: a count off by one trips the integrality asserts
@@ -145,11 +173,13 @@ MUTANTS = {
         {
             "skew_hook_bruteforce": (
                 661, "lam=[3] r=3: malformed hook SkewHook(leg_length=1, complement=Partition())"),
-            "recpart_vs_mn": (196, "lam=[] support=[3] n=6: recpart 1 != mn -1"),
-            "main_oracle": (466, "lam=[] r=3 n=3: poly 1 != mn -1"),
+            "recpart_vs_mn": (171, "lam=[] support=[3] n=9: recpart 1 != mn -1"),
+            "mn_peel_order": (
+                16, "mu=[3, 1, 1, 1] ct=[3, 1, 1, 1]: peel order changed value 1 -> -1"),
+            "main_oracle": (454, "lam=[] r=3 n=3: poly 1 != mn -1"),
             "interpolation_route": (30, "lam=[] r=3: interpolated (-1,) != (1,)"),
-            "main_band": (71, "lam=[1] r=3 n=3: poly -1 != mn 1"),
-            "recpart_band": (205, "lam=[] support=[3] n=3: recpart 1 != mn -1"),
+            "main_band": (62, "lam=[1] r=3 n=3: poly -1 != mn 1"),
+            "recpart_band": (200, "lam=[] support=[3] n=3: recpart 1 != mn -1"),
         },
     ),
     "eval_plus_one_at_13": (
@@ -181,7 +211,8 @@ MUTANTS = {
     ),
     "peel_unsigned_at_2": (
         [(characters, "_peel", _peel_unsigned_at_2),
-         (verification, "_peel", _peel_unsigned_at_2)],
+         (verification, "_peel", _peel_unsigned_at_2),
+         (characters, "_at_cycle", _at_cycle_unsigned_at_2)],
         {
             "frobenius_vs_mn": (96, "mu=[1, 1]: frobenius -1 != mn 1"),
             "recpart_vs_mn": (128, "lam=[2, 1] support=[2] n=11: recpart 103 != mn 105"),
@@ -194,19 +225,34 @@ MUTANTS = {
         },
     ),
     "leaf_dim_plus_one_at_4": (
-        [(characters, "_leaf_dim", _leaf_dim_plus_one_at_4),
-         (verification, "_leaf_dim", _leaf_dim_plus_one_at_4)],
+        [(characters, "_at_cycle", _leaf_dim_plus_one_at_4),
+         (characters, "_mn", _mn_leaf_plus_one_at_4)],
         {
             "mn_identity_is_dimension": (
                 5, "mu=[4]: MN peel 1, MN at identity 2, tableaux 1 differ"),
             "frobenius_vs_mn": (6, "mu=[6]: frobenius 1 != mn 2"),
-            "recpart_vs_mn": (553, "lam=[] support=[2] n=6: recpart 1 != mn 2"),
+            "recpart_vs_mn": (25, "lam=[] support=[2] n=6: recpart 1 != mn 2"),
             "mn_peel_order": (55, "mu=[4] ct=[1, 1, 1, 1]: peel order changed value 2 -> 1"),
             "column_orthogonality": (2, "n=4 ct=[1, 1, 1, 1]: 49 != centralizer order"),
             "main_oracle": (26, "lam=[] r=1 n=4: poly 1 != mn 2"),
             "interpolation_route": (9, "lam=[1] r=1: interpolated (-2, 2) != (0, 1)"),
             "main_band": (21, "lam=[2] r=1 n=4: poly 2 != mn 3"),
-            "recpart_band": (605, "lam=[] support=[] n=4: recpart 1 != mn 2"),
+            "recpart_band": (99, "lam=[] support=[] n=4: recpart 1 != mn 2"),
+        },
+    ),
+    "ratio_sign_applied_twice": (
+        [(characters, "_by_ratio", _ratio_sign_applied_twice)],
+        {
+            "frobenius_vs_mn": (71, "mu=[1, 1]: frobenius -1 != mn 1"),
+            "recpart_vs_mn": (159, "lam=[1, 1] support=[2] n=9: recpart 14 != mn 16"),
+            "mn_peel_order": (
+                62, "mu=[4, 1, 1] ct=[2, 1, 1, 1, 1]: peel order changed value 4 -> 2"),
+            "column_orthogonality": (2, "n=6 ct=[2, 1, 1, 1, 1]: 64 != centralizer order"),
+            "main_oracle": (512, "lam=[1, 1] r=2 n=6: poly 2 != mn 4"),
+            "interpolation_route": (
+                26, "lam=[1, 1] r=2: interpolated (-30, 13, -3) != (0, -1, 1)"),
+            "main_band": (38, "lam=[2, 1] r=3 n=7: poly -1 != mn 1"),
+            "recpart_band": (96, "lam=[1, 1] support=[2] n=6: recpart 2 != mn 4"),
         },
     ),
     "beta_dim_negated_at_5": (
@@ -218,22 +264,23 @@ MUTANTS = {
             "dim_equals_skew_over_empty": (7, "lam=[5]: hook formula != skew count"),
             "mn_identity_is_dimension": (
                 7, "mu=[5]: MN peel 1, MN at identity -1, tableaux 1 differ"),
-            "frobenius_vs_mn": (14, "mu=[7]: frobenius 1 != mn -1"),
-            "recpart_vs_mn": (348, "lam=[] support=[2] n=7: recpart 1 != mn -1"),
+            "frobenius_vs_mn": (16, "mu=[3, 2]: frobenius 1 != mn -1"),
+            "recpart_vs_mn": (351, "lam=[] support=[2] n=7: recpart 1 != mn -1"),
             "mn_peel_order": (
-                42, "mu=[5] ct=[1, 1, 1, 1, 1]: peel order changed value -1 -> 1"),
-            "main_oracle": (328, "lam=[] r=1 n=5: poly 1 != mn -1"),
+                55, "mu=[5] ct=[1, 1, 1, 1, 1]: peel order changed value -1 -> 1"),
+            "column_orthogonality": (1, "n=7 ct=[2, 1, 1, 1, 1, 1]: 384 != centralizer order"),
+            "main_oracle": (330, "lam=[] r=1 n=5: poly 1 != mn -1"),
             "coefficient_recurrence": (443, "lam=[5] h=0 r=1: -1 != corner sum 1"),
             "leading_coefficient": (42, "lam=[5] r=1: b[0] = -1 != dim"),
             "interpolation_route": (
-                44, "lam=[2] r=1: interpolated (-151, 50, -9) != (-1, 0, 1)"),
+                46, "lam=[2] r=1: interpolated (-151, 50, -9) != (-1, 0, 1)"),
             "frobenius_route": (47, "lam=[5] n=12: poly -117 != frobenius 117"),
             "constant_coeff_routes": (13, "lam=[5] r=4: primary 1, strips 1, main -1"),
             "basis2_forms": (
                 4, "case 1 k=5: char_poly b [-1, -1, 0, 0, 0, 0] "
                    "!= closed form [1, 1, 0, 0, 0, 0]"),
             "main_band": (69, "lam=[3] r=2 n=7: poly 4 != mn -4"),
-            "recpart_band": (381, "lam=[] support=[] n=5: recpart 1 != mn -1"),
+            "recpart_band": (393, "lam=[] support=[] n=5: recpart 1 != mn -1"),
         },
     ),
     "dim_syt_negated_at_5": (
