@@ -11,37 +11,27 @@ only the checks use, live in ``verification``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Sequence
 
 
-class BinomPoly:
+class BinomPoly(namedtuple("BinomPoly", ("shift", "coeffs"))):
     """Coefficients over the basis {C(x - shift, m)}_m, trailing zeros stripped.
 
-    Immutable and hashable; equal when shift and coefficients are.
+    An immutable tuple (shift, coeffs), so it compares, hashes, copies and
+    pickles as one.  A ``collections.namedtuple``, not a
+    ``typing.NamedTuple``, since the constructor strips the zeros and
+    ``typing.NamedTuple`` refuses a ``__new__``; ``_replace`` and ``_make``
+    take their fields as given.
     """
 
-    __slots__ = ("shift", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, shift: int, coeffs: Sequence[int] = ()):
+    def __new__(cls, shift: int, coeffs: Sequence[int] = ()) -> BinomPoly:
         coeffs = tuple(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not BinomPoly:
-            return NotImplemented
-        return self.shift == other.shift and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.shift, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"BinomPoly(shift={self.shift!r}, coeffs={self.coeffs!r})"
+        return super().__new__(cls, shift, coeffs)
 
 
 def eval_poly(p: BinomPoly, x: int) -> int:

@@ -29,13 +29,14 @@ factorial.  Frobenius's formula counts by the hook formula
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from math import comb, perm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .binom_poly import BinomPoly, eval_poly
 from .partitions import (
     Partition,
+    _beads,
     _beta,
     _known_valid,
     _size,
@@ -60,50 +61,46 @@ class OutOfStableRange(ValueError):
     """n is below the validity threshold of the stable-range formula."""
 
 
-class CycleType:
+class CycleType(namedtuple("CycleType", ("support", "fixed"))):
     """Cycle type of a permutation: its cycles of length at least 2, as a
     sorted Partition (``support``), and its number of fixed points
     (``fixed``), so a permutation of n with few moved points costs a few
     numbers, not n.
 
-    Immutable and hashable.  The constructor takes all the cycle lengths,
-    fixed points included, in any order; ``of_counts`` takes the number of
-    cycles of each length.  ``cycles``, all the lengths as one sorted
-    Partition, is built when it is asked for.
+    An immutable tuple (support, fixed), so it compares, copies and pickles
+    as one, but it hashes and prints as ``cycles``: all the lengths as one
+    sorted Partition, built when it is asked for.  The constructor takes
+    all the cycle lengths, fixed points included, in any order;
+    ``of_counts`` takes the number of cycles of each length, and a pickle
+    holds those counts, not the n cycles.  A ``collections.namedtuple``,
+    not a ``typing.NamedTuple``, since the constructor normalises and
+    ``typing.NamedTuple`` refuses a ``__new__``; ``_replace`` and ``_make``
+    take their fields as given.
     """
 
-    __slots__ = ("support", "fixed", "n")
+    __slots__ = ()
 
-    def __init__(self, cycles: Iterable[int] = ()):
-        self._set_counts(Counter(cycles))
+    def __new__(cls, cycles: Iterable[int] = ()) -> CycleType:
+        return cls.of_counts(Counter(cycles))
 
     @classmethod
     def of_counts(cls, counts: Mapping[int, int]) -> CycleType:
         """The cycle type with ``counts[c]`` cycles of length c."""
-        ct = cls.__new__(cls)
-        ct._set_counts(counts)
-        return ct
-
-    def _set_counts(self, counts: Mapping[int, int]) -> None:
         lengths = sorted(counts, reverse=True)
         if lengths and lengths[-1] < 1:
             raise ValueError(f"cycle lengths must be >= 1, got {lengths[-1]}")
         support: list[int] = []
         for c in lengths:
+            if counts[c] < 0:
+                raise ValueError(f"cycle counts must be >= 0, got {counts[c]} of length {c}")
             if c > 1:
                 support += [c] * counts[c]
-        fixed = counts.get(1, 0)
-        object.__setattr__(self, "support", _known_valid(support))
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "n", sum(support) + fixed)
+        return tuple.__new__(cls, (_known_valid(support), counts.get(1, 0)))
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not CycleType:
-            return NotImplemented
-        return self.fixed == other.fixed and self.support == other.support
+    def __reduce__(self):
+        # the counts of each length, not the default's fields, which
+        # __new__ would read as cycle lengths
+        return type(self).of_counts, (self.multiplicities(),)
 
     def __hash__(self) -> int:
         return hash(self.cycles)
@@ -112,10 +109,13 @@ class CycleType:
         return f"CycleType(cycles={self.cycles!r})"
 
     @property
+    def n(self) -> int:
+        return sum(self.support) + self.fixed
+
+    @property
     def cycles(self) -> Partition:
         return _known_valid(self.support + (1,) * self.fixed)
 
-    # check-only; kept here because perfbench/checks.py calls it
     def multiplicities(self) -> dict[int, int]:
         """Map cycle length i -> number of cycles of that length."""
         counts = Counter(self.support)
@@ -167,11 +167,7 @@ def _by_ratio(mask: int, r: int, leaves: list[int]) -> int:
     f = _leaf_dims[mask]
     # the beads of zero parts, at the bottom, change no ratio
     zeros = (~mask & mask + 1).bit_length() - 1
-    beads, rest = [], mask >> zeros
-    while rest:
-        top = rest.bit_length() - 1
-        beads.append(top)
-        rest ^= 1 << top
+    beads = _beads(mask >> zeros)
     n = sum(beads) - len(beads) * (len(beads) - 1) // 2
     total, falling = 0, perm(n, r)
     for leaf in leaves:

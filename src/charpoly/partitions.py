@@ -1,7 +1,8 @@
 """Partitions and shape-level combinatorics: transpose, containment,
 vertical strips, and the beta-set of a shape held as one int, one bit
-per bead (``_beta`` encodes, ``_shape`` decodes).  ``_strips`` is the
-one border-strip step, for the character peel in ``characters``.
+per bead (``_beta`` encodes, ``_shape`` decodes, ``_beads`` lists the
+beads).  ``_strips`` is the one border-strip step, for the character
+peel in ``characters``.
 
 All values here are immutable and all functions are pure, so everything
 is safe to share between threads and to memoize.
@@ -104,16 +105,23 @@ def _shape(mask: int) -> Partition:
     return _known_valid([p for p in parts if p][::-1])
 
 
+def _beads(mask: int) -> list[int]:
+    """The bead positions of the beta-set ``mask``, in descending order:
+    the one loop that peels the bits off a beta-set."""
+    beads = []
+    while mask:
+        top = mask.bit_length() - 1
+        beads.append(top)
+        mask -= 1 << top
+    return beads
+
+
 def _size(mask: int) -> int:
     """|lam| for the beta-set ``mask``, without decoding it: the bead
     positions summed, less those of the empty partition with as many
     beads (0, 1, ..., beads - 1)."""
-    beads, total = mask.bit_count(), 0
-    while mask:
-        t = mask.bit_length() - 1
-        total += t
-        mask ^= 1 << t
-    return total - beads * (beads - 1) // 2
+    beads = _beads(mask)
+    return sum(beads) - len(beads) * (len(beads) - 1) // 2
 
 
 def _strips(mask: int, r: int) -> Iterator[tuple[int, int]]:

@@ -60,7 +60,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial, perm, prod
 
-from .partitions import Partition, _beta, contains, transpose
+from .partitions import Partition, _beads, _beta, contains, transpose
 
 
 # check-only (the second route to _beta_dim); kept here because perfbench/checks.py imports it
@@ -108,12 +108,7 @@ def _beta_dim(mask: int) -> int:
     if 2 * mask.bit_count() > top + 1:
         # more beads than gaps below the top one: the gaps g, as top - g
         mask = int(format(mask ^ (1 << top + 1) - 1, f"0{top + 1}b")[::-1], 2)
-    mask ^= 1 << top
-    rows = []  # the beads below the top one, ascending
-    while mask:
-        low = mask & -mask
-        rows.append(low.bit_length() - 1)
-        mask ^= low
+    rows = _beads(mask)[:0:-1]  # the beads below the top one, ascending
     n = top + sum(rows) - len(rows) * (len(rows) + 1) // 2
     hooks, start = 1, 0
     for i, b in enumerate(rows):

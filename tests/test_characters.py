@@ -67,6 +67,19 @@ class TestCycleType:
         with pytest.raises(ValueError):
             CycleType.of_counts({c: 1 for c in cycles})
 
+    @pytest.mark.parametrize("counts, length, count", [
+        ({1: -5}, 1, -5), ({2: -1, 1: 3}, 2, -1), ({3: 2, 2: -4, 1: 1}, 2, -4), ({3: -1}, 3, -1)])
+    def test_negative_counts_rejected(self, counts, length, count):
+        # a negative count used to vanish from the support but not from n:
+        # of_counts({2: -1, 1: 3}) == CycleType([1, 1, 1]), and
+        # of_counts({1: -5}).n == -5 with the cycles of the identity of S_0
+        with pytest.raises(ValueError, match=f"got {count} of length {length}$"):
+            CycleType.of_counts(counts)
+
+    def test_zero_counts_dropped(self):
+        assert CycleType.of_counts({3: 0}) == CycleType([])
+        assert CycleType.of_counts({3: 0, 2: 1, 1: 0}) == CycleType([2])
+
     def test_centralizer(self):
         # (2,1,1) in S_4: z = 2 * 1!^... = 2 * 1 * 2! = 4
         assert centralizer_order(CycleType([2, 1, 1])) == 4

@@ -394,6 +394,49 @@ def test_suites_catch_mutant(mutant, monkeypatch):
     assert got == want
 
 
+def _tall_residue_disagreements():
+    """(cases, the (lam, r, n) where they differ) of the residue route at
+    (n - k, lam) against char_poly(lam, r) at n, over tall lam: every lam
+    of at most 8 boxes with more rows than columns, the columns (1^9) to
+    (1^12) and (2^m, 1^j) for 1 <= m <= 4 and 5 <= j <= 7, at r <= 6 and
+    every n from k + lam_1 + r to 3 past it."""
+    lams = {lam for k in range(9) for lam in verification.partitions_of(k)
+            if lam and len(lam) > lam[0]}
+    lams |= {partitions.Partition([1] * c) for c in range(9, 13)}
+    lams |= {partitions.Partition([2] * m + [1] * j) for m in range(1, 5) for j in range(5, 8)}
+    cases, bad = 0, []
+    for lam in sorted(lams):
+        k = lam.size
+        for r in range(1, 7):
+            poly = stability.char_poly(lam, r).poly
+            for n in range(k + lam[0] + r, k + lam[0] + r + 4):
+                cases += 1
+                mu = partitions.Partition([n - k, *lam])
+                if verification.character_residue(mu, r) != _eval_poly(poly, n):
+                    bad.append((lam, r, n))
+    return cases, bad
+
+
+def test_residue_route_matches_char_poly_on_tall_shapes():
+    # a tall lam's record holds its conjugate, so this runs the swapped
+    # orientation of _Record.term against a route that shares no code with it
+    assert _tall_residue_disagreements() == (1_008, [])
+
+
+def test_residue_route_catches_beta_dim_without_mn(monkeypatch):
+    # the residue route counts f by the hook formula, so a _beta_dim slip
+    # shows without MN
+    _clear_memos()
+    try:
+        for module in (tableaux, characters):
+            monkeypatch.setattr(module, "_beta_dim", _beta_dim_negated_at_5)
+        cases, bad = _tall_residue_disagreements()
+    finally:
+        monkeypatch.undo()
+        _clear_memos()
+    assert (cases, len(bad), bad[0]) == (1_008, 68, (partitions.Partition([1] * 5), 1, 7))
+
+
 def _verify_under(patches, monkeypatch, capsys):
     """(exit code, stdout, stderr) of a small ``verify`` with ``patches`` in place."""
     _clear_memos()
