@@ -12,7 +12,7 @@ only the checks use, live in ``verification``.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class BinomPoly(namedtuple("BinomPoly", ("shift", "coeffs"))):
@@ -21,8 +21,8 @@ class BinomPoly(namedtuple("BinomPoly", ("shift", "coeffs"))):
     An immutable tuple (shift, coeffs), so it compares, hashes, copies and
     pickles as one.  A ``collections.namedtuple``, not a
     ``typing.NamedTuple``, since the constructor strips the zeros and
-    ``typing.NamedTuple`` refuses a ``__new__``; ``_replace`` and ``_make``
-    take their fields as given.
+    ``typing.NamedTuple`` refuses a ``__new__``; ``_make``, and so
+    ``_replace``, go through the constructor and strip them too.
     """
 
     __slots__ = ()
@@ -32,6 +32,13 @@ class BinomPoly(namedtuple("BinomPoly", ("shift", "coeffs"))):
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         return super().__new__(cls, shift, coeffs)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> BinomPoly:
+        """The polynomial with the fields (shift, coeffs) of ``iterable``,
+        built by the constructor; ``_replace`` builds through this."""
+        shift, coeffs = iterable
+        return cls(shift, coeffs)
 
 
 def eval_poly(p: BinomPoly, x: int) -> int:

@@ -74,8 +74,8 @@ class CycleType(namedtuple("CycleType", ("support", "fixed"))):
     ``of_counts`` takes the number of cycles of each length, and a pickle
     holds those counts, not the n cycles.  A ``collections.namedtuple``,
     not a ``typing.NamedTuple``, since the constructor normalises and
-    ``typing.NamedTuple`` refuses a ``__new__``; ``_replace`` and ``_make``
-    take their fields as given.
+    ``typing.NamedTuple`` refuses a ``__new__``; ``_make``, and so
+    ``_replace``, go through ``of_counts`` and check and normalise too.
     """
 
     __slots__ = ()
@@ -96,6 +96,16 @@ class CycleType(namedtuple("CycleType", ("support", "fixed"))):
             if c > 1:
                 support += [c] * counts[c]
         return tuple.__new__(cls, (_known_valid(support), counts.get(1, 0)))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CycleType:
+        """The cycle type with the fields (support, fixed) of ``iterable``:
+        the cycles ``support``, in any order, and ``fixed`` fixed points,
+        built by ``of_counts``; ``_replace`` builds through this."""
+        support, fixed = iterable
+        counts = Counter(support)
+        counts[1] += fixed
+        return cls.of_counts(counts)
 
     def __reduce__(self):
         # the counts of each length, not the default's fields, which

@@ -16,6 +16,14 @@ before it computes anything, raising ``UsageError`` for a bad one; only
 ``UsageError`` exits 2, so a library error raised mid-compute, even a
 ``NotWeaklyDecreasing`` or ``SizeMismatch``, is an internal error.
 
+``--mu``, ``--lambda`` and ``--ct`` take comma lists of integers, read
+by one parser, in which a token c^m stands for m copies of c (the
+exponent notation of Macdonald, *Symmetric Functions*, I.1), with c at
+least 1 and m at least 0: ``--ct 5,1^69995`` is a 5-cycle and 69,995
+fixed points, which written out would pass the 128 KiB limit Linux puts
+on one argument.  The parser reads each distinct token once, so a list
+of n parts costs Python work per distinct part, not per part.
+
 Each option is declared once, in ``_COMMANDS``.  A well-formed request
 (a command, then ``--flag value`` pairs) is read straight from that
 table by ``_parse_request``, without importing argparse.  Anything else
@@ -28,9 +36,8 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import Counter
-from contextlib import contextmanager
 from functools import cache
+from itertools import chain, groupby, repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -55,16 +62,87 @@ def _parse_ints(text: str) -> list[int]:
         raise UsageError(exc) from None
 
 
+# the most parts the c^m tokens of one option may stand for, so that a
+# short token such as 1^1000000000 cannot make a list of a billion parts
+_MAX_POWER_PARTS = 10**6
+
+
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _read_power(token: str) -> tuple[int, int]:
+    """(c, m) of a token c^m, which stands for m copies of c (Macdonald's
+    exponent notation): c at least 1 and m at least 0, each read by
+    ``int``."""
+    base, _, exponent = token.partition("^")
+    c, m = _int_or_none(base), _int_or_none(exponent)
+    if not base.strip():
+        reason = "no c before '^'"
+    elif not exponent.strip():
+        reason = "no m after '^'"
+    elif "^" in exponent:
+        reason = "more than one '^'"
+    elif c is None:
+        reason = "c is not an integer"
+    elif m is None:
+        reason = "m is not an integer"
+    elif c < 1:
+        reason = f"c must be >= 1, got {c}"
+    elif m < 0:
+        reason = f"m must be >= 0, got {m}"
+    else:
+        return c, m
+    raise UsageError(f"c^m token {token!r}: {reason}")
+
+
+def _read_values(tokens: list[str]) -> tuple[dict[str, int], dict[str, int]]:
+    """The part c of each distinct token of ``tokens``, in the order they
+    first appear, and the m of each c^m token among them.  Each distinct
+    token is read once, so a list of n parts costs Python work per
+    distinct part.  A malformed token raises the ``UsageError`` of the
+    first one in order."""
+    values, powers = dict.fromkeys(tokens), {}
+    for token in values:
+        if "^" in token:
+            values[token], powers[token] = _read_power(token)
+            continue
+        try:
+            values[token] = int(token)
+        except ValueError as exc:  # int's own message, as for any integer option
+            raise UsageError(exc) from None
+    return values, powers
+
+
+def _check_power_parts(parts: int) -> None:
+    """Reject c^m tokens that stand for more than ``_MAX_POWER_PARTS``
+    parts in all, before any of them is written out."""
+    if parts > _MAX_POWER_PARTS:
+        raise UsageError(f"c^m tokens stand for {parts} parts; at most {_MAX_POWER_PARTS}")
+
+
+def _written_out(tokens: list[str], values: dict[str, int], powers: dict[str, int]) -> list[int]:
+    """Every part the tokens stand for, in order: each c^m as m copies of c."""
+    if not powers:
+        return list(map(values.__getitem__, tokens))
+    _check_power_parts(sum(map(powers.get, tokens, repeat(0))))
+    copies = {token: [c] * powers.get(token, 1) for token, c in values.items()}
+    return list(chain.from_iterable(map(copies.__getitem__, tokens)))
+
+
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated descending partition; "" is the empty one.
+    A token c^m stands for m copies of c, so "3,1^4" is "3,1,1,1,1".
 
     A list that is not a partition is a usage error, with the message
-    ``Partition`` gives it."""
+    ``Partition`` gives the written-out parts."""
     text = text.strip()
-    if not text:
-        return Partition()
+    tokens = text.split(",") if text else []
     try:
-        return Partition(_parse_ints(text))
+        return Partition(_written_out(tokens, *_read_values(tokens)))
     except NotWeaklyDecreasing as exc:
         raise UsageError(exc) from None
 
@@ -87,20 +165,25 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-@contextmanager
-def _exact_output():
+# before Python 3.10.7 there is no limit: 0, which means none, and nothing to set
+_get_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_max_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
+class _exact_output:
     """Print integers of any size: lift Python's int-to-str digit limit
     until the block ends.  Enter it only once the inputs are parsed, so
-    that the limit still guards parsing."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+    that the limit still guards parsing.  A plain class, not a generator
+    context manager, which costs several times the get and set it wraps."""
+
+    __slots__ = ("_old",)
+
+    def __enter__(self) -> None:
+        self._old = _get_max_digits()
+        _set_max_digits(0)
+
+    def __exit__(self, *exc_info) -> None:
+        _set_max_digits(self._old)
 
 
 def _fmt_parts(lam: Sequence[int | str]) -> str:
@@ -229,26 +312,40 @@ def cmd_primaries(args) -> int:
 
 
 def _parse_cycle_type(text: str) -> CycleType:
-    """Parse a comma list of cycle lengths in any order, each at least 1.
+    """Parse a comma list of cycle lengths in any order, each at least 1;
+    a token c^m stands for m cycles of length c, so "5,1^3" is "5,1,1,1".
 
-    A cycle type of n has about n tokens but few distinct ones, so the
-    tokens are counted and each distinct one is read once, in the order
-    it first appears (so the first bad token is the one reported).  The
-    cycle type is built from the count of each length, with no list of
-    its n cycles."""
+    The cycle type is built from the count of each length, with no list
+    of its n cycles.  A cycle type most often ends in a long run of equal
+    tokens, its fixed points: when every token that ends with the last one
+    lies in that run, the run is counted by two string scans, making no
+    token of it.  The tokens before it are sorted in C and counted run by
+    run."""
     text = text.strip()
-    tokens = text.split(",") if text else []
-    counts = Counter(tokens)
-    try:
-        values = {token: int(token) for token in counts}
-    except ValueError as exc:
-        raise UsageError(exc) from None
-    if values and min(values.values()) < 1:
-        raise UsageError(f"cycle lengths must be >= 1, got {list(map(values.get, tokens))}")
+    if not text:
+        return CycleType()
+    last = text[text.rfind(",") + 1:]
+    copies = text.count(last + ",") + 1  # the tokens that end with the last one
+    run = ("," + last) * copies
+    if ("," + text).endswith(run):  # they are all at the end: cut them off
+        head = text[:-len(run)].split(",") if len(run) <= len(text) else []
+    else:
+        head, copies = text.split(","), 0
+    counts = {token: len(list(equal)) for token, equal in groupby(sorted(head))}
+    if copies:
+        counts[last] = copies
+        head.append(last)
+    values, powers = _read_values(head)
+    if powers:
+        _check_power_parts(sum(counts[token] * m for token, m in powers.items()))
+        counts = {token: count * powers.get(token, 1) for token, count in counts.items()}
+    if min(values.values()) < 1:
+        raise UsageError(
+            f"cycle lengths must be >= 1, got {_written_out(text.split(','), values, powers)}")
     lengths: dict[int, int] = {}
     for token, count in counts.items():
-        value = values[token]
-        lengths[value] = lengths.get(value, 0) + count
+        c = values[token]
+        lengths[c] = lengths.get(c, 0) + count
     return CycleType.of_counts(lengths)
 
 
@@ -350,7 +447,8 @@ _FORMATS = ("text", "json", "latex")
 _COMMANDS = {
     "expand": ("coefficient vector of one (lambda, r) expansion", None, cmd_expand, (
         ("--lambda", dict(dest="lam", required=True, metavar="PARTS",
-                          help='partition as descending comma list, e.g. "3,3"; "" is empty')),
+                          help='partition as descending comma list, e.g. "3,3"; "" is empty; '
+                               'c^m is m copies of c, e.g. "3^2"')),
         ("--r", dict(type=_positive_int, required=True, help="cycle length")),
         ("--format", dict(choices=_FORMATS, default="text")),
     )),
@@ -360,12 +458,16 @@ _COMMANDS = {
         ("--format", dict(choices=_FORMATS, default="text")),
     )),
     "char": ("one exact character value", None, cmd_char, (
-        ("--mu", dict(required=True, metavar="PARTS", help="shape partition")),
+        ("--mu", dict(required=True, metavar="PARTS",
+                      help="shape partition as descending comma list, e.g. 3,3,3; c^m is m "
+                           "copies of c, e.g. 4,1^3")),
         ("--ct", dict(required=True, metavar="PARTS",
-                      help="cycle type incl. fixed points, e.g. 2,1,1")),
+                      help="cycle lengths incl. fixed points, in any order; c^m is m cycles "
+                           "of length c, e.g. 2,1,1 or 5,1^69995")),
     )),
     "table": ("expansion table over several cycle lengths", None, cmd_table, (
-        ("--lambda", dict(dest="lam", required=True, metavar="PARTS")),
+        ("--lambda", dict(dest="lam", required=True, metavar="PARTS",
+                          help='partition as descending comma list; c^m is m copies of c')),
         ("--r-list", dict(dest="r_list", required=True, metavar="R,R,...")),
         ("--format", dict(choices=_FORMATS, default="text")),
     )),
@@ -394,9 +496,31 @@ _COMMANDS = {
 }
 
 
+def _request_table(func, options) -> tuple:
+    """What ``_parse_request`` reads of one command's options, as argparse
+    takes them from the same keyword arguments: {flag: (dest, type or
+    None, choices or None)}, the namespace of a request that gives no
+    optional flag (``func`` and each optional dest's default), and the set
+    of required flags."""
+    flags, defaults, required = {}, {"func": func}, set()
+    for flag, spec in options:
+        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        flags[flag] = (dest, spec.get("type"), spec.get("choices"))
+        if spec.get("required"):
+            required.add(flag)
+        else:
+            defaults[dest] = spec.get("default")
+    return flags, defaults, frozenset(required)
+
+
+# command -> its request table, built once
+_REQUESTS = {name: _request_table(func, options)
+             for name, (_, _, func, options) in _COMMANDS.items()}
+
+
 def _parse_request(argv: Sequence[str]) -> SimpleNamespace | None:
     """The request ``argv`` makes, read straight from its command's
-    options, or None when argparse must decide.
+    table in ``_REQUESTS``, or None when argparse must decide.
 
     Only the plain form is read here: a command, then ``--flag value``
     pairs, each flag one of the command's own names, spelled out and given
@@ -407,33 +531,30 @@ def _parse_request(argv: Sequence[str]) -> SimpleNamespace | None:
     is left to argparse, so that its help and its error messages stay
     its own.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    request = _REQUESTS.get(argv[0]) if argv else None
+    if request is None:
         return None
-    _, _, func, options = _COMMANDS[argv[0]]
+    flags, defaults, required = request
     given = dict(zip(argv[1::2], argv[2::2]))
-    if 2 * len(given) != len(argv) - 1:  # a flag given twice, or a last one alone
+    # a flag given twice, a last one alone, or a required one missing
+    if 2 * len(given) != len(argv) - 1 or not given.keys() >= required:
         return None
-    values = {}
-    for flag, spec in options:
-        dest = spec.get("dest", flag[2:].replace("-", "_"))
-        if flag not in given:
-            if spec.get("required"):
+    values = defaults.copy()
+    for flag, text in given.items():
+        option = flags.get(flag)
+        if option is None or text.startswith("-"):  # not the command's flag, or no flag
+            return None
+        dest, kind, choices = option
+        value = text
+        if kind is not None:
+            try:
+                value = kind(text)
+            except Exception:  # ValueError or ArgumentTypeError: argparse words it
                 return None
-            values[dest] = spec.get("default")
-            continue
-        text = given.pop(flag)
-        if text.startswith("-"):
-            return None
-        try:
-            value = spec.get("type", str)(text)
-        except Exception:  # ValueError or ArgumentTypeError: argparse words it
-            return None
-        if "choices" in spec and value not in spec["choices"]:
+        if choices is not None and value not in choices:
             return None
         values[dest] = value
-    if given:  # a flag the command does not take, or no flag at all
-        return None
-    return SimpleNamespace(func=func, **values)
+    return SimpleNamespace(**values)
 
 
 @cache

@@ -224,6 +224,44 @@ def _resolves(module, name):
     return name is None or hasattr(mod, name)
 
 
+# spellings of c and of m in c^m, and of plain parts, that int() reads
+_SPELLED = {1: ["1", "01", "+1", " 1"], 2: ["2", "02", " 2", "2 "], 3: ["3", "+3"]}
+
+
+@st.composite
+def _power_items(draw, parts):
+    """(value, token, plain spelling) items: a plain token, or a c^m token
+    and the m copies of c it stands for."""
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        c = draw(parts)
+        token = draw(st.sampled_from(_SPELLED.get(c, [str(c)])))
+        if c >= 1 and draw(st.booleans()):
+            m = draw(st.integers(0, 4))
+            m_token = draw(st.sampled_from([str(m), f"+{m}", f" {m}", f"0{m}"]))
+            items.append((c, f"{token}^{m_token}", [token] * m))
+        else:
+            items.append((c, token, [token]))
+    return items
+
+
+def _parse_partition_by_token(text):
+    # the parse the distinct-token one replaced: every token read in order
+    text = text.strip()
+    if not text:
+        return Partition()
+    try:
+        return Partition(cli._parse_ints(text))
+    except NotWeaklyDecreasing as exc:
+        raise cli.UsageError(exc) from None
+
+
+def _both_spellings(items):
+    """The text with its c^m tokens, and the same list written out."""
+    return (",".join(token for _, token, _ in items),
+            ",".join(t for _, _, plain in items for t in plain))
+
+
 class TestParsePartition:
     def test_basic(self):
         assert parse_partition("3,3") == Partition([3, 3])
@@ -238,6 +276,27 @@ class TestParsePartition:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_partition("3,x")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["1", "2", "4", "01", " 1", "+1", "0", "-1", "x", "", "\u0661", "9" * 4301]
+    ), max_size=10), st.booleans())
+    def test_same_as_reading_every_token(self, tokens, descending):
+        if descending:
+            # valid partitions more often: the short integers in descending order
+            tokens.sort(key=lambda t: int(t) if len(t) < 9 and t.strip().lstrip("+-").isdigit()
+                        else 0, reverse=True)
+        text = ",".join(tokens)
+        assert _parsed(parse_partition, text) == _parsed(_parse_partition_by_token, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_power_items(st.integers(0, 4)), st.booleans())
+    def test_power_is_its_copies(self, items, descending):
+        # value, or the usage error of the written-out parts
+        if descending:
+            items.sort(key=lambda item: -item[0])
+        powers, plain = _both_spellings(items)
+        assert _parsed(parse_partition, powers) == _parsed(parse_partition, plain)
 
 
 class TestExpand:
@@ -513,6 +572,95 @@ class TestParseCycleType:
             ct = CycleType(cycles)
             assert _surface(ct) == want
             assert ct == CycleType.of_counts(Counter(lengths))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_power_items(st.integers(0, 4)), st.randoms())
+    def test_power_is_its_copies(self, items, rng):
+        # in any order, mixed with plain tokens; a plain 0 is an error
+        # whose message lists the written-out lengths
+        rng.shuffle(items)
+        powers, plain = _both_spellings(items)
+        new, old = _parsed(cli._parse_cycle_type, powers), _parsed(cli._parse_cycle_type, plain)
+        assert new == old
+        if not isinstance(new, str):
+            assert _surface(new) == _surface(old)
+            assert _surface(new) == _surface(_parse_cycle_type_listing(plain, _ListedCycleType))
+
+
+class TestPowerNotation:
+    """c^m is m copies of c, in --ct, --mu and --lambda alike."""
+
+    @pytest.mark.parametrize("token, message", [
+        ("1^", "c^m token '1^': no m after '^'"),
+        ("^3", "c^m token '^3': no c before '^'"),
+        ("2^-1", "c^m token '2^-1': m must be >= 0, got -1"),
+        ("2^x", "c^m token '2^x': m is not an integer"),
+        ("0^2", "c^m token '0^2': c must be >= 1, got 0"),
+        ("x^2", "c^m token 'x^2': c is not an integer"),
+        ("2^3^4", "c^m token '2^3^4': more than one '^'"),
+        ("1^1000001", "c^m tokens stand for 1000001 parts; at most 1000000"),
+    ])
+    @pytest.mark.parametrize("flag", ["--mu", "--ct", "--lambda"])
+    def test_malformed_power_exits_2(self, token, message, flag, capsys):
+        argv = {"--mu": ["char", "--mu", f"3,{token}", "--ct", "3"],
+                "--ct": ["char", "--mu", "3", "--ct", f"3,{token}"],
+                "--lambda": ["expand", "--lambda", f"3,{token}", "--r", "2"]}[flag]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_first_bad_token_in_order_is_reported(self, capsys):
+        # the distinct tokens are read out of order; the error is still
+        # the first bad token's
+        assert main(["char", "--mu", "3", "--ct", "3,1,1,y,1,x,1^,1"]) == 2
+        assert capsys.readouterr().err == "error: invalid literal for int() with base 10: 'y'\n"
+        assert main(["char", "--mu", "3", "--ct", "3,1^,1,y"]) == 2
+        assert capsys.readouterr().err == "error: c^m token '1^': no m after '^'\n"
+
+    def test_zero_copies(self, run_cli):
+        # 1^0 writes no fixed point, so it is allowed when n = r
+        assert run_cli("char", "--mu", "3", "--ct", "3,1^0") == (0, "1\n", "")
+        assert _captured_main(["expand", "--lambda", "3,3,1^0", "--r", "2"]) == _captured_main(
+            ["expand", "--lambda", "3,3", "--r", "2"])
+
+    @pytest.mark.parametrize("parse", [parse_partition, cli._parse_cycle_type])
+    def test_parts_past_the_cap_build_no_list(self, parse):
+        # the cap is checked before any part is written out: 2,000,000
+        # parts written out would take 16 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.UsageError,
+                               match=r"^c\^m tokens stand for 2000000 parts; at most 1000000$"):
+                parse("3,1^1999999,1^1,0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("parse, want", [
+        (parse_partition, Partition([3] + [1] * 10**5)),
+        (cli._parse_cycle_type, CycleType.of_counts({3: 1, 1: 10**5})),
+    ])
+    def test_int_called_once_per_distinct_token(self, parse, want, monkeypatch):
+        calls = []
+
+        def counting_int(*args):
+            calls.append(args)
+            return int(*args)
+
+        monkeypatch.setattr(cli, "int", counting_int, raising=False)
+        assert parse("3," + ",".join(["1"] * 10**5)) == want
+        assert len(calls) == 2
+        calls.clear()
+        parse("3,2,2,1^2,1,1")
+        assert len(calls) <= 5  # 3 and 2, and 1^2 reads both c and m; 1
+
+    def test_large_n_through_execve(self, run_cli):
+        # written out, the cycle type is 139,991 bytes, past Linux's
+        # 128 KiB limit on one argument string
+        assert len(",".join(["5"] + ["1"] * 69995)) == 139_991
+        assert run_cli("char", "--mu", "69999,1", "--ct", "5,1^69995") == (0, "69994\n", "")
 
 
 class TestExitCodes:

@@ -72,3 +72,20 @@ def test_fixed_points_pickle_as_counts():
     ct = CycleType.of_counts({1: 10**6})
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert len(pickle.dumps(ct, protocol)) < 200, protocol
+
+
+def test_make_and_replace_go_through_the_constructors():
+    # both build through the constructors, so they normalise and check
+    p = BinomPoly(0, (1,))
+    assert p._replace(coeffs=(1, 0)) == BinomPoly(0, (1, 0)) == p
+    assert BinomPoly._make((2, [1, -3, 0, 0])) == BinomPoly(2, [1, -3])
+    assert type(p._replace(shift=3)) is BinomPoly
+    ct = CycleType([2, 1])
+    with pytest.raises(ValueError, match=r"^cycle counts must be >= 0, got -3 of length 1$"):
+        ct._replace(fixed=-3)
+    with pytest.raises(ValueError, match=r"^cycle lengths must be >= 1, got 0$"):
+        ct._replace(support=(2, 0))
+    assert repr(CycleType._make(([1, 2], 0))) == "CycleType(cycles=Partition(2, 1))"
+    assert ct._replace(fixed=3) == CycleType([2, 1, 1, 1])
+    assert ct._replace(support=(2, 3, 2)).support == Partition([3, 2, 2])
+    assert CycleType._make((Partition([3]), 2)) == CycleType([3, 1, 1])
