@@ -21,8 +21,10 @@ by one parser, in which a token c^m stands for m copies of c (the
 exponent notation of Macdonald, *Symmetric Functions*, I.1), with c at
 least 1 and m at least 0: ``--ct 5,1^69995`` is a 5-cycle and 69,995
 fixed points, which written out would pass the 128 KiB limit Linux puts
-on one argument.  The parser reads each distinct token once, so a list
-of n parts costs Python work per distinct part, not per part.
+on one argument.  A partition is read token by token, in order, each
+c^m written out as m copies of c; ``--ct``, whose cycle lengths come in
+any order, is read per distinct token, so a cycle type of n cycles costs
+Python work per distinct length, not per cycle.
 
 Each option is declared once, in ``_COMMANDS``.  A well-formed request
 (a command, then ``--flag value`` pairs) is read straight from that
@@ -37,7 +39,7 @@ from __future__ import annotations
 import sys
 import time
 from functools import cache
-from itertools import chain, groupby, repeat
+from itertools import groupby, repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -62,9 +64,15 @@ def _parse_ints(text: str) -> list[int]:
         raise UsageError(exc) from None
 
 
-# the most parts the c^m tokens of one option may stand for, so that a
-# short token such as 1^1000000000 cannot make a list of a billion parts
-_MAX_POWER_PARTS = 10**6
+# the most parts the c^m tokens of one option may stand for.  One
+# argument of 128 KiB (Linux's limit) holds at most 65,536 written-out
+# parts, and 70,000 is the first round figure past that which admits
+# ``5,1^69995``: so c^m reaches about the sizes written-out lists did.  The
+# slowest such request measured, a column at a transposition (``--mu
+# 1^70000 --ct 2,1^69998``), takes 2.9-3.4 s in process on a 2-core host
+# with Python 3.11, against 2.3-3.7 s at the 65,536 rows a written-out
+# list allows (tall shapes cost time quadratic in their rows).
+_MAX_POWER_PARTS = 70_000
 
 
 def _int_or_none(text: str) -> int | None:
@@ -99,38 +107,33 @@ def _read_power(token: str) -> tuple[int, int]:
     raise UsageError(f"c^m token {token!r}: {reason}")
 
 
-def _read_values(tokens: list[str]) -> tuple[dict[str, int], dict[str, int]]:
-    """The part c of each distinct token of ``tokens``, in the order they
-    first appear, and the m of each c^m token among them.  Each distinct
-    token is read once, so a list of n parts costs Python work per
-    distinct part.  A malformed token raises the ``UsageError`` of the
-    first one in order."""
-    values, powers = dict.fromkeys(tokens), {}
-    for token in values:
-        if "^" in token:
-            values[token], powers[token] = _read_power(token)
-            continue
-        try:
-            values[token] = int(token)
-        except ValueError as exc:  # int's own message, as for any integer option
-            raise UsageError(exc) from None
-    return values, powers
+def _read_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:  # int's own message, as for any integer option
+        raise UsageError(exc) from None
 
 
 def _check_power_parts(parts: int) -> None:
     """Reject c^m tokens that stand for more than ``_MAX_POWER_PARTS``
-    parts in all, before any of them is written out."""
+    parts in all."""
     if parts > _MAX_POWER_PARTS:
-        raise UsageError(f"c^m tokens stand for {parts} parts; at most {_MAX_POWER_PARTS}")
+        raise UsageError(f"c^m tokens stand for more than {_MAX_POWER_PARTS} parts")
 
 
-def _written_out(tokens: list[str], values: dict[str, int], powers: dict[str, int]) -> list[int]:
-    """Every part the tokens stand for, in order: each c^m as m copies of c."""
-    if not powers:
-        return list(map(values.__getitem__, tokens))
-    _check_power_parts(sum(map(powers.get, tokens, repeat(0))))
-    copies = {token: [c] * powers.get(token, 1) for token, c in values.items()}
-    return list(chain.from_iterable(map(copies.__getitem__, tokens)))
+def _written_out(tokens: list[str]) -> list[int]:
+    """Every part the tokens stand for, in order: each c^m as m copies of
+    c, checked against the cap before it is written out."""
+    parts, powered = [], 0
+    for token in tokens:
+        if "^" in token:
+            c, m = _read_power(token)
+            powered += m
+            _check_power_parts(powered)
+            parts += repeat(c, m)
+        else:
+            parts.append(_read_int(token))
+    return parts
 
 
 def parse_partition(text: str) -> Partition:
@@ -140,9 +143,10 @@ def parse_partition(text: str) -> Partition:
     A list that is not a partition is a usage error, with the message
     ``Partition`` gives the written-out parts."""
     text = text.strip()
-    tokens = text.split(",") if text else []
+    if not text:
+        return Partition()
     try:
-        return Partition(_written_out(tokens, *_read_values(tokens)))
+        return Partition(_written_out(text.split(",")))
     except NotWeaklyDecreasing as exc:
         raise UsageError(exc) from None
 
@@ -311,41 +315,49 @@ def cmd_primaries(args) -> int:
     return 0
 
 
+def _cut_last_run(text: str) -> tuple[list[str], str, int]:
+    """The tokens of a nonempty comma list before its last run of equal
+    tokens, that token, and the run's length.  The run, most often the
+    fixed points of a cycle type, is cut off by two string scans, making
+    no token of it; when some token that ends with the last one lies
+    before the run, only the last token is cut."""
+    last = text[text.rfind(",") + 1:]
+    copies = text.count(last + ",") + 1  # the tokens that end with the last one
+    if not ("," + text).endswith(("," + last) * copies):
+        copies = 1
+    head = len(text) - (len(last) + 1) * copies  # -1 when the run is the whole list
+    return (text[:head].split(",") if head >= 0 else []), last, copies
+
+
 def _parse_cycle_type(text: str) -> CycleType:
     """Parse a comma list of cycle lengths in any order, each at least 1;
     a token c^m stands for m cycles of length c, so "5,1^3" is "5,1,1,1".
 
-    The cycle type is built from the count of each length, with no list
-    of its n cycles.  A cycle type most often ends in a long run of equal
-    tokens, its fixed points: when every token that ends with the last one
-    lies in that run, the run is counted by two string scans, making no
-    token of it.  The tokens before it are sorted in C and counted run by
-    run."""
+    The last run of equal tokens, most often the fixed points, is cut off
+    by string scans; the tokens before it are sorted and counted in C.
+    Each distinct token is read once, in the order it first appears, so
+    that the first bad one words the error.  The cycle type is built from
+    the count of each length, with no list of its n cycles."""
     text = text.strip()
     if not text:
         return CycleType()
-    last = text[text.rfind(",") + 1:]
-    copies = text.count(last + ",") + 1  # the tokens that end with the last one
-    run = ("," + last) * copies
-    if ("," + text).endswith(run):  # they are all at the end: cut them off
-        head = text[:-len(run)].split(",") if len(run) <= len(text) else []
-    else:
-        head, copies = text.split(","), 0
-    counts = {token: len(list(equal)) for token, equal in groupby(sorted(head))}
-    if copies:
-        counts[last] = copies
-        head.append(last)
-    values, powers = _read_values(head)
-    if powers:
-        _check_power_parts(sum(counts[token] * m for token, m in powers.items()))
-        counts = {token: count * powers.get(token, 1) for token, count in counts.items()}
-    if min(values.values()) < 1:
-        raise UsageError(
-            f"cycle lengths must be >= 1, got {_written_out(text.split(','), values, powers)}")
+    head, last, copies = _cut_last_run(text)
+    counts = dict.fromkeys(head, 0)
+    counts.update((token, len(list(run))) for token, run in groupby(sorted(head)))
+    counts[last] = counts.get(last, 0) + copies
     lengths: dict[int, int] = {}
+    powered = 0
     for token, count in counts.items():
-        c = values[token]
+        if "^" in token:
+            c, m = _read_power(token)
+            count *= m
+            powered += count
+        else:
+            c = _read_int(token)
         lengths[c] = lengths.get(c, 0) + count
+    _check_power_parts(powered)
+    if min(lengths) < 1:
+        raise UsageError(f"cycle lengths must be >= 1, got {_written_out(text.split(','))}")
     return CycleType.of_counts(lengths)
 
 

@@ -598,7 +598,7 @@ class TestPowerNotation:
         ("0^2", "c^m token '0^2': c must be >= 1, got 0"),
         ("x^2", "c^m token 'x^2': c is not an integer"),
         ("2^3^4", "c^m token '2^3^4': more than one '^'"),
-        ("1^1000001", "c^m tokens stand for 1000001 parts; at most 1000000"),
+        ("1^70001", "c^m tokens stand for more than 70000 parts"),
     ])
     @pytest.mark.parametrize("flag", ["--mu", "--ct", "--lambda"])
     def test_malformed_power_exits_2(self, token, message, flag, capsys):
@@ -622,27 +622,29 @@ class TestPowerNotation:
         assert _captured_main(["expand", "--lambda", "3,3,1^0", "--r", "2"]) == _captured_main(
             ["expand", "--lambda", "3,3", "--r", "2"])
 
+    @pytest.mark.parametrize("text", ["3,1^1000000000,0", "3,1^35000,1^35001,0"])
     @pytest.mark.parametrize("parse", [parse_partition, cli._parse_cycle_type])
-    def test_parts_past_the_cap_build_no_list(self, parse):
-        # the cap is checked before any part is written out: 2,000,000
-        # parts written out would take 16 MB
+    def test_parts_past_the_cap_build_no_list(self, parse, text):
+        # the cap is checked before the token that passes it is written
+        # out: a billion parts written out would take 8 GB
         import tracemalloc
 
         tracemalloc.start()
         try:
             with pytest.raises(cli.UsageError,
-                               match=r"^c\^m tokens stand for 2000000 parts; at most 1000000$"):
-                parse("3,1^1999999,1^1,0")
+                               match=r"^c\^m tokens stand for more than 70000 parts$"):
+                parse(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    @pytest.mark.parametrize("parse, want", [
-        (parse_partition, Partition([3] + [1] * 10**5)),
-        (cli._parse_cycle_type, CycleType.of_counts({3: 1, 1: 10**5})),
-    ])
-    def test_int_called_once_per_distinct_token(self, parse, want, monkeypatch):
+    def test_parts_at_the_cap(self):
+        assert parse_partition("3,1^35000,1^35000") == Partition([3] + [1] * 70_000)
+        assert cli._parse_cycle_type("1^35000,3,1^35000") == CycleType.of_counts({3: 1, 1: 70_000})
+
+    @staticmethod
+    def _count_int_calls(monkeypatch):
         calls = []
 
         def counting_int(*args):
@@ -650,11 +652,23 @@ class TestPowerNotation:
             return int(*args)
 
         monkeypatch.setattr(cli, "int", counting_int, raising=False)
-        assert parse("3," + ",".join(["1"] * 10**5)) == want
+        return calls
+
+    def test_int_called_once_per_distinct_token(self, monkeypatch):
+        calls = self._count_int_calls(monkeypatch)
+        want = CycleType.of_counts({3: 1, 1: 10**5})
+        assert cli._parse_cycle_type("3," + ",".join(["1"] * 10**5)) == want
         assert len(calls) == 2
         calls.clear()
-        parse("3,2,2,1^2,1,1")
-        assert len(calls) <= 5  # 3 and 2, and 1^2 reads both c and m; 1
+        cli._parse_cycle_type("1,3,2,2,1^2,1,1")
+        assert len(calls) <= 5  # 1, 3 and 2, and 1^2 reads both c and m
+
+    def test_partition_reads_each_token_once(self, monkeypatch):
+        # in order, one int per plain token and two per c^m token, which
+        # is written out with no int per part
+        calls = self._count_int_calls(monkeypatch)
+        assert parse_partition("3,2,2,1^50000,1") == Partition([3, 2, 2] + [1] * 50_001)
+        assert calls == [("3",), ("2",), ("2",), ("1",), ("50000",), ("1",)]
 
     def test_large_n_through_execve(self, run_cli):
         # written out, the cycle type is 139,991 bytes, past Linux's
