@@ -14,8 +14,11 @@ there, so the oracles in ``verification`` that sum the memo's entries
 never read a ratio.  Fixed points are never peeled: the cycle type
 keeps them as a count, and a shape (n - k, lam) with n - r fixed points
 costs a few factors, not n, since its long top row is one short falling
-factorial.  Frobenius's formula counts by the hook formula
-(``dim_syt``), so comparing the two checks one route against the other.
+factorial.  A shape with more rows than columns is peeled as its
+conjugate, times the sign of the permutation, so a peel holds one bead
+per row or per column, whichever is fewer.  Frobenius's formula counts
+by the hook formula (``dim_syt``), so comparing the two checks one route
+against the other.
 
 * ``character_mn`` -- the Murnaghan--Nakayama rule, one layer per
   non-trivial cycle; the ground truth everything else is checked against.
@@ -173,16 +176,20 @@ def _by_ratio(mask: int, r: int, leaves: list[int]) -> int:
 
     over the other beads c.  The product's sign is (-1)^leg, for the leg
     beads between b - r and b, so the peel's sign is in it already.  Both
-    products stay small, and one exact division per leaf brings in f."""
+    products stay small, and one exact division per leaf brings in f.
+    As (b)_r / (n)_r = b! (n - r)! / ((b - r)! n!), it is taken as
+    (m)_k / (n)_k with k = min(r, n - b) and m = min(b, n - r), so a bead
+    moved near the top of a long row builds no n!."""
     f = _leaf_dims[mask]
     # the beads of zero parts, at the bottom, change no ratio
     zeros = (~mask & mask + 1).bit_length() - 1
     beads = _beads(mask >> zeros)
     n = sum(beads) - len(beads) * (len(beads) - 1) // 2
-    total, falling = 0, perm(n, r)
+    total = 0
     for leaf in leaves:
         b = (mask ^ leaf).bit_length() - 1 - zeros
-        t, num, den = b - r, perm(b, r), falling
+        t, k = b - r, min(r, n - b)
+        num, den = perm(min(b, n - r), k), perm(n, k)
         for c in beads:
             if c != b:
                 num *= t - c
@@ -232,11 +239,18 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
     is left.  There is no recursion: each cycle peels one layer of
     beta-sets, so the depth of the stack does not grow with the input.
     Reading n and the non-trivial cycles off ``ct`` costs nothing per
-    fixed point.
+    fixed point.  A shape with more rows than columns is evaluated on its
+    conjugate, times the sign of the permutation (chi^mu' = sgn chi^mu),
+    so its cost follows its columns, not its rows.
     """
     mu = Partition(mu)
     if sum(mu) != ct.n:
         raise SizeMismatch(f"|mu| = {mu.size} but cycle type fills {ct.n}")
+    if mu and len(mu) > mu[0]:
+        # sgn = (-1)^(sum (c - 1)) over the cycles; a fixed point adds 0
+        odd = (sum(ct.support) - len(ct.support)) & 1
+        value = _mn(transpose(mu), ct.support)
+        return -value if odd else value
     return _mn(mu, ct.support)
 
 

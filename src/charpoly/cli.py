@@ -57,21 +57,14 @@ class UsageError(ValueError):
     """A command-line value that is not of the accepted form."""
 
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return list(map(int, text.split(",")))
-    except ValueError as exc:
-        raise UsageError(exc) from None
-
-
 # the most parts the c^m tokens of one option may stand for.  One
 # argument of 128 KiB (Linux's limit) holds at most 65,536 written-out
 # parts, and 70,000 is the first round figure past that which admits
 # ``5,1^69995``: so c^m reaches about the sizes written-out lists did.  The
-# slowest such request measured, a column at a transposition (``--mu
-# 1^70000 --ct 2,1^69998``), takes 2.9-3.4 s in process on a 2-core host
-# with Python 3.11, against 2.3-3.7 s at the 65,536 rows a written-out
-# list allows (tall shapes cost time quadratic in their rows).
+# slowest such request measured, a hook with 35,000 rows at a transposition
+# (``--mu 35001,1^34999 --ct 2,1^69998``), takes 1.4-2.6 s in process on a
+# 2-core host with Python 3.11; a 70,000-row column at a transposition,
+# read on its conjugate, takes about 0.02 s.
 _MAX_POWER_PARTS = 70_000
 
 
@@ -373,7 +366,7 @@ def cmd_char(args) -> int:
 
 def cmd_table(args) -> int:
     lam = parse_partition(args.lam)
-    r_list = _parse_ints(args.r_list)
+    r_list = _written_out(args.r_list.split(","))
     if any(r < 1 for r in r_list):
         raise UsageError(f"cycle lengths must be >= 1, got {r_list}")
     k = lam.size
@@ -480,7 +473,9 @@ _COMMANDS = {
     "table": ("expansion table over several cycle lengths", None, cmd_table, (
         ("--lambda", dict(dest="lam", required=True, metavar="PARTS",
                           help='partition as descending comma list; c^m is m copies of c')),
-        ("--r-list", dict(dest="r_list", required=True, metavar="R,R,...")),
+        ("--r-list", dict(dest="r_list", required=True, metavar="R,R,...",
+                          help="cycle lengths, one row each, e.g. 2,3,4; c^m is m copies "
+                               "of c")),
         ("--format", dict(choices=_FORMATS, default="text")),
     )),
     "verify": (

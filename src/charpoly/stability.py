@@ -12,7 +12,7 @@ coefficient vectors, the plain-basis dimension polynomial (whose shift-1
 form is the r = 1 expansion) and the r past which the vectors no longer
 change, one algorithm each; the second derivations that check them live
 in ``verification``, among them ``coeff_b``, the definition summed term
-by term through the skew-count memo.
+by term through the oracles' own memo of pair counts.
 
 Each count f(lam / nu) = f^lam s*_nu(lam) / (k)_h (Okounkov and
 Olshanski's dimension formula) is f^lam times one ``tableaux._Record.term``

@@ -36,15 +36,12 @@ formed the first time a count reads it.  ``_Record.term`` is the one
 reader, and the r-primary inners of the character polynomials have
 Durfee rank <= 2, so it takes their minors in closed form.
 
-Three global memos hold the work: one record per outer shape (Q,
-f^outer, the remainders and the coefficient vectors that
-``stability.char_poly`` reads off them), one set of Frobenius
-coordinates per inner and one count per (outer, inner) pair that fits.
-``stability`` sums ``term`` over the primaries of each h and asks the
-pair memo nothing; ``skew_syt_count`` and ``verify``'s ``coeff_b`` test
-containment before they ask it, so it holds no zeros, and ``verify``'s
-skew sweep asks it only about the subpartitions of each outer, each
-inner as one shared object per shape.
+Two global memos hold the work, both per shape: one record per outer
+shape (Q, f^outer, the remainders and the coefficient vectors that
+``stability.char_poly`` reads off them) and one set of Frobenius
+coordinates per inner.  A skew count is one ``term`` read off the
+record, so no count is memoized per (outer, inner) pair; ``verify``'s
+oracles keep their own memo of pair counts in ``verification``.
 
 ``_beta_dim`` counts f^lam from a beta-set by the beta-number formula
 (James--Kerber 1981, 2.7), with the long top row of a stable shape
@@ -247,30 +244,20 @@ def _frobenius(nu: Partition) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return tuple(alpha), tuple(beta), nu.size
 
 
-# one entry per (outer, inner) pair asked for, holding the pair's two shapes
-# alive; every caller asks only about an inner that fits, so no entry is a
-# zero.  The outer's record is shared through ``_record``, so a pair costs
-# one minor of Durfee-rank size
-@cache
-def _skew_count(outer: Partition, inner: Partition) -> int:
+def skew_syt_count(outer: Partition, inner: Partition) -> int:
+    """Number of standard Young tableaux of skew shape outer \\ inner.
+
+    0 when ``inner`` is not contained in ``outer``, 1 when they coincide.
+    """
+    outer, inner = Partition(outer), Partition(inner)
+    if not contains(outer, inner):
+        return 0
     rec = _record(outer)
     alpha, beta, size = _frobenius(inner)
     # f = f^outer s*_inner(outer) / (|outer|)_|inner|
     count, rem = divmod(rec.dim * rec.term(alpha, beta), perm(rec.size, size))
     assert rem == 0, f"Aitken determinant not integral for {outer} / {inner}"
     return count
-
-
-def skew_syt_count(outer: Partition, inner: Partition) -> int:
-    """Number of standard Young tableaux of skew shape outer \\ inner.
-
-    0 when ``inner`` is not contained in ``outer``, 1 when they coincide.
-    """
-    if type(outer) is not Partition:
-        outer = Partition(outer)
-    if type(inner) is not Partition:
-        inner = Partition(inner)
-    return _skew_count(outer, inner) if contains(outer, inner) else 0
 
 
 def a_coeff(lam: Partition, h: int) -> int:

@@ -41,7 +41,10 @@ grow an inner from one list per inner, while the coefficient recurrence
 reads each b[h] from one dict per shape of the previous size; the
 containment sweep checks all inners of one outer in one bulk pass; and
 the peel-order sweep builds each size's cycle types once and peels each
-shared prefix of their increasing cycles once per shape.
+shared prefix of their increasing cycles once per shape.  Every suite
+that counts a skew pair reads it from one memo per (outer, inner) pair,
+``_skew_count``, kept here: the library counts a pair with one read off
+its outer's hook table and memoizes no pair.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .characters import (
     recpart_poly,
 )
 from .partitions import Partition, _beta, _known_valid, _shape, _strips, contains, transpose
-from .tableaux import _skew_count, a_coeff, dim_syt, skew_syt_count
+from .tableaux import a_coeff, dim_syt, skew_syt_count
 from . import stability
 
 
@@ -389,8 +392,23 @@ def _grown(nu: Partition) -> Iterator[Partition]:
             yield Partition(nu[:i] + (p + 1,) + nu[i + 1 :])
 
 
+# the one memo of skew counts per (outer, inner) pair: the skew sweeps,
+# ``coeff_b`` and the transposition split ask for the same pairs again and
+# again.  Every caller tests containment first, so no entry is a zero, and
+# ``skew_syt_count`` is looked up when a count is made, so a patched one
+# takes effect once the memo is cleared
+@cache
+def _skew_count(outer: Partition, inner: Partition) -> int:
+    return skew_syt_count(outer, inner)
+
+
+def _count_if_fits(outer: Partition, inner: Partition) -> int:
+    """f(outer / inner) through the pair memo, 0 when ``inner`` does not fit."""
+    return _skew_count(outer, inner) if contains(outer, inner) else 0
+
+
 def check_skew_recursion(bounds: Bounds) -> SuiteResult:
-    """Both branching rules of f(lam / nu) = skew_syt_count(lam, nu):
+    """Both branching rules of f(lam / nu), read from the pair memo:
     the largest entry sits in a corner of lam (sum over lam minus a
     corner) and the smallest in a cell that grows nu inside lam (sum
     over nu plus that cell).  The second compares inners of different
@@ -406,7 +424,7 @@ def check_skew_recursion(bounds: Bounds) -> SuiteResult:
         level = {}
         for lam in _partitions(k):
             counts = level[lam] = {
-                nu: skew_syt_count(lam, nu) for nu in map(canon.__getitem__, subpartitions(lam))
+                nu: _skew_count(lam, nu) for nu in map(canon.__getitem__, subpartitions(lam))
             }
             if not lam:
                 continue
@@ -433,7 +451,7 @@ def check_column_removal_difference(bounds: Bounds) -> SuiteResult:
     for lam in _shapes_upto(bounds.max_k + 2):
         for h in range(2, lam.length + 1):
             lhs = a_coeff(lam, h - 1) - a_coeff(lam, h)
-            rhs = skew_syt_count(lam, Partition([2] + [1] * (h - 2)))
+            rhs = _count_if_fits(lam, Partition([2] + [1] * (h - 2)))
             if not res.check(lhs == rhs):
                 res.fail(f"lam={list(lam)} h={h}: {lhs} != {rhs}")
     return res
@@ -443,7 +461,7 @@ def check_skew_count_vs_backtracking(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("skew_count_vs_backtracking")
     for outer in _shapes_upto(bounds.max_k):
         for inner in subpartitions(outer):
-            if not res.check(skew_syt_count(outer, inner) == syt_count_backtracking(outer, inner)):
+            if not res.check(_skew_count(outer, inner) == syt_count_backtracking(outer, inner)):
                 res.fail(f"outer={list(outer)} inner={list(inner)}: counts differ")
     return res
 
@@ -451,7 +469,7 @@ def check_skew_count_vs_backtracking(bounds: Bounds) -> SuiteResult:
 def check_dim_equals_skew_over_empty(bounds: Bounds) -> SuiteResult:
     res = SuiteResult("dim_equals_skew_over_empty")
     for lam in _shapes_upto(bounds.max_k + 4):
-        if not res.check(dim_syt(lam) == skew_syt_count(lam, Partition())):
+        if not res.check(dim_syt(lam) == _skew_count(lam, Partition())):
             res.fail(f"lam={list(lam)}: hook formula != skew count")
     return res
 
@@ -958,9 +976,9 @@ def coeff_b_transposition_split(lam: Partition, h: int) -> tuple[int, int]:
     """
     lam = Partition(lam)
     if h <= 3:
-        return skew_syt_count(lam, Partition([h] if h else [])), 0
-    plus = skew_syt_count(lam, Partition([3] + [1] * (h - 3)))
-    minus = skew_syt_count(lam, Partition([2, 2] + [1] * (h - 4)))
+        return _count_if_fits(lam, Partition([h] if h else [])), 0
+    plus = _count_if_fits(lam, Partition([3] + [1] * (h - 3)))
+    minus = _count_if_fits(lam, Partition([2, 2] + [1] * (h - 4)))
     return plus, minus
 
 

@@ -18,7 +18,7 @@ from charpoly.characters import (
     recpart_poly,
 )
 from charpoly.binom_poly import BinomPoly
-from charpoly.partitions import Partition, _beta, _shape
+from charpoly.partitions import Partition, _beta, _shape, _strips
 from charpoly.tableaux import dim_syt
 from charpoly.verification import (
     Bounds,
@@ -244,6 +244,33 @@ class TestBeadRatio:
         mu = Partition([m, m])
         assert character_mn(mu, CycleType([2] * m)) == _mn_per_strip(mu, [2] * m)
 
+    def test_falling_factorials_stop_at_the_shorter_side(self, monkeypatch):
+        # (b)_r / (n)_r cancels to min(r, n - b) factors a side, so a bead
+        # moved near the top of a long row builds no n!
+        asked = []
+        real = characters.perm
+
+        def recorded(m, k):
+            asked.append(k)
+            return real(m, k)
+
+        monkeypatch.setattr(characters, "perm", recorded)
+        leaves = 0
+        for n in range(2, 11):
+            for mu in partitions_of(n):
+                mask = _beta(mu, len(mu))
+                for r in range(2, n + 1):
+                    for _, leaf in _strips(mask, r):
+                        # the strip starts in the first row the leaf changes,
+                        # and the bead b of row i is mu_i + len(mu) - 1 - i
+                        i = next(i for i, p in enumerate(_shape(leaf) + (0,) * n) if p != mu[i])
+                        b = mu[i] + len(mu) - 1 - i
+                        asked.clear()
+                        characters._by_ratio(mask, r, [leaf])
+                        assert asked and max(asked) <= min(r, n - b), (mu, r, leaf)
+                        leaves += 1
+        assert leaves == 822
+
     def test_new_leaves_not_written_to_the_memo(self):
         # the oracles read the memo, so it must hold only _beta_dim's counts
         characters._leaf_dims.clear()
@@ -253,6 +280,35 @@ class TestBeadRatio:
             assert list(characters._leaf_dims) == [_beta(mu, len(mu))]
         finally:
             characters._leaf_dims.clear()
+
+
+class TestConjugateRoute:
+    """A shape with more rows than columns is evaluated on its conjugate,
+    times the sign of the permutation."""
+
+    def test_matches_the_peel_on_every_tall_shape_through_ten(self):
+        pairs = 0
+        for n in range(11):
+            cts = [CycleType(ct) for ct in partitions_of(n)]
+            for mu in partitions_of(n):
+                if mu and len(mu) > mu[0]:
+                    for ct in cts:
+                        assert character_mn(mu, ct) == _mn(mu, ct.support), (mu, ct)
+                        pairs += 1
+        assert pairs == 1_589
+
+    def test_peels_the_conjugate_of_a_column(self, monkeypatch):
+        peeled = []
+        real = characters._mn
+
+        def recorded(mu, cycles):
+            peeled.append(mu)
+            return real(mu, cycles)
+
+        monkeypatch.setattr(characters, "_mn", recorded)
+        n = 70_000
+        assert character_mn(Partition([1] * n), CycleType.of_counts({2: 1, 1: n - 2})) == -1
+        assert peeled == [Partition([n])]
 
 
 class TestResidueRoute:

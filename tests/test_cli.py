@@ -245,13 +245,21 @@ def _power_items(draw, parts):
     return items
 
 
+def _ints_by_token(text):
+    # the integer-list reader the shared token reader replaced
+    try:
+        return list(map(int, text.split(",")))
+    except ValueError as exc:
+        raise cli.UsageError(exc) from None
+
+
 def _parse_partition_by_token(text):
     # the parse the distinct-token one replaced: every token read in order
     text = text.strip()
     if not text:
         return Partition()
     try:
-        return Partition(cli._parse_ints(text))
+        return Partition(_ints_by_token(text))
     except NotWeaklyDecreasing as exc:
         raise cli.UsageError(exc) from None
 
@@ -479,7 +487,7 @@ class TestChar:
 def _parse_cycle_type_by_token(text):
     # the parse the counting one replaced: every token read in order
     text = text.strip()
-    lengths = cli._parse_ints(text) if text else []
+    lengths = _ints_by_token(text) if text else []
     if lengths and min(lengths) < 1:
         raise cli.UsageError(f"cycle lengths must be >= 1, got {lengths}")
     return CycleType(lengths)
@@ -1032,6 +1040,16 @@ class TestCharFuzz:
 
 
 class TestTable:
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_r_list_reads_c_to_the_m(self, fmt):
+        argv = ["table", "--lambda", "3,3", "--format", fmt, "--r-list"]
+        assert _captured_main([*argv, "2^2,3"]) == _captured_main([*argv, "2,2,3"])
+
+    def test_r_list_error_text_for_a_plain_token(self, run_cli):
+        code, out, err = run_cli("table", "--lambda", "3,3", "--r-list", "2,x")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid literal for int() with base 10: 'x'\n"
+
     def test_text_golden(self, run_cli, golden):
         code, out, _ = run_cli("table", "--lambda", "3,3", "--r-list", "2,3,4,5")
         assert code == 0

@@ -299,6 +299,22 @@ def _tall_shapes():
         lambda xs: Partition(sorted(xs, reverse=True)))
 
 
+def _count_pairs(monkeypatch):
+    """Clear the oracles' pair memo and record every pair that
+    ``skew_syt_count`` is asked to count from now on."""
+    verification._skew_count.cache_clear()
+    pairs = []
+    real = tableaux.skew_syt_count
+
+    def recorded(outer, inner):
+        pairs.append((outer, inner))
+        return real(outer, inner)
+
+    monkeypatch.setattr(tableaux, "skew_syt_count", recorded)
+    monkeypatch.setattr(verification, "skew_syt_count", recorded)
+    return pairs
+
+
 def _agrees_with_oracle(lam, r):
     """char_poly(lam, r).b is the definition term by term through
     len(lam) + r, and zero past it."""
@@ -310,7 +326,7 @@ def _agrees_with_oracle(lam, r):
 class TestHookTable:
     """The kernel that reads every b[h] off the shape's hook table,
     against ``verification.coeff_b``, the definition summed through the
-    pair memo."""
+    pair memo of ``verification``."""
 
     def test_every_shape_through_fourteen(self):
         pairs = [(lam, r) for k in range(15) for lam in partitions_of(k) for r in range(1, 17)]
@@ -331,16 +347,18 @@ class TestHookTable:
         assert len(lam) > lam[0]
         assert _agrees_with_oracle(lam, r)
 
-    def test_sweep_asks_the_pair_memo_nothing(self):
-        # the vectors are kept on the records; no skew count is memoized
-        tableaux._skew_count.cache_clear()
+    def test_sweep_asks_the_pair_memo_nothing(self, monkeypatch):
+        # the vectors are kept on the records; no pair is counted on its
+        # own, so the oracles' pair memo stays empty
+        pairs = _count_pairs(monkeypatch)
         tableaux._record.cache_clear()
         try:
             for k in range(11):
                 for lam in partitions_of(k):
                     for r in range(1, 9):
                         assert char_poly(lam, r).b is char_poly(lam, r).b
-            assert tableaux._skew_count.cache_info().currsize == 0
+            assert pairs == []
+            assert verification._skew_count.cache_info().currsize == 0
         finally:
             tableaux._record.cache_clear()
 
@@ -357,7 +375,7 @@ def _shapes_upto(draw, n):
 
 class TestDimensionRow:
     """``a_vector``, read off the hook table at r = lam_1 + len(lam),
-    against ``a_coeff``, the column counts through the pair memo."""
+    against ``a_coeff``, the column counts read one pair at a time."""
 
     def test_every_shape_through_twelve(self):
         shapes = [lam for k in range(13) for lam in partitions_of(k)]
@@ -370,14 +388,15 @@ class TestDimensionRow:
     def test_random_up_to_twenty_five(self, lam):
         assert a_vector(lam) == [a_coeff(lam, h) for h in range(lam.size + 1)]
 
-    def test_table_asks_the_pair_memo_nothing(self, capsys):
-        tableaux._skew_count.cache_clear()
+    def test_table_asks_the_pair_memo_nothing(self, capsys, monkeypatch):
+        pairs = _count_pairs(monkeypatch)
         tableaux._record.cache_clear()
         try:
             for fmt in ("text", "json", "latex"):
                 argv = ["table", "--lambda", "10,8,6,4,2", "--r-list", "1,2,3,4,5,6,7,8"]
                 assert cli.main([*argv, "--format", fmt]) == 0
-            assert tableaux._skew_count.cache_info().currsize == 0
+            assert pairs == []
+            assert verification._skew_count.cache_info().currsize == 0
         finally:
             tableaux._record.cache_clear()
 

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from collections import Counter
 from functools import cache
@@ -8,6 +10,8 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
+import charpoly
+import charpoly.characters as characters
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
 from charpoly.binom_poly import eval_poly
@@ -192,7 +196,7 @@ def _recording(monkeypatch, name, record, owner=tableaux):
 class TestWorkBound:
     @pytest.fixture(autouse=True)
     def cold_caches(self):
-        tableaux._skew_count.cache_clear()
+        verification._skew_count.cache_clear()
         tableaux._record.cache_clear()
 
     def test_one_reduction_per_outer(self, monkeypatch):
@@ -212,7 +216,7 @@ class TestWorkBound:
 
     def test_minors_stay_two_by_two(self, monkeypatch):
         # every r-primary partition has Durfee rank at most 2, so the
-        # definition asks the pair memo for minors of size <= 2 only
+        # definition asks the hook table for minors of size <= 2 only
         sizes = _recording(
             monkeypatch, "term", lambda rec, alpha, beta: len(alpha), tableaux._Record)
         cases = [(Partition(range(15, 0, -1)), [10]), (Partition([10, 8, 6, 4, 2]), range(1, 9))]
@@ -493,6 +497,40 @@ def test_skew_recursion_catches_rank_three_sign_flip(monkeypatch):
         return -count if _durfee_rank(inner) >= 3 else count
 
     monkeypatch.setattr(verification, "skew_syt_count", flipped)
-    result = check_skew_recursion(Bounds())
+    # the pair memo holds counts made before the patch, and keeps the
+    # flipped ones after it
+    verification._skew_count.cache_clear()
+    try:
+        result = check_skew_recursion(Bounds())
+    finally:
+        verification._skew_count.cache_clear()
     assert not result.ok
     assert "growth sum" in result.failures[0]
+
+
+def test_module_level_memos_are_pinned():
+    # every global memo in the package, so that a new one, or one that
+    # moves between modules, changes this set on purpose: the functions
+    # with ``cache_info`` where they are defined, and the dict of
+    # dimensions, which has none.  The library keeps its memos per shape;
+    # the one per (outer, inner) pair is the oracles' own
+    memos = {("characters", "_leaf_dims")}
+    for info in pkgutil.iter_modules(charpoly.__path__):
+        module = importlib.import_module(f"charpoly.{info.name}")
+        memos |= {
+            (info.name, name) for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+        }
+    assert isinstance(characters._leaf_dims, dict)
+    assert memos == {
+        ("characters", "_leaf_dims"),
+        ("cli", "build_parser"),
+        ("stability", "_primaries"),
+        ("stability", "r_primary"),
+        ("tableaux", "_frobenius"),
+        ("tableaux", "_record"),
+        ("verification", "_fillings"),
+        ("verification", "_partitions"),
+        ("verification", "_skew_count"),
+        ("verification", "_with_fixed_points"),
+    }

@@ -34,7 +34,7 @@ _peel = characters._peel
 _by_ratio = characters._by_ratio
 _at_cycle = characters._at_cycle
 _mn = characters._mn
-_skew_count = tableaux._skew_count
+_skew_syt_count = tableaux.skew_syt_count
 _beta_dim = tableaux._beta_dim
 _dim_syt = tableaux.dim_syt
 _transpose = partitions.transpose
@@ -42,7 +42,7 @@ _transpose = partitions.transpose
 
 def _clear_memos():
     # a mutant's values stay in these memos after it is undone
-    for memo in (tableaux._skew_count, tableaux._record, tableaux._frobenius,
+    for memo in (verification._skew_count, tableaux._record, tableaux._frobenius,
                  _r_primary, _primaries, verification._fillings):
         memo.cache_clear()
     characters._leaf_dims.clear()
@@ -121,7 +121,7 @@ def _dim_syt_negated_at_5(mu):
 
 
 def _skew_count_plus_one_over_a_box(outer, inner):
-    count = _skew_count(outer, inner)
+    count = _skew_syt_count(outer, inner)
     return count + (inner == (1,) and len(outer) >= 3 and count != 0)
 
 
@@ -175,11 +175,11 @@ MUTANTS = {
                 661, "lam=[3] r=3: malformed hook SkewHook(leg_length=1, complement=Partition())"),
             "recpart_vs_mn": (171, "lam=[] support=[3] n=9: recpart 1 != mn -1"),
             "mn_peel_order": (
-                16, "mu=[3, 1, 1, 1] ct=[3, 1, 1, 1]: peel order changed value 1 -> -1"),
-            "main_oracle": (454, "lam=[] r=3 n=3: poly 1 != mn -1"),
+                7, "mu=[4, 2, 1] ct=[3, 1, 1, 1, 1]: peel order changed value -1 -> 1"),
+            "main_oracle": (409, "lam=[] r=3 n=3: poly 1 != mn -1"),
             "interpolation_route": (30, "lam=[] r=3: interpolated (-1,) != (1,)"),
-            "main_band": (62, "lam=[1] r=3 n=3: poly -1 != mn 1"),
-            "recpart_band": (200, "lam=[] support=[3] n=3: recpart 1 != mn -1"),
+            "main_band": (63, "lam=[1] r=3 n=3: poly -1 != mn 1"),
+            "recpart_band": (186, "lam=[] support=[3] n=3: recpart 1 != mn -1"),
         },
     ),
     "eval_plus_one_at_13": (
@@ -214,14 +214,14 @@ MUTANTS = {
          (verification, "_peel", _peel_unsigned_at_2),
          (characters, "_at_cycle", _at_cycle_unsigned_at_2)],
         {
-            "frobenius_vs_mn": (96, "mu=[1, 1]: frobenius -1 != mn 1"),
+            "frobenius_vs_mn": (58, "mu=[2, 2]: frobenius 0 != mn 2"),
             "recpart_vs_mn": (128, "lam=[2, 1] support=[2] n=11: recpart 103 != mn 105"),
-            "mn_peel_order": (208, "mu=[2, 1] ct=[2, 1]: peel order changed value 0 -> 2"),
+            "mn_peel_order": (252, "mu=[1, 1] ct=[2]: peel order changed value -1 -> 1"),
             "column_orthogonality": (4, "n=4 ct=[2, 1, 1]: 8 != centralizer order"),
             "main_oracle": (294, "lam=[1, 1] r=2 n=5: poly 0 != mn 2"),
             "interpolation_route": (16, "lam=[1, 1] r=2: interpolated (2, -1, 1) != (0, -1, 1)"),
-            "main_band": (45, "lam=[1] r=2 n=2: poly -1 != mn 1"),
-            "recpart_band": (256, "lam=[1] support=[2] n=2: recpart -1 != mn 1"),
+            "main_band": (22, "lam=[2] r=2 n=4: poly 0 != mn 2"),
+            "recpart_band": (289, "lam=[1] support=[2, 2] n=4: recpart -1 != mn 1"),
         },
     ),
     "leaf_dim_plus_one_at_4": (
@@ -243,16 +243,16 @@ MUTANTS = {
     "ratio_sign_applied_twice": (
         [(characters, "_by_ratio", _ratio_sign_applied_twice)],
         {
-            "frobenius_vs_mn": (71, "mu=[1, 1]: frobenius -1 != mn 1"),
+            "frobenius_vs_mn": (36, "mu=[2, 2]: frobenius 0 != mn 2"),
             "recpart_vs_mn": (159, "lam=[1, 1] support=[2] n=9: recpart 14 != mn 16"),
             "mn_peel_order": (
-                62, "mu=[4, 1, 1] ct=[2, 1, 1, 1, 1]: peel order changed value 4 -> 2"),
-            "column_orthogonality": (2, "n=6 ct=[2, 1, 1, 1, 1]: 64 != centralizer order"),
-            "main_oracle": (512, "lam=[1, 1] r=2 n=6: poly 2 != mn 4"),
+                19, "mu=[4, 1, 1] ct=[2, 1, 1, 1, 1]: peel order changed value 4 -> 2"),
+            "column_orthogonality": (2, "n=6 ct=[2, 1, 1, 1, 1]: 72 != centralizer order"),
+            "main_oracle": (490, "lam=[1, 1] r=2 n=6: poly 2 != mn 4"),
             "interpolation_route": (
-                26, "lam=[1, 1] r=2: interpolated (-30, 13, -3) != (0, -1, 1)"),
-            "main_band": (38, "lam=[2, 1] r=3 n=7: poly -1 != mn 1"),
-            "recpart_band": (96, "lam=[1, 1] support=[2] n=6: recpart 2 != mn 4"),
+                24, "lam=[1, 1] r=2: interpolated (-30, 13, -3) != (0, -1, 1)"),
+            "main_band": (29, "lam=[2, 1] r=3 n=7: poly -1 != mn 1"),
+            "recpart_band": (94, "lam=[1, 1] support=[2] n=6: recpart 2 != mn 4"),
         },
     ),
     "beta_dim_negated_at_5": (
@@ -264,10 +264,10 @@ MUTANTS = {
             "dim_equals_skew_over_empty": (7, "lam=[5]: hook formula != skew count"),
             "mn_identity_is_dimension": (
                 7, "mu=[5]: MN peel 1, MN at identity -1, tableaux 1 differ"),
-            "frobenius_vs_mn": (16, "mu=[3, 2]: frobenius 1 != mn -1"),
-            "recpart_vs_mn": (351, "lam=[] support=[2] n=7: recpart 1 != mn -1"),
+            "frobenius_vs_mn": (14, "mu=[3, 2]: frobenius 1 != mn -1"),
+            "recpart_vs_mn": (338, "lam=[] support=[2] n=7: recpart 1 != mn -1"),
             "mn_peel_order": (
-                55, "mu=[5] ct=[1, 1, 1, 1, 1]: peel order changed value -1 -> 1"),
+                41, "mu=[5] ct=[1, 1, 1, 1, 1]: peel order changed value -1 -> 1"),
             "column_orthogonality": (1, "n=7 ct=[2, 1, 1, 1, 1, 1]: 384 != centralizer order"),
             "main_oracle": (330, "lam=[] r=1 n=5: poly 1 != mn -1"),
             "coefficient_recurrence": (443, "lam=[5] h=0 r=1: -1 != corner sum 1"),
@@ -279,8 +279,8 @@ MUTANTS = {
             "basis2_forms": (
                 4, "case 1 k=5: char_poly b [-1, -1, 0, 0, 0, 0] "
                    "!= closed form [1, 1, 0, 0, 0, 0]"),
-            "main_band": (69, "lam=[3] r=2 n=7: poly 4 != mn -4"),
-            "recpart_band": (393, "lam=[] support=[] n=5: recpart 1 != mn -1"),
+            "main_band": (70, "lam=[3] r=2 n=7: poly 4 != mn -4"),
+            "recpart_band": (386, "lam=[] support=[] n=5: recpart 1 != mn -1"),
         },
     ),
     "dim_syt_negated_at_5": (
@@ -296,7 +296,7 @@ MUTANTS = {
         },
     ),
     "skew_count_plus_one_over_a_box": (
-        [(tableaux, "_skew_count", _skew_count_plus_one_over_a_box),
+        [(tableaux, "skew_syt_count", _skew_count_plus_one_over_a_box),
          (verification, "_skew_count", _skew_count_plus_one_over_a_box)],
         {
             "skew_recursion": (
@@ -365,13 +365,15 @@ MUTANTS = {
             "skew_recursion": (3, "lam=[1, 1] nu=[1]: count 1, corner sum 1, growth sum 0"),
             "column_removal_difference": (1, "lam=[1, 1] h=2: 1 != 0"),
             "skew_count_vs_backtracking": (1, "outer=[1, 1] inner=[1, 1]: counts differ"),
-            "frobenius_vs_mn": (4, "mu=[1, 1]: frobenius 0 != mn -1"),
+            "frobenius_vs_mn": (4, "mu=[1, 1]: frobenius 0 != mn 1"),
+            "mn_peel_order": (1, "mu=[1, 1] ct=[2]: peel order changed value 1 -> -1"),
             "main_oracle": (28, "lam=[1, 1] r=3 n=6: poly 0 != mn 1"),
             "coefficient_recurrence": (8, "lam=[2, 1] h=2 r=3: 1 != corner sum 0"),
             "transpose_small_h": (5, "lam=[2] h=2: b2 1 != transposed a 0"),
             "interpolation_route": (2, "lam=[1, 1] r=3: interpolated (1, -1, 1) != (0, -1, 1)"),
             "constant_coeff_routes": (4, "lam=[1, 1] r=3: primary 1, strips 1, main 0"),
-            "main_band": (6, "lam=[1, 1] r=3 n=3: poly 0 != mn 1"),
+            "main_band": (7, "lam=[1] r=2 n=2: poly -1 != mn 1"),
+            "recpart_band": (1, "lam=[1] support=[2] n=2: recpart -1 != mn 1"),
         },
     ),
 }
@@ -467,7 +469,7 @@ def _contains_without_length_test(lam, nu):
 
 
 def test_kernel_crash_under_verify_exits_3(monkeypatch, capsys):
-    # _skew_count then indexes past the rows of its outer shape
+    # skew_syt_count then indexes past the rows of its outer shape
     patches = [(module, "contains", _contains_without_length_test)
                for module in (partitions, tableaux, verification)]
     code, out, err = _verify_under(patches, monkeypatch, capsys)
@@ -512,7 +514,7 @@ def test_vanishing_bound_asks_the_pair_memo_nothing():
     try:
         res = verification.check_vanishing_bound(Bounds())
         assert res.ok and res.checks > 0
-        assert tableaux._skew_count.cache_info().currsize == 0
+        assert verification._skew_count.cache_info().currsize == 0
     finally:
         _clear_memos()
 
@@ -523,12 +525,10 @@ def test_pair_memo_holds_no_zeros(monkeypatch):
     counted = []
 
     def recorded(outer, inner):
-        counted.append(count := _skew_count.__wrapped__(outer, inner))
+        counted.append(count := _skew_syt_count(outer, inner))
         return count
 
-    memo = functools.cache(recorded)
-    for module in (tableaux, verification):
-        monkeypatch.setattr(module, "_skew_count", memo)
+    monkeypatch.setattr(verification, "_skew_count", functools.cache(recorded))
     _clear_memos()
     try:
         assert all(res.ok for res in verification.run_suites(Bounds(4, 3, 2)))
