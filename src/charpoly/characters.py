@@ -70,10 +70,11 @@ class CycleType(namedtuple("CycleType", ("support", "fixed"))):
     (``fixed``), so a permutation of n with few moved points costs a few
     numbers, not n.
 
-    An immutable tuple (support, fixed), so it compares, copies and pickles
-    as one, but it hashes and prints as ``cycles``: all the lengths as one
-    sorted Partition, built when it is asked for.  The constructor takes
-    all the cycle lengths, fixed points included, in any order;
+    An immutable tuple (support, fixed), so it compares, hashes, copies
+    and pickles as one, and no hash lists the n cycles; it prints as
+    ``cycles``: all the lengths as one sorted Partition, built when it is
+    asked for.  The constructor takes all the cycle lengths, fixed points
+    included, in any order;
     ``of_counts`` takes the number of cycles of each length, and a pickle
     holds those counts, not the n cycles.  A ``collections.namedtuple``,
     not a ``typing.NamedTuple``, since the constructor normalises and
@@ -114,9 +115,6 @@ class CycleType(namedtuple("CycleType", ("support", "fixed"))):
         # the counts of each length, not the default's fields, which
         # __new__ would read as cycle lengths
         return type(self).of_counts, (self.multiplicities(),)
-
-    def __hash__(self) -> int:
-        return hash(self.cycles)
 
     def __repr__(self) -> str:
         return f"CycleType(cycles={self.cycles!r})"

@@ -370,9 +370,8 @@ def cmd_table(args) -> int:
     if any(r < 1 for r in r_list):
         raise UsageError(f"cycle lengths must be >= 1, got {r_list}")
     k = lam.size
-    # one expansion per distinct r, one row per listed r
-    by_r = {r: stability.char_poly(lam, r) for r in dict.fromkeys(r_list)}
-    expansions = [by_r[r] for r in r_list]
+    # one row per listed r; lam's record keeps each vector, so a repeated r is a read
+    expansions = [stability.char_poly(lam, r) for r in r_list]
     with _exact_output():
         if args.format == "json":
             import json

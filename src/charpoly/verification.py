@@ -4,6 +4,11 @@ Each suite checks one identity over a bounded family of inputs; it
 counts every check and describes a failing one where it fails.  The two
 "band" suites probe windows where the stable-range formulas are claimed
 but not relied upon; they report disagreements without failing a run.
+A suite is declared once, as a function ``check_<name>(bounds, res)``
+under ``@_suite`` (``@_suite(report_only=True)`` for a band): the
+decorator names it, builds and times its result and appends it to
+``SUITES``, so the report lists the suites in the order of this file,
+with the bands at its end.
 
 The oracles here recompute from definitions, independent of the
 library's formulas, and exist only for cross-checking: tableau
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import random
 import time
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from itertools import compress, repeat
 from math import comb, factorial, perm, prod
 from operator import eq, not_
@@ -85,10 +90,14 @@ class SuiteResult:
     ``disagreements`` the failing ones, ``failures`` describes the first
     few of those and ``seconds`` is the time the suite took.
 
-    A suite counts each check and describes a failing one on the spot::
+    A suite is one decorated function, named ``check_<name>``, that
+    counts each check and describes a failing one on the spot::
 
-        if not res.check(got == want):
-            res.fail(f"lam={list(lam)}: {got} != {want}")
+        @_suite
+        def check_dim_positive(bounds: Bounds, res: SuiteResult) -> None:
+            for lam in _shapes_upto(bounds.max_k):
+                if not res.check(dim_syt(lam) > 0):
+                    res.fail(f"lam={list(lam)}: dim {dim_syt(lam)}")
     """
 
     _MAX_RECORDED = 3
@@ -125,6 +134,37 @@ class SuiteResult:
         failed = list(compress(range(len(oks)), map(not_, oks)))
         self.disagreements += len(failed)
         return failed
+
+
+# (name, suite) in report order, filled by ``_suite`` in the order of the file
+SUITES: list[tuple[str, Callable[[Bounds], SuiteResult]]] = []
+
+
+def _suite(body=None, *, report_only: bool = False):
+    """Register ``check_<name>`` as the suite ``<name>``, as ``@_suite`` or
+    ``@_suite(report_only=True)``.
+
+    The body takes ``(bounds, res)`` and fills ``res``; the registered
+    function takes ``bounds``, builds the result, runs the body and
+    returns the result with the time it took.  It keeps the body's
+    ``__name__``, ``__qualname__`` and ``__module__``, by which a caller
+    can map a suite to its function."""
+
+    def register(body: Callable[[Bounds, SuiteResult], None]) -> Callable[[Bounds], SuiteResult]:
+        name = body.__name__.removeprefix("check_")
+
+        @wraps(body)
+        def run(bounds: Bounds) -> SuiteResult:
+            res = SuiteResult(name, report_only=report_only)
+            started = time.perf_counter()
+            body(bounds, res)
+            res.seconds = time.perf_counter() - started
+            return res
+
+        SUITES.append((name, run))
+        return run
+
+    return register if body is None else register(body)
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -295,18 +335,17 @@ def hook_lengths(lam: Partition) -> list[int]:
     ]
 
 
-def check_partition_corner_count(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("partition_corner_count")
+@_suite
+def check_partition_corner_count(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 4):
         if not lam:
             continue
         if not res.check(len(_shrunk(lam)) == len(set(lam))):
             res.fail(f"lam={list(lam)}: corners != distinct part values")
-    return res
 
 
-def check_partition_contains_transpose(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("partition_contains_transpose")
+@_suite
+def check_partition_contains_transpose(bounds: Bounds, res: SuiteResult) -> None:
     shapes = [(lam, transpose(lam)) for lam in _shapes_upto(bounds.max_k + 4)]
     for lam, lam_t in shapes:
         if not res.check(transpose(lam_t) == lam):
@@ -318,7 +357,6 @@ def check_partition_contains_transpose(bounds: Bounds) -> SuiteResult:
         agree = map(eq, map(contains, repeat(lam), nus), map(contains, repeat(lam_t), nus_t))
         for j in res.check_each(agree):
             res.fail(f"lam={list(lam)} nu={list(nus[j])}: containment not transpose-invariant")
-    return res
 
 
 class SkewHook(NamedTuple):
@@ -341,8 +379,8 @@ def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
     return [SkewHook(leg, _shape(rest)) for leg, rest in _strips(_beta(lam, len(lam)), r)]
 
 
-def check_skew_hook_bruteforce(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("skew_hook_bruteforce")
+@_suite
+def check_skew_hook_bruteforce(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 4):
         strips = border_strips_bruteforce(lam)
         for r in range(1, lam.size + 1):
@@ -358,30 +396,27 @@ def check_skew_hook_bruteforce(bounds: Bounds) -> SuiteResult:
                     res.fail(f"lam={list(lam)} r={r}: malformed hook {hook}")
             if not res.check(set(hooks) == strips[r]):
                 res.fail(f"lam={list(lam)} r={r}: hook set differs from brute force")
-    return res
 
 
-def check_hook_product_divides_factorial(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("hook_product_divides_factorial")
+@_suite
+def check_hook_product_divides_factorial(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 4):
         if not res.check(dim_syt(lam) * prod(hook_lengths(lam)) == factorial(lam.size)):
             res.fail(f"lam={list(lam)}: dim times hook product != size!")
-    return res
 
 
 # ---------------------------------------------------------------------------
 # tableau-level suites
 
 
-def check_syt_branching(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("syt_branching")
+@_suite
+def check_syt_branching(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 4):
         if not lam:
             continue
         total = sum(map(dim_syt, _shrunk(lam)))
         if not res.check(dim_syt(lam) == total):
             res.fail(f"lam={list(lam)}: dim {dim_syt(lam)} != corner sum {total}")
-    return res
 
 
 def _grown(nu: Partition) -> Iterator[Partition]:
@@ -407,13 +442,13 @@ def _count_if_fits(outer: Partition, inner: Partition) -> int:
     return _skew_count(outer, inner) if contains(outer, inner) else 0
 
 
-def check_skew_recursion(bounds: Bounds) -> SuiteResult:
+@_suite
+def check_skew_recursion(bounds: Bounds, res: SuiteResult) -> None:
     """Both branching rules of f(lam / nu), read from the pair memo:
     the largest entry sits in a corner of lam (sum over lam minus a
     corner) and the smallest in a cell that grows nu inside lam (sum
     over nu plus that cell).  The second compares inners of different
     Durfee ranks, which the first never does."""
-    res = SuiteResult("skew_recursion")
     below: dict[Partition, dict[Partition, int]] = {}
     # the growth list of each inner, built the first time an outer asks
     growths: dict[Partition, list[Partition]] = {}
@@ -443,35 +478,31 @@ def check_skew_recursion(bounds: Bounds) -> SuiteResult:
                         f"corner sum {by_outer}, growth sum {by_inner}"
                     )
         below = level
-    return res
 
 
-def check_column_removal_difference(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("column_removal_difference")
+@_suite
+def check_column_removal_difference(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 2):
         for h in range(2, lam.length + 1):
             lhs = a_coeff(lam, h - 1) - a_coeff(lam, h)
             rhs = _count_if_fits(lam, Partition([2] + [1] * (h - 2)))
             if not res.check(lhs == rhs):
                 res.fail(f"lam={list(lam)} h={h}: {lhs} != {rhs}")
-    return res
 
 
-def check_skew_count_vs_backtracking(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("skew_count_vs_backtracking")
+@_suite
+def check_skew_count_vs_backtracking(bounds: Bounds, res: SuiteResult) -> None:
     for outer in _shapes_upto(bounds.max_k):
         for inner in subpartitions(outer):
             if not res.check(_skew_count(outer, inner) == syt_count_backtracking(outer, inner)):
                 res.fail(f"outer={list(outer)} inner={list(inner)}: counts differ")
-    return res
 
 
-def check_dim_equals_skew_over_empty(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("dim_equals_skew_over_empty")
+@_suite
+def check_dim_equals_skew_over_empty(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 4):
         if not res.check(dim_syt(lam) == _skew_count(lam, Partition())):
             res.fail(f"lam={list(lam)}: hook formula != skew count")
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +514,11 @@ def check_dim_equals_skew_over_empty(bounds: Bounds) -> SuiteResult:
 @lru_cache(maxsize=4096)
 def _with_fixed_points(support: tuple[int, ...], n: int) -> CycleType:
     """The cycle type of the cycles ``support`` plus n - |support| fixed points."""
-    return CycleType(tuple(support) + (1,) * (n - sum(support)))
+    return CycleType._make((support, n - sum(support)))
 
 
-def check_mn_identity_is_dimension(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("mn_identity_is_dimension")
+@_suite
+def check_mn_identity_is_dimension(bounds: Bounds, res: SuiteResult) -> None:
     for mu in _shapes_upto(bounds.max_k + 2):
         # MN's strip step at every 1-cycle, down to the empty shape
         peeled = _mn(mu, (1,) * mu.size)
@@ -497,11 +528,10 @@ def check_mn_identity_is_dimension(bounds: Bounds) -> SuiteResult:
             res.fail(
                 f"mu={list(mu)}: MN peel {peeled}, MN at identity {got}, tableaux {want} differ"
             )
-    return res
 
 
-def check_frobenius_vs_mn(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("frobenius_vs_mn")
+@_suite
+def check_frobenius_vs_mn(bounds: Bounds, res: SuiteResult) -> None:
     for n in range(2, bounds.max_k + 3):
         ct = CycleType([2] + [1] * (n - 2))
         for mu in _partitions(n):
@@ -509,7 +539,6 @@ def check_frobenius_vs_mn(bounds: Bounds) -> SuiteResult:
             mn = character_mn(mu, ct)
             if not res.check(frob == mn):
                 res.fail(f"mu={list(mu)}: frobenius {frob} != mn {mn}")
-    return res
 
 
 def character_residue(mu: Partition, r: int) -> int:
@@ -545,7 +574,7 @@ def character_residue(mu: Partition, r: int) -> int:
     return value
 
 
-def _recpart_cases(res: SuiteResult, bounds: Bounds, lo: int, hi: int) -> SuiteResult:
+def _recpart_cases(res: SuiteResult, bounds: Bounds, lo: int, hi: int) -> None:
     """Check recpart against MN into ``res`` at every n from
     max(k + lam_1 + lo, |support|) up to k + lam_1 + hi; the recpart
     polynomial is built once per (lam, support) and the shape (n - k, lam)
@@ -565,15 +594,11 @@ def _recpart_cases(res: SuiteResult, bounds: Bounds, lo: int, hi: int) -> SuiteR
                         res.fail(
                             f"lam={list(lam)} support={list(sup)} n={n}: recpart {got} != mn {want}"
                         )
-    return res
 
 
-def check_recpart_vs_mn(bounds: Bounds) -> SuiteResult:
-    return _recpart_cases(SuiteResult("recpart_vs_mn"), bounds, 6, 10)
-
-
-def check_recpart_band(bounds: Bounds) -> SuiteResult:
-    return _recpart_cases(SuiteResult("recpart_band", report_only=True), bounds, 0, 6)
+@_suite
+def check_recpart_vs_mn(bounds: Bounds, res: SuiteResult) -> None:
+    _recpart_cases(res, bounds, 6, 10)
 
 
 def _ascending_walk(cts: Sequence[Partition]) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -608,13 +633,13 @@ def _mn_ascending(mu: Partition, walk: list[tuple[int, int, tuple[int, ...]]]) -
     return values
 
 
-def check_mn_peel_order(bounds: Bounds) -> SuiteResult:
+@_suite
+def check_mn_peel_order(bounds: Bounds, res: SuiteResult) -> None:
     """Murnaghan--Nakayama does not depend on the order of the cycles:
     ``character_mn`` peels the cycles of length >= 2 in decreasing order
     and reads its last layer's leaves back from the memo or counts them by
     the bead ratio, the ascending walk peels every cycle and sums the
     memo's ``_beta_dim`` counts."""
-    res = SuiteResult("mn_peel_order")
     for n in range(bounds.max_k + 1):
         cts = _partitions(n)
         types = [CycleType(ct) for ct in cts]
@@ -627,7 +652,6 @@ def check_mn_peel_order(bounds: Bounds) -> SuiteResult:
                     res.fail(
                         f"mu={list(mu)} ct={list(ct)}: peel order changed value {down} -> {up}"
                     )
-    return res
 
 
 def centralizer_order(ct: CycleType) -> int:
@@ -639,14 +663,13 @@ def centralizer_order(ct: CycleType) -> int:
     return z
 
 
-def check_column_orthogonality(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("column_orthogonality")
+@_suite
+def check_column_orthogonality(bounds: Bounds, res: SuiteResult) -> None:
     for n in range(2, max(3, bounds.max_k)):
         for ct in (CycleType([1] * n), CycleType([2] + [1] * (n - 2))):
             total = sum(character_mn(mu, ct) ** 2 for mu in _partitions(n))
             if not res.check(total == centralizer_order(ct)):
                 res.fail(f"n={n} ct={list(ct.cycles)}: {total} != centralizer order")
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +707,17 @@ def _sample_polys(rng: random.Random, count: int = 40) -> list[BinomPoly]:
     return polys
 
 
-def check_binom_round_trip(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("binom_round_trip")
+@_suite
+def check_binom_round_trip(bounds: Bounds, res: SuiteResult) -> None:
     rng = random.Random(20260810)
     for p in _sample_polys(rng):
         values = [eval_poly(p, p.shift + i) for i in range(len(p.coeffs))]
         if not res.check(interpolate(values, p.shift) == p):
             res.fail(f"round trip failed for {p}")
-    return res
 
 
-def check_reshift_preserves_values(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("reshift_preserves_values")
+@_suite
+def check_reshift_preserves_values(bounds: Bounds, res: SuiteResult) -> None:
     rng = random.Random(987)
     xs = range(-4, 16)
     for p in _sample_polys(rng):
@@ -706,11 +728,10 @@ def check_reshift_preserves_values(bounds: Bounds) -> SuiteResult:
                 res.fail(f"reshift to {new_shift} changed {p}")
             if not res.check(reshift(q, p.shift) == p):
                 res.fail(f"reshift round trip failed for {p}")
-    return res
 
 
-def check_forward_difference_coeffs(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("forward_difference_coeffs")
+@_suite
+def check_forward_difference_coeffs(bounds: Bounds, res: SuiteResult) -> None:
     rng = random.Random(55)
     for _ in range(40):
         values = [rng.randint(-50, 50) for _ in range(rng.randint(1, 10))]
@@ -720,7 +741,6 @@ def check_forward_difference_coeffs(bounds: Bounds) -> SuiteResult:
             got = coeffs[m] if m < len(coeffs) else 0
             if not res.check(got == delta):
                 res.fail(f"coeff {m}: {got} != forward difference {delta}")
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +754,7 @@ def _stable_character(lam: Partition, n: int, r: int) -> int:
 
 def _main_cases(
     res: SuiteResult, max_k: int, max_r: int, window: Callable[[int, int], range]
-) -> SuiteResult:
+) -> None:
     """Check char_poly against MN into ``res`` at every n in
     window(k + lam_1, r), over |lam| <= max_k and 1 <= r <= max_r; the
     shape (n - k, lam) is built once per (lam, n), whichever r asks."""
@@ -752,18 +772,12 @@ def _main_cases(
                 want = character_mn(shape, _with_fixed_points((r,), n))
                 if not res.check(got == want):
                     res.fail(f"lam={list(lam)} r={r} n={n}: poly {got} != mn {want}")
-    return res
 
 
-def check_main_oracle(bounds: Bounds) -> SuiteResult:
+@_suite
+def check_main_oracle(bounds: Bounds, res: SuiteResult) -> None:
     window = lambda base, r: range(base + r, base + r + bounds.n_window)
-    return _main_cases(SuiteResult("main_oracle"), bounds.max_k, bounds.max_r, window)
-
-
-def check_main_band(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("main_band", report_only=True)
-    window = lambda base, r: range(max(base, r), base + r)
-    return _main_cases(res, max(0, bounds.max_k - 2), max(1, bounds.max_r - 2), window)
+    _main_cases(res, bounds.max_k, bounds.max_r, window)
 
 
 def coeff_b(lam: Partition, h: int, r: int) -> int:
@@ -784,11 +798,11 @@ def coeff_b(lam: Partition, h: int, r: int) -> int:
     return b
 
 
-def check_coefficient_recurrence(bounds: Bounds) -> SuiteResult:
+@_suite
+def check_coefficient_recurrence(bounds: Bounds, res: SuiteResult) -> None:
     """b[h] of lam is the sum of b[h] over lam minus each corner, for
     h < |lam|.  Each coefficient is computed once and read from the
     previous size's dict, which holds h <= |lam| for the next size."""
-    res = SuiteResult("coefficient_recurrence")
     rs = range(1, bounds.max_r + 1)
     below: dict[Partition, dict[tuple[int, int], int]] = {}
     for k in range(bounds.max_k + 1):
@@ -807,22 +821,20 @@ def check_coefficient_recurrence(bounds: Bounds) -> SuiteResult:
                     if not res.check(got == total):
                         res.fail(f"lam={list(lam)} h={h} r={r}: {got} != corner sum {total}")
         below = level
-    return res
 
 
-def check_vanishing_bound(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("vanishing_bound")
+@_suite
+def check_vanishing_bound(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k):
         for r in range(1, bounds.max_r + 1):
             for h in range(lam.length + r + 1, lam.size + r + 2):
                 got = coeff_b(lam, h, r)
                 if not res.check(got == 0):
                     res.fail(f"lam={list(lam)} h={h} r={r}: expected 0 past length+r, got {got}")
-    return res
 
 
-def check_limit_stabilization(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("limit_stabilization")
+@_suite
+def check_limit_stabilization(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k):
         for h in range(lam.size + 1):
             want = a_coeff(lam, h)
@@ -830,22 +842,20 @@ def check_limit_stabilization(bounds: Bounds) -> SuiteResult:
                 got = coeff_b(lam, h, r)
                 if not res.check(got == want):
                     res.fail(f"lam={list(lam)} h={h} r={r}: {got} != a_coeff {want}")
-    return res
 
 
-def check_leading_coefficient(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("leading_coefficient")
+@_suite
+def check_leading_coefficient(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k):
         dim = dim_syt(lam)
         for r in range(1, bounds.max_r + 1):
             b0 = stability.char_poly(lam, r).b[0]
             if not res.check(b0 == dim):
                 res.fail(f"lam={list(lam)} r={r}: b[0] = {b0} != dim")
-    return res
 
 
-def check_transpose_small_h(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("transpose_small_h")
+@_suite
+def check_transpose_small_h(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k):
         lam_t = transpose(lam)
         for h in range(4):
@@ -853,11 +863,10 @@ def check_transpose_small_h(bounds: Bounds) -> SuiteResult:
             want = a_coeff(lam_t, h)
             if not res.check(got == want):
                 res.fail(f"lam={list(lam)} h={h}: b2 {got} != transposed a {want}")
-    return res
 
 
-def check_gamma_size_law(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("gamma_size_law")
+@_suite
+def check_gamma_size_law(bounds: Bounds, res: SuiteResult) -> None:
     for r in range(1, bounds.max_r + 3):
         for h in range(3 * r + 1):
             gamma = stability.r_primary(r, h)
@@ -868,11 +877,10 @@ def check_gamma_size_law(bounds: Bounds) -> SuiteResult:
                 res.fail(f"r={r} h={h}: duplicate primary partitions")
             if not res.check(all(sp.partition.size == h and sp.sign in (-1, 1) for sp in gamma)):
                 res.fail(f"r={r} h={h}: wrong size or sign")
-    return res
 
 
-def check_interpolation_route(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("interpolation_route")
+@_suite
+def check_interpolation_route(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(max(0, bounds.max_k - 2)):
         k, lam1 = lam.size, lam[0] if lam else 0
         for r in range(1, max(1, bounds.max_r - 2) + 1):
@@ -882,11 +890,10 @@ def check_interpolation_route(bounds: Bounds) -> SuiteResult:
             want = stability.char_poly(lam, r).poly
             if not res.check(got == want):
                 res.fail(f"lam={list(lam)} r={r}: interpolated {got.coeffs} != {want.coeffs}")
-    return res
 
 
-def check_frobenius_route(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("frobenius_route")
+@_suite
+def check_frobenius_route(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k):
         k, lam1 = lam.size, lam[0] if lam else 0
         poly = stability.char_poly(lam, 2).poly
@@ -895,7 +902,6 @@ def check_frobenius_route(bounds: Bounds) -> SuiteResult:
             want = character_frobenius_transposition(Partition([n - k] + list(lam)))
             if not res.check(got == want):
                 res.fail(f"lam={list(lam)} n={n}: poly {got} != frobenius {want}")
-    return res
 
 
 def constant_coeff(lam: Partition, r: int) -> int:
@@ -926,8 +932,8 @@ def constant_coeff_vertical_strip(lam: Partition, r: int) -> int:
     return total
 
 
-def check_constant_coeff_routes(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("constant_coeff_routes")
+@_suite
+def check_constant_coeff_routes(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 1):
         for r in range(1, bounds.max_r + 1):
             via_primary = constant_coeff(lam, r)
@@ -938,7 +944,6 @@ def check_constant_coeff_routes(bounds: Bounds) -> SuiteResult:
                     f"lam={list(lam)} r={r}: primary {via_primary}, strips {via_strips}, "
                     f"main {via_main}"
                 )
-    return res
 
 
 def basis2_closed_forms(k: int) -> dict[int, tuple[Partition, tuple[int, ...]]]:
@@ -957,14 +962,13 @@ def basis2_closed_forms(k: int) -> dict[int, tuple[Partition, tuple[int, ...]]]:
     return {case: (Partition(lam), tuple(b)) for case, (lam, b) in forms.items()}
 
 
-def check_basis2_forms(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("basis2_forms")
+@_suite
+def check_basis2_forms(bounds: Bounds, res: SuiteResult) -> None:
     for k in range(bounds.max_k + 5):
         for case, (lam, b) in basis2_closed_forms(k).items():
             got = stability.char_poly(lam, 2).b
             if not res.check(got == b):
                 res.fail(f"case {case} k={k}: char_poly b {list(got)} != closed form {list(b)}")
-    return res
 
 
 def coeff_b_transposition_split(lam: Partition, h: int) -> tuple[int, int]:
@@ -982,59 +986,34 @@ def coeff_b_transposition_split(lam: Partition, h: int) -> tuple[int, int]:
     return plus, minus
 
 
-def check_transposition_split(bounds: Bounds) -> SuiteResult:
-    res = SuiteResult("transposition_split")
+@_suite
+def check_transposition_split(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k):
         for h in range(lam.size + 2):
             plus, minus = coeff_b_transposition_split(lam, h)
             got = coeff_b(lam, h, 2)
             if not res.check(plus - minus == got):
                 res.fail(f"lam={list(lam)} h={h}: {plus} - {minus} != b2 {got}")
-    return res
 
 
-SUITES: list[tuple[str, Callable[[Bounds], SuiteResult]]] = [
-    ("partition_corner_count", check_partition_corner_count),
-    ("partition_contains_transpose", check_partition_contains_transpose),
-    ("skew_hook_bruteforce", check_skew_hook_bruteforce),
-    ("hook_product_divides_factorial", check_hook_product_divides_factorial),
-    ("syt_branching", check_syt_branching),
-    ("skew_recursion", check_skew_recursion),
-    ("column_removal_difference", check_column_removal_difference),
-    ("skew_count_vs_backtracking", check_skew_count_vs_backtracking),
-    ("dim_equals_skew_over_empty", check_dim_equals_skew_over_empty),
-    ("mn_identity_is_dimension", check_mn_identity_is_dimension),
-    ("frobenius_vs_mn", check_frobenius_vs_mn),
-    ("recpart_vs_mn", check_recpart_vs_mn),
-    ("mn_peel_order", check_mn_peel_order),
-    ("column_orthogonality", check_column_orthogonality),
-    ("binom_round_trip", check_binom_round_trip),
-    ("reshift_preserves_values", check_reshift_preserves_values),
-    ("forward_difference_coeffs", check_forward_difference_coeffs),
-    ("main_oracle", check_main_oracle),
-    ("coefficient_recurrence", check_coefficient_recurrence),
-    ("vanishing_bound", check_vanishing_bound),
-    ("limit_stabilization", check_limit_stabilization),
-    ("leading_coefficient", check_leading_coefficient),
-    ("transpose_small_h", check_transpose_small_h),
-    ("gamma_size_law", check_gamma_size_law),
-    ("interpolation_route", check_interpolation_route),
-    ("frobenius_route", check_frobenius_route),
-    ("constant_coeff_routes", check_constant_coeff_routes),
-    ("basis2_forms", check_basis2_forms),
-    ("transposition_split", check_transposition_split),
-    ("main_band", check_main_band),
-    ("recpart_band", check_recpart_band),
-]
+# ---------------------------------------------------------------------------
+# report-only bands, registered last so that the report ends with them
+
+
+@_suite(report_only=True)
+def check_main_band(bounds: Bounds, res: SuiteResult) -> None:
+    window = lambda base, r: range(max(base, r), base + r)
+    _main_cases(res, max(0, bounds.max_k - 2), max(1, bounds.max_r - 2), window)
+
+
+@_suite(report_only=True)
+def check_recpart_band(bounds: Bounds, res: SuiteResult) -> None:
+    _recpart_cases(res, bounds, 0, 6)
 
 
 def _run_one(args: tuple[str, Bounds]) -> SuiteResult:
     name, bounds = args
-    func = dict(SUITES)[name]
-    started = time.perf_counter()
-    res = func(bounds)
-    res.seconds = time.perf_counter() - started
-    return res
+    return dict(SUITES)[name](bounds)
 
 
 def run_suites(bounds: Bounds, jobs: int = 1) -> list[SuiteResult]:

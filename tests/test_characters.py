@@ -443,3 +443,14 @@ def test_recpart_band_reported_not_asserted(capsys):
     print(
         f"recpart band: {result.checks} checks, {result.disagreements} disagreements (report only)"
     )
+
+
+def test_cycle_type_hashes_without_listing_its_cycles(monkeypatch):
+    def listed(self):
+        raise AssertionError("hash listed every cycle")
+
+    monkeypatch.setattr(CycleType, "cycles", property(listed))
+    ct = CycleType.of_counts({2: 1, 1: 10**7})
+    same = CycleType.of_counts({1: 10**7, 2: 1})
+    seen = {ct: "value"}
+    assert hash(ct) == hash(same) and seen[same] == "value"

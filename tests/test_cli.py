@@ -4,8 +4,10 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -511,7 +513,10 @@ class _ListedCycleType:
         object.__setattr__(self, "cycles", parts)
 
     def __hash__(self):
-        return hash(self.cycles)
+        # CycleType hashes as its tuple (support, fixed), which the
+        # listed cycles give as the lengths >= 2 and the count of 1s
+        support = _known_valid([c for c in self.cycles if c > 1])
+        return hash((support, self.cycles.count(1)))
 
     def __repr__(self):
         return f"CycleType(cycles={self.cycles!r})"
@@ -1109,18 +1114,22 @@ class TestTable:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
     def test_repeated_r_expands_once(self, monkeypatch, fmt):
+        # lam's record keeps each finished vector, so a repeated r is read
+        # back, not summed again
         seen = []
-        real = stability.char_poly
+        real = stability._b_vector
 
-        def counting(lam, r):
+        def counting(lam, rec, r, top):
             seen.append(r)
-            return real(lam, r)
+            return real(lam, rec, r, top)
 
-        monkeypatch.setattr(stability, "char_poly", counting)
+        stability._record.cache_clear()
+        monkeypatch.setattr(stability, "_b_vector", counting)
         argv = ["table", "--lambda", "3,3", "--r-list", "2,2,2,3", "--format", fmt]
         code, out = _captured_main(argv)
         assert code == 0
-        assert seen == [2, 3]
+        # the dimension row sums its own vector, at r = lam_1 + len(lam)
+        assert seen == [2, 3, 5]
         # still one row per listed r
         row = {"text": "\nr=2 ", "json": '"r":2,', "latex": "\\sigma_{2}"}[fmt]
         assert out.count(row) == 3
@@ -1322,3 +1331,21 @@ class TestVerify:
         strip = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
         assert code == 0
         assert strip(capsys.readouterr().out) == strip(reference.read_text())
+
+    @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+    def test_small_report_under_each_supported_python(self, python):
+        # pyproject.toml admits Python >= 3.10; the other tests run under one interpreter
+        path = shutil.which(python)
+        if path is None or subprocess.run([path, "-c", "pass"], capture_output=True).returncode:
+            pytest.skip(f"no runnable {python}")
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [path, "-m", "charpoly.cli", "verify", "--max-k", "4", "--max-r", "3",
+             "--n-window", "2"],
+            capture_output=True, text=True, cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        reference = root / "perfbench" / "reference" / "verify-4-3-2.txt"
+        strip = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
+        assert proc.returncode == 0, proc.stderr
+        assert strip(proc.stdout) == strip(reference.read_text())

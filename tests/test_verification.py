@@ -572,3 +572,25 @@ def test_every_failing_check_is_described_where_it_fails():
     assert {id(node) for node in sites} == guarded
     assert not any(isinstance(node, ast.Lambda) for site in sites for node in ast.walk(site))
     assert not hasattr(verification.SuiteResult, "expect")
+
+
+def test_each_suite_is_registered_once_under_its_function_name():
+    names = [name for name, _ in SUITES]
+    defined = sorted(attr.removeprefix("check_") for attr, obj in vars(verification).items()
+                     if attr.startswith("check_") and callable(obj))
+    assert sorted(names) == defined and len(set(names)) == len(names)
+    for name, func in SUITES:
+        # perfbench maps each suite to its spans through the function's name
+        assert func is getattr(verification, f"check_{name}")
+        assert (func.__name__, func.__qualname__) == (f"check_{name}",) * 2
+        assert func.__module__ == verification.__name__
+    # the report-only bands are registered, and so reported, last
+    assert names[-2:] == ["main_band", "recpart_band"]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SUITES])
+def test_direct_call_returns_a_named_timed_result(name):
+    res = getattr(verification, f"check_{name}")(Bounds(2, 2, 1))
+    assert res.name == name
+    assert res.report_only == (name in ("main_band", "recpart_band"))
+    assert res.seconds > 0
