@@ -408,9 +408,9 @@ def cmd_table(args) -> int:
 
 
 # The largest bounds ``verify`` accepts, so that every accepted run ends:
-# all three together take about 25 s at 72 MB peak RSS (``# elapsed``
-# 22-27 s over three runs on a 2-core host, Python 3.11); --help and the
-# README give the cost of each.
+# all three together take about 16 s at 50 MB peak RSS (``# elapsed``
+# 16.1 s in one run on a 2-core host, Python 3.11); --help and the README
+# give the cost of each.
 _VERIFY_CAPS = {"max_k": 14, "max_r": 14, "n_window": 100}
 
 
@@ -435,7 +435,26 @@ def cmd_verify(args) -> int:
         for r in results:
             print(f"# suite {r.name} {r.seconds:.3f}s")
         print(f"# elapsed: {elapsed:.2f}s")
+        peak = _peak_rss_mb(children=args.jobs > 1)
+        if peak is not None:
+            print(f"# peak_rss: {peak:.2f} MB")
     return 0 if ok else 1
+
+
+def _peak_rss_mb(children: bool) -> float | None:
+    """The peak resident memory of this process in MB, or with
+    ``children`` the larger of that and the peak of its largest
+    waited-for child, as ``getrusage`` counts them (``ru_maxrss`` is in
+    bytes on macOS and in KiB elsewhere); None where ``resource`` is
+    missing."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if children:
+        peak = max(peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +499,7 @@ _COMMANDS = {
     "verify": (
         "run the invariant sweeps",
         "Run the invariant sweeps.  At the defaults this takes about "
-        "0.4 s; at all three caps together about 25 s.",
+        "0.4 s; at all three caps together about 16 s.",
         cmd_verify,
         (
             ("--max-k", dict(dest="max_k", type=_positive_int, default=8,

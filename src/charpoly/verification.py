@@ -36,20 +36,25 @@ and reshifting, the constant term from the r-signs and from vertical
 strips, the four transposition closed forms and the two-sided split of
 the transposition coefficients.
 
-The sweeps build their inputs once, not once per check: the partitions
-of each size once per process, the cycle supports once per sweep, a
-cycle type with its fixed points once per (support, n) and the stable
-shape (n - k, lam) once per (lam, n); the skew recursion reads both of
-its sums from one dict of counts per outer shape, keyed by the one
-object per inner shape that the size lists hold, and the cells that
-grow an inner from one list per inner, while the coefficient recurrence
-reads each b[h] from one dict per shape of the previous size; the
-containment sweep checks all inners of one outer in one bulk pass; and
-the peel-order sweep builds each size's cycle types once and peels each
-shared prefix of their increasing cycles once per shape.  Every suite
-that counts a skew pair reads it from one memo per (outer, inner) pair,
-``_skew_count``, kept here: the library counts a pair with one read off
-its outer's hook table and memoizes no pair.
+The sweeps build their inputs once, not once per check, and keep each
+only as long as a later check reads it again: the partitions of each
+size and the down-set of each outer shape (the partitions inside it, as
+the same objects) once per process, the cycle supports once per sweep,
+a cycle type with its fixed points once per (support, n), the recpart
+polynomial once per (lam, support) for both recpart suites and the
+stable shape (n - k, lam) once per (lam, n).  The skew recursion reads
+each count once, straight from the library, keeps the counts of two
+sizes of outer shape, one dict per outer keyed by its down-set, and the
+cells that grow an inner as one list per inner, and checks all inners
+of one outer in one bulk pass, as the containment sweep does; the
+coefficient recurrence reads each b[h] from one dict per shape of the
+previous size; and the peel-order sweep builds each size's cycle types
+once and peels each shared prefix of their increasing cycles once per
+shape.  The suites that ask for a skew pair again (``coeff_b``, the
+counts of ``_count_if_fits``, the backtracking sweep and the dimension
+sweep) read it from one memo per (outer, inner) pair, ``_skew_count``,
+kept here: the library counts a pair with one read off its outer's hook
+table and memoizes no pair.
 """
 
 from __future__ import annotations
@@ -184,10 +189,11 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 # the sweeps list sizes up to max(max_k + 4, max_r), at most 18 at the CLI's caps
 @cache
-def _partitions(n: int) -> tuple[Partition, ...]:
+def _partitions(n: int) -> dict[Partition, Partition]:
     """The partitions of ``n`` in the order of ``partitions_of``, listed
-    once per process."""
-    return tuple(partitions_of(n))
+    once per process, each keyed by itself: a sweep finds there the one
+    object it keeps for a shape it has built afresh."""
+    return {p: p for p in partitions_of(n)}
 
 
 def _shapes_upto(size: int) -> Iterator[Partition]:
@@ -300,8 +306,14 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
     minus one.
     """
     lam = Partition(lam)
+    return _border_strips_over(lam, subpartitions(lam))
+
+
+def _border_strips_over(lam: Partition, down: Iterable[Partition]) -> dict[int, set[tuple]]:
+    """``border_strips_bruteforce(lam)``, walking the partitions ``down``
+    inside ``lam``: all of them, in any order."""
     found: dict[int, set[tuple]] = {r: set() for r in range(1, lam.size + 1)}
-    for mu in subpartitions(lam):
+    for mu in down:
         padded = mu + (0,) * (len(lam) - len(mu))
         rows = [i for i, p in enumerate(lam) if p > padded[i]]
         if not rows:
@@ -312,6 +324,16 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
         ):
             found[lam.size - mu.size].add((bottom - top, mu))
     return found
+
+
+# the sweeps that walk every inner of each outer up to max_k + 4: 8,855 inners
+# in all at the default bounds, 175,652 at the CLI's caps
+@cache
+def _down_set(lam: Partition) -> tuple[Partition, ...]:
+    """The partitions inside ``lam`` in the order of ``subpartitions``,
+    ``lam`` last, each the object ``_partitions`` holds for its shape;
+    listed once per process."""
+    return tuple(_partitions(sum(nu))[nu] for nu in subpartitions(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +404,7 @@ def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
 @_suite
 def check_skew_hook_bruteforce(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 4):
-        strips = border_strips_bruteforce(lam)
+        strips = _border_strips_over(lam, _down_set(lam))
         for r in range(1, lam.size + 1):
             hooks = skew_hooks(lam, r)
             for hook in hooks:
@@ -419,19 +441,24 @@ def check_syt_branching(bounds: Bounds, res: SuiteResult) -> None:
             res.fail(f"lam={list(lam)}: dim {dim_syt(lam)} != corner sum {total}")
 
 
-def _grown(nu: Partition) -> Iterator[Partition]:
-    """nu with one cell added, at each row where that leaves a partition."""
-    for i in range(len(nu) + 1):
-        p = nu[i] if i < len(nu) else 0
-        if i == 0 or nu[i - 1] > p:
-            yield Partition(nu[:i] + (p + 1,) + nu[i + 1 :])
+def _grown(nu: Partition) -> list[Partition]:
+    """nu with one cell added, at each row where that leaves a partition,
+    each the object ``_partitions`` holds for its shape."""
+    shapes = _partitions(sum(nu) + 1)
+    return [
+        shapes[_known_valid(nu[:i] + (p + 1,) + nu[i + 1 :])]
+        for i, p in enumerate((*nu, 0))
+        if i == 0 or nu[i - 1] > p
+    ]
 
 
-# the one memo of skew counts per (outer, inner) pair: the skew sweeps,
-# ``coeff_b`` and the transposition split ask for the same pairs again and
-# again.  Every caller tests containment first, so no entry is a zero, and
-# ``skew_syt_count`` is looked up when a count is made, so a patched one
-# takes effect once the memo is cleared
+# the memo of skew counts per (outer, inner) pair for the suites that ask
+# a pair again: ``coeff_b``, ``_count_if_fits``, the backtracking sweep and
+# the dimension sweep (1,315 pairs at the default bounds); the skew
+# recursion reads each of its pairs once and keeps none.  Every caller
+# tests containment first, so no entry is a zero, and ``skew_syt_count``
+# is looked up when a count is made, so a patched one takes effect once
+# the memo is cleared
 @cache
 def _skew_count(outer: Partition, inner: Partition) -> int:
     return skew_syt_count(outer, inner)
@@ -444,39 +471,33 @@ def _count_if_fits(outer: Partition, inner: Partition) -> int:
 
 @_suite
 def check_skew_recursion(bounds: Bounds, res: SuiteResult) -> None:
-    """Both branching rules of f(lam / nu), read from the pair memo:
-    the largest entry sits in a corner of lam (sum over lam minus a
-    corner) and the smallest in a cell that grows nu inside lam (sum
-    over nu plus that cell).  The second compares inners of different
-    Durfee ranks, which the first never does."""
+    """Both branching rules of f(lam / nu), each count read once from
+    ``skew_syt_count``: the largest entry sits in a corner of lam (sum
+    over lam minus a corner) and the smallest in a cell that grows nu
+    inside lam (sum over nu plus that cell).  The second compares inners
+    of different Durfee ranks, which the first never does.  Only the
+    counts of two sizes of outer are kept, one dict per outer keyed by
+    its down-set, and each outer's inners are checked in one bulk pass."""
+    growths = {nu: _grown(nu) for nu in _shapes_upto(bounds.max_k + 3)}
     below: dict[Partition, dict[Partition, int]] = {}
-    # the growth list of each inner, built the first time an outer asks
-    growths: dict[Partition, list[Partition]] = {}
-    # each inner as the one object ``_partitions`` holds for its shape, not
-    # a fresh tuple per outer: the count dicts and the pair memo keep it alive
-    canon = {nu: nu for nu in _shapes_upto(bounds.max_k + 4)}
     for k in range(bounds.max_k + 5):
         level = {}
         for lam in _partitions(k):
-            counts = level[lam] = {
-                nu: _skew_count(lam, nu) for nu in map(canon.__getitem__, subpartitions(lam))
-            }
+            down = _down_set(lam)
+            counts = level[lam] = dict(zip(down, map(skew_syt_count, repeat(lam), down)))
             if not lam:
                 continue
-            smaller = [below[m] for m in _shrunk(lam)]
-            for nu, count in counts.items():
-                if nu == lam:
-                    continue
-                by_outer = sum(m.get(nu, 0) for m in smaller)
-                grown = growths.get(nu)
-                if grown is None:
-                    grown = growths[nu] = list(_grown(nu))
-                by_inner = sum(map(counts.get, grown, repeat(0)))
-                if not res.check(count == by_outer == by_inner):
-                    res.fail(
-                        f"lam={list(lam)} nu={list(nu)}: count {count}, "
-                        f"corner sum {by_outer}, growth sum {by_inner}"
-                    )
+            inners = down[:-1]  # lam itself is last
+            smaller = [map(below[m].get, inners, repeat(0)) for m in _shrunk(lam)]
+            by_outer = list(map(sum, zip(*smaller)))
+            by_inner = [sum(map(counts.get, growths[nu], repeat(0))) for nu in inners]
+            oks = [counts[nu] == o == i for nu, o, i in zip(inners, by_outer, by_inner)]
+            for j in res.check_each(oks):
+                nu = inners[j]
+                res.fail(
+                    f"lam={list(lam)} nu={list(nu)}: count {counts[nu]}, "
+                    f"corner sum {by_outer[j]}, growth sum {by_inner[j]}"
+                )
         below = level
 
 
@@ -493,7 +514,7 @@ def check_column_removal_difference(bounds: Bounds, res: SuiteResult) -> None:
 @_suite
 def check_skew_count_vs_backtracking(bounds: Bounds, res: SuiteResult) -> None:
     for outer in _shapes_upto(bounds.max_k):
-        for inner in subpartitions(outer):
+        for inner in _down_set(outer):
             if not res.check(_skew_count(outer, inner) == syt_count_backtracking(outer, inner)):
                 res.fail(f"outer={list(outer)} inner={list(inner)}: counts differ")
 
@@ -574,18 +595,26 @@ def character_residue(mu: Partition, r: int) -> int:
     return value
 
 
+# both recpart suites ask for every (lam, support) pair: 209 at the default
+# bounds.  ``recpart_poly`` is looked up when a polynomial is made, so a
+# patched one takes effect once the memo is cleared
+@cache
+def _recpart(lam: Partition, support: Partition) -> BinomPoly:
+    return recpart_poly(lam, support)
+
+
 def _recpart_cases(res: SuiteResult, bounds: Bounds, lo: int, hi: int) -> None:
     """Check recpart against MN into ``res`` at every n from
     max(k + lam_1 + lo, |support|) up to k + lam_1 + hi; the recpart
-    polynomial is built once per (lam, support) and the shape (n - k, lam)
-    once per (lam, n)."""
+    polynomial is built once per (lam, support) for both suites and the
+    shape (n - k, lam) once per (lam, n)."""
     supports = [(sup, sup.size) for sup in _cycle_supports(bounds.max_r)]
     for k in range(max(0, bounds.max_k - 3) + 1):
         for lam in _partitions(k):
             base = k + (lam[0] if lam else 0)
             shapes = {n: Partition([n - k] + list(lam)) for n in range(base + lo, base + hi)}
             for sup, size in supports:
-                poly = recpart_poly(lam, sup)
+                poly = _recpart(lam, sup)
                 for n in range(max(base + lo, size), base + hi):
                     ct = _with_fixed_points(sup, n)
                     got = eval_poly(poly, n)
@@ -601,7 +630,7 @@ def check_recpart_vs_mn(bounds: Bounds, res: SuiteResult) -> None:
     _recpart_cases(res, bounds, 6, 10)
 
 
-def _ascending_walk(cts: Sequence[Partition]) -> list[tuple[int, int, tuple[int, ...]]]:
+def _ascending_walk(cts: Iterable[Partition]) -> list[tuple[int, int, tuple[int, ...]]]:
     """The cycle types ``cts`` as one walk over their cycles in increasing
     order: for each, its index in ``cts``, the length of the prefix it
     shares with the one before it in the walk and the cycles past that

@@ -1193,7 +1193,32 @@ class TestVerify:
         assert suites == [name for name, _ in verification.SUITES]
         assert all(re.fullmatch(r"# suite \S+ \d+\.\d{3}s", l)
                    for l in lines if l.startswith("# suite "))
+        assert lines[-2].startswith("# elapsed: ")
+        assert re.fullmatch(r"# peak_rss: \d+\.\d{2} MB", lines[-1])
+
+    @pytest.mark.parametrize("jobs, want", [("1", "2.00"), ("2", "5.00")])
+    def test_peak_rss_counts_children_only_with_jobs(self, jobs, want, monkeypatch, capsys):
+        import concurrent.futures
+
+        peaks = {"self": 2048, "children": 5120}  # KiB, as Linux counts them
+        fake = SimpleNamespace(RUSAGE_SELF="self", RUSAGE_CHILDREN="children",
+                               getrusage=lambda who: SimpleNamespace(ru_maxrss=peaks[who]))
+        monkeypatch.setitem(sys.modules, "resource", fake)
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool([]))
+        assert main(["verify", "--max-k", "1", "--max-r", "1", "--n-window", "1",
+                     "--jobs", jobs]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"# peak_rss: {want} MB"
+        # macOS counts ru_maxrss in bytes
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert cli._peak_rss_mb(children=True) == 5120 / 2**20
+
+    def test_peak_rss_line_left_out_without_resource(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "resource", None)  # import raises ImportError
+        assert main(["verify", "--max-k", "1", "--max-r", "1", "--n-window", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[-1].startswith("# elapsed: ")
+        assert not any("peak_rss" in line for line in lines)
 
     def test_suite_result_starts_empty(self):
         a, b = verification.SuiteResult("x"), verification.SuiteResult("y")
@@ -1310,10 +1335,17 @@ class TestVerify:
             value = real_eval(p, n)
             return value + 1 if n < getattr(p, "band_end", n) else value
 
+        # the suites share one recpart polynomial per (lam, support), made
+        # when first asked, so the memo must not hold unmarked ones, nor keep
+        # the marked ones afterwards
+        verification._recpart.cache_clear()
         monkeypatch.setattr(verification, "recpart_poly", marked_poly)
         monkeypatch.setattr(verification, "eval_poly", off_in_band)
-        code = main(["verify", "--max-k", "4", "--max-r", "3", "--n-window", "1",
-                     "--format", "json"])
+        try:
+            code = main(["verify", "--max-k", "4", "--max-r", "3", "--n-window", "1",
+                         "--format", "json"])
+        finally:
+            verification._recpart.cache_clear()
         doc = json.loads(capsys.readouterr().out)
         jsonschema.validate(doc, load_schema("verify.schema.json"))
         props = {p["name"]: p for p in doc["properties"]}

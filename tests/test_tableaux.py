@@ -529,8 +529,10 @@ def test_module_level_memos_are_pinned():
         ("stability", "r_primary"),
         ("tableaux", "_frobenius"),
         ("tableaux", "_record"),
+        ("verification", "_down_set"),
         ("verification", "_fillings"),
         ("verification", "_partitions"),
+        ("verification", "_recpart"),
         ("verification", "_skew_count"),
         ("verification", "_with_fixed_points"),
     }

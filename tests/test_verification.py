@@ -43,7 +43,8 @@ _transpose = partitions.transpose
 def _clear_memos():
     # a mutant's values stay in these memos after it is undone
     for memo in (verification._skew_count, tableaux._record, tableaux._frobenius,
-                 _r_primary, _primaries, verification._fillings):
+                 _r_primary, _primaries, verification._fillings, verification._recpart,
+                 verification._down_set):
         memo.cache_clear()
     characters._leaf_dims.clear()
 
@@ -297,6 +298,7 @@ MUTANTS = {
     ),
     "skew_count_plus_one_over_a_box": (
         [(tableaux, "skew_syt_count", _skew_count_plus_one_over_a_box),
+         (verification, "skew_syt_count", _skew_count_plus_one_over_a_box),
          (verification, "_skew_count", _skew_count_plus_one_over_a_box)],
         {
             "skew_recursion": (
@@ -517,6 +519,59 @@ def test_vanishing_bound_asks_the_pair_memo_nothing():
         assert verification._skew_count.cache_info().currsize == 0
     finally:
         _clear_memos()
+
+
+def test_skew_recursion_asks_the_pair_memo_nothing():
+    # it reads each of its pairs once, straight from skew_syt_count
+    _clear_memos()
+    try:
+        res = verification.check_skew_recursion(Bounds())
+        assert res.ok and res.checks == 8_583
+        assert verification._skew_count.cache_info().currsize == 0
+    finally:
+        _clear_memos()
+
+
+def test_pair_memo_keeps_only_the_pairs_asked_again():
+    # coeff_b, _count_if_fits, the backtracking sweep and the dimension
+    # sweep; the skew recursion's 8,855 pairs are not among them
+    _clear_memos()
+    try:
+        assert all(res.ok for res in verification.run_suites(Bounds()))
+        assert verification._skew_count.cache_info().currsize == 1_315
+    finally:
+        _clear_memos()
+
+
+def test_recpart_polynomial_made_once_per_lam_and_support(monkeypatch):
+    made = []
+
+    def recorded(lam, support):
+        made.append((lam, support))
+        return characters.recpart_poly(lam, support)
+
+    monkeypatch.setattr(verification, "recpart_poly", recorded)
+    _clear_memos()
+    try:
+        for suite in (verification.check_recpart_vs_mn, verification.check_recpart_band):
+            assert suite(Bounds()).checks > 0
+    finally:
+        _clear_memos()
+    assert len(made) == len(set(made)) == 209
+
+
+def test_down_sets_hold_the_shared_shape_objects():
+    # listed once per process, in the order of subpartitions, from the
+    # objects _partitions holds; so are the cells that grow each inner
+    for lam in verification._shapes_upto(9):
+        down = verification._down_set(lam)
+        assert down is verification._down_set(lam)
+        assert list(down) == list(verification.subpartitions(lam)) and down[-1] == lam
+        assert all(nu is verification._partitions(nu.size)[nu] for nu in down)
+        grown = verification._grown(lam)
+        assert grown == [nu for nu in verification._partitions(lam.size + 1)
+                         if partitions.contains(nu, lam)]
+        assert all(nu is verification._partitions(nu.size)[nu] for nu in grown)
 
 
 def test_pair_memo_holds_no_zeros(monkeypatch):
