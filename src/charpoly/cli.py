@@ -9,8 +9,9 @@ but ``verify``, whose report ``verification`` writes.
 
 Exit codes: 0 on success, 1 when ``verify`` finds a counterexample, 2 on
 usage errors (malformed partitions or integers, size mismatches, bad
-bounds or cycle lengths), 3 on any other exception, which is an internal
-error and is reported as one ``internal error: ...`` line on stderr.
+bounds or cycle lengths, shapes past a size cap), 3 on any other
+exception, which is an internal error and is reported as one
+``internal error: ...`` line on stderr.
 Each command turns its inputs into library values, and checks them,
 before it computes anything, raising ``UsageError`` for a bad one; only
 ``UsageError`` exits 2, so a library error raised mid-compute, even a
@@ -60,12 +61,20 @@ class UsageError(ValueError):
 # the most parts the c^m tokens of one option may stand for.  One
 # argument of 128 KiB (Linux's limit) holds at most 65,536 written-out
 # parts, and 70,000 is the first round figure past that which admits
-# ``5,1^69995``: so c^m reaches about the sizes written-out lists did.  The
-# slowest such request measured, a hook with 35,000 rows at a transposition
-# (``--mu 35001,1^34999 --ct 2,1^69998``), takes 1.4-2.6 s in process on a
-# 2-core host with Python 3.11; a 70,000-row column at a transposition,
-# read on its conjugate, takes about 0.02 s.
+# ``5,1^69995``: so c^m reaches about the sizes written-out lists did.
 _MAX_POWER_PARTS = 70_000
+
+# the largest mu_1 + len(mu) ``char`` takes.  MN holds a shape as a bead
+# set, an int of mu_1 + len(mu) bits, so memory grows with it.  10^8
+# admits every shape c^m can write and a first row ten times the
+# README's one-row example; the README gives what the cap costs.
+_MAX_CHAR_SPAN = 100_000_000
+
+# the largest |lambda| ``expand`` and ``table`` take.  A row holds k + 1
+# coefficients, and on shapes of few columns their digits grow with k
+# too, so the output grows about as k^2.  10^4 admits every shape the
+# README and the tests expand; the README gives what the cap costs.
+_MAX_EXPAND_SIZE = 10_000
 
 
 def _int_or_none(text: str) -> int | None:
@@ -112,6 +121,12 @@ def _check_power_parts(parts: int) -> None:
     parts in all."""
     if parts > _MAX_POWER_PARTS:
         raise UsageError(f"c^m tokens stand for more than {_MAX_POWER_PARTS} parts")
+
+
+def _check_cap(name: str, value: int, cap: int) -> None:
+    """Reject a request whose ``name`` is past its cap, before any computing."""
+    if value > cap:
+        raise UsageError(f"{name} = {value} is past the cap of {cap}")
 
 
 def _written_out(tokens: list[str]) -> list[int]:
@@ -254,6 +269,7 @@ def _expansion_json(exp: CharPolyExpansion) -> dict:
 
 def cmd_expand(args) -> int:
     lam = parse_partition(args.lam)
+    _check_cap("|lambda|", lam.size, _MAX_EXPAND_SIZE)
     exp = stability.char_poly(lam, args.r)
     with _exact_output():
         if args.format == "json":
@@ -355,7 +371,9 @@ def _parse_cycle_type(text: str) -> CycleType:
 
 
 def cmd_char(args) -> int:
-    mu, ct = parse_partition(args.mu), _parse_cycle_type(args.ct)
+    mu = parse_partition(args.mu)
+    _check_cap("mu_1 + len(mu)", mu[0] + len(mu) if mu else 0, _MAX_CHAR_SPAN)
+    ct = _parse_cycle_type(args.ct)
     if mu.size != ct.n:
         raise UsageError(f"|mu| = {mu.size} but cycle type fills {ct.n}")
     value = character_mn(mu, ct)
@@ -366,6 +384,7 @@ def cmd_char(args) -> int:
 
 def cmd_table(args) -> int:
     lam = parse_partition(args.lam)
+    _check_cap("|lambda|", lam.size, _MAX_EXPAND_SIZE)
     r_list = _written_out(args.r_list.split(","))
     if any(r < 1 for r in r_list):
         raise UsageError(f"cycle lengths must be >= 1, got {r_list}")
@@ -407,10 +426,8 @@ def cmd_table(args) -> int:
     return 0
 
 
-# The largest bounds ``verify`` accepts, so that every accepted run ends:
-# all three together take about 16 s at 50 MB peak RSS (``# elapsed``
-# 16.1 s in one run on a 2-core host, Python 3.11); --help and the README
-# give the cost of each.
+# The largest bounds ``verify`` accepts, so that every accepted run ends;
+# the README gives what they cost.
 _VERIFY_CAPS = {"max_k": 14, "max_r": 14, "n_window": 100}
 
 
@@ -498,21 +515,18 @@ _COMMANDS = {
     )),
     "verify": (
         "run the invariant sweeps",
-        "Run the invariant sweeps.  At the defaults this takes about "
-        "0.4 s; at all three caps together about 16 s.",
+        "Run the invariant sweeps.  Each bound has a cap, and a value past "
+        "it exits 2.",
         cmd_verify,
         (
             ("--max-k", dict(dest="max_k", type=_positive_int, default=8,
                              help="largest partition size swept, at most "
-                                  f"{_VERIFY_CAPS['max_k']}; time grows about 3x per +2 "
-                                  "(8 s at 14)")),
+                                  f"{_VERIFY_CAPS['max_k']}")),
             ("--max-r", dict(dest="max_r", type=_positive_int, default=6,
-                             help="largest cycle length swept, at most "
-                                  f"{_VERIFY_CAPS['max_r']} (0.8 s at 14)")),
+                             help=f"largest cycle length swept, at most {_VERIFY_CAPS['max_r']}")),
             ("--n-window", dict(dest="n_window", type=_positive_int, default=7,
                                 help="values of n checked per polynomial, at most "
-                                     f"{_VERIFY_CAPS['n_window']}; time grows linearly "
-                                     "(0.9 s at 100)")),
+                                     f"{_VERIFY_CAPS['n_window']}")),
             ("--jobs", dict(type=_positive_int, default=1,
                             help="suite-level parallelism; 1 keeps runs single-process")),
             ("--format", dict(choices=("text", "json"), default="text")),

@@ -16,18 +16,19 @@ by term through the oracles' own memo of pair counts.
 
 Each count f(lam / nu) = f^lam s*_nu(lam) / (k)_h (Okounkov and
 Olshanski's dimension formula) is f^lam times one ``tableaux._Record.term``
-of lam's hook table over (k)_h.  ``char_poly`` adds up the terms of the
-primaries of each h, divides once per h, and keeps the finished vector
-on the shape's record, so asking again for the same shape and r costs
-one lookup and no pair is memoized.  ``a_vector`` is the same sum at an
-r where each h has one primary, the column (1^h).
+of lam's hook table over (k)_h.  ``char_poly`` is the one caller of that
+kernel: it adds up the terms of the primaries of each h, divides once per
+h, and keeps the finished vector on the shape's record, so asking again
+for the same shape and r costs one lookup and no pair is memoized.  The
+dimension vector is the kernel's stable limit: from r = lam_1 + len(lam)
+on each h <= len(lam) has one primary that fits, the column (1^h), so
+``a_vector`` and ``dim_poly`` read ``char_poly`` at that r.
 
 Expansions sum only the coefficients that can be nonzero.  An r-primary
 partition of h has at least h - r parts, so none fits inside ``lam``
-once h > len(lam) + r and ``char_poly`` computes b[h] only for
-h <= len(lam) + r.  The dimension coefficient a_h counts a column of h
-boxes inside ``lam``, so ``a_vector`` computes it only for
-h <= len(lam).
+once h > len(lam) + r, and from the stable r on no primary of
+h > len(lam) fits at all: ``char_poly`` computes b[h] only for
+h <= len(lam) + r, and only for h <= len(lam) from there on.
 """
 
 from __future__ import annotations
@@ -161,14 +162,22 @@ def _b_vector(lam: Partition, rec: _Record, r: int, top: int) -> tuple[int, ...]
     return tuple(b)
 
 
+def _stable_r(lam: Partition) -> int:
+    """lam_1 + len(lam), the cycle length from which ``char_poly(lam, r)``
+    is the dimension vector (``stable_tail_start`` proves it); 1 for the
+    empty shape."""
+    return lam[0] + len(lam) if lam else 1
+
+
 def char_poly(lam: Partition, r: int) -> CharPolyExpansion:
     """Full coefficient vector of the character polynomial of ``lam`` on
     r-cycles.  Evaluating the polynomial at n >= k + lam_1 + r gives the
     character of (n - k, lam) at an r-cycle with n - r fixed points.
 
-    Only b[0..min(k, len(lam) + r)] are summed; the rest are 0, since no
-    r-primary partition of a larger h fits inside ``lam``.  The vector is
-    kept on lam's record, one per r asked."""
+    Only b[0..min(k, len(lam) + r)] are summed, and from r = lam_1 +
+    len(lam) on only b[0..len(lam)]; the rest are 0, since no r-primary
+    partition of a larger h fits inside ``lam``.  The vector is kept on
+    lam's record, one per r asked."""
     lam = Partition(lam)
     if r < 1:
         raise ValueError(f"cycle length must be positive, got {r}")
@@ -176,8 +185,9 @@ def char_poly(lam: Partition, r: int) -> CharPolyExpansion:
     b = rec.vectors.get(r)
     if b is None:
         k = lam.size
-        # an r-primary partition of h has at least h - r parts
-        top = min(k, lam.length + r)
+        # an r-primary partition of h has at least h - r parts, and from
+        # the stable r on only the columns (1^h) with h <= len(lam) fit
+        top = min(k, lam.length + (r if r < _stable_r(lam) else 0))
         b = rec.vectors[r] = _b_vector(lam, rec, r, top) + (0,) * (k - top)
     return CharPolyExpansion(lam, r, b)
 
@@ -193,36 +203,30 @@ def stable_tail_start(lam: Partition, expansions: list[CharPolyExpansion]) -> in
     r - len(lam) + 1 > lam_1.  Every column (1^h) with h <= len(lam) is a
     primary, since len(lam) < r, and fits, and no longer column fits.
     So the run is infinite exactly when the vectors match through
-    lam_1 + len(lam), and only the cycle lengths up to there missing from
-    ``expansions`` are expanded.
+    lam_1 + len(lam).  Each r up to there is asked of ``char_poly``, which
+    reads the ones already expanded back from lam's record.
     """
     start = len(expansions) - 1
     while start > 0 and expansions[start - 1].b == expansions[-1].b:
         start -= 1
     r_start, reference = expansions[start].r, expansions[start].b
-    known = {exp.r for exp in expansions[start:]}
-    for r in range(r_start + 1, (lam[0] + len(lam) if lam else 0) + 1):
-        if r not in known and char_poly(lam, r).b != reference:
+    for r in range(r_start + 1, _stable_r(lam) + 1):
+        if char_poly(lam, r).b != reference:
             return None
     return start
 
 
 def a_vector(lam: Partition) -> list[int]:
-    """The dimension coefficients a_coeff(lam, h) for h = 0..k: by
-    ``stable_tail_start``'s proof, ``char_poly(lam, r).b`` at
-    r = lam_1 + len(lam), where each h <= len(lam) < r has one primary
-    that fits, the column (1^h).  Only those h are summed; the rest are
-    0, since a longer column does not fit inside ``lam``."""
+    """The dimension coefficients a_coeff(lam, h) for h = 0..k: the stable
+    limit ``char_poly(lam, r).b`` at r = lam_1 + len(lam), where each
+    h <= len(lam) < r has one primary that fits, the column (1^h)."""
     lam = Partition(lam)
-    if not lam:
-        return [1]
-    top = lam.length
-    return [*_b_vector(lam, _record(lam), lam[0] + top, top)] + [0] * (lam.size - top)
+    return list(char_poly(lam, _stable_r(lam)).b)
 
 
 def dim_poly(lam: Partition) -> BinomPoly:
     """Dimension of (n - k, lam) as a polynomial in the plain binomial
-    basis: sum of (-1)^h a_coeff(lam, h) C(n, k - h), taken from
-    ``a_vector``, so only h <= len(lam) are counted."""
-    a = a_vector(lam)
-    return BinomPoly(0, [ah if h % 2 == 0 else -ah for h, ah in enumerate(a)][::-1])
+    basis: sum of (-1)^h a_coeff(lam, h) C(n, k - h), the stable
+    expansion of ``a_vector`` read at shift 0."""
+    lam = Partition(lam)
+    return BinomPoly(0, char_poly(lam, _stable_r(lam)).poly.coeffs)

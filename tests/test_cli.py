@@ -690,6 +690,46 @@ class TestPowerNotation:
         assert run_cli("char", "--mu", "69999,1", "--ct", "5,1^69995") == (0, "69994\n", "")
 
 
+class TestSizeCaps:
+    """A shape past a size cap exits 2 before anything is computed."""
+
+    @staticmethod
+    def _no_compute(monkeypatch):
+        def never(*args):
+            raise AssertionError("computed past a cap")
+
+        monkeypatch.setattr(cli, "character_mn", never)
+        monkeypatch.setattr(stability, "char_poly", never)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["char", "--mu", "100000000", "--ct", "100000000"],
+         "mu_1 + len(mu) = 100000001 is past the cap of 100000000"),
+        (["char", "--mu", "99999999,1", "--ct", "99999999,1"],
+         "mu_1 + len(mu) = 100000001 is past the cap of 100000000"),
+        (["char", "--mu", "1000000000000", "--ct", "1000000000000"],
+         "mu_1 + len(mu) = 1000000000001 is past the cap of 100000000"),
+        (["expand", "--lambda", "10001", "--r", "2"], "|lambda| = 10001 is past the cap of 10000"),
+        (["expand", "--lambda", "2^5000,1", "--r", "2"],
+         "|lambda| = 10001 is past the cap of 10000"),
+        (["table", "--lambda", "5001,5000", "--r-list", "2", "--format", "json"],
+         "|lambda| = 10001 is past the cap of 10000"),
+    ])
+    def test_past_the_cap_exits_2(self, argv, message, monkeypatch, capsys):
+        self._no_compute(monkeypatch)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_char_at_the_cap_is_accepted(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "character_mn", lambda mu, ct: seen.append(mu) or 0)
+        assert _quiet_main(["char", "--mu", "99999998,1", "--ct", "99999998,1"]) == 0
+        assert seen == [Partition([99_999_998, 1])]
+
+    @pytest.mark.parametrize("lam", ["10000", "5000,5000", "1^10000"])
+    def test_expand_at_the_cap_runs(self, lam):
+        assert _quiet_main(["expand", "--lambda", lam, "--r", "2", "--format", "latex"]) == 0
+
+
 class TestExitCodes:
     def test_bad_integer_exits_2(self, run_cli):
         code, _, err = run_cli("table", "--lambda", "3,3", "--r-list", "2,x")
@@ -1100,17 +1140,24 @@ class TestTable:
         ("3,3", "2,3,4,5", 4),
     ])
     def test_latex_expands_each_r_once(self, monkeypatch, lam, r_list, calls):
-        # one char_poly per listed r plus each missing r the tail check needs
+        # one kernel sum per listed r and per missing r the tail check
+        # needs, then one for the dimension row at r = lam_1 + len(lam)
+        # unless that r was summed already
         seen = []
-        real = stability.char_poly
+        real = stability._b_vector
 
-        def counting(lam, r):
+        def counting(lam, rec, r, top):
             seen.append(r)
-            return real(lam, r)
+            return real(lam, rec, r, top)
 
-        monkeypatch.setattr(stability, "char_poly", counting)
+        stability._record.cache_clear()
+        monkeypatch.setattr(stability, "_b_vector", counting)
         assert _quiet_main(["table", "--lambda", lam, "--r-list", r_list, "--format", "latex"]) == 0
-        assert len(seen) == len(set(seen)) == calls
+        shape = parse_partition(lam)
+        stable = shape[0] + len(shape)
+        rows, dimension = seen[:calls], seen[calls:]
+        assert len(rows) == len(set(rows)) == calls
+        assert dimension == ([] if stable in rows else [stable])
 
     @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
     def test_repeated_r_expands_once(self, monkeypatch, fmt):
@@ -1128,7 +1175,7 @@ class TestTable:
         argv = ["table", "--lambda", "3,3", "--r-list", "2,2,2,3", "--format", fmt]
         code, out = _captured_main(argv)
         assert code == 0
-        # the dimension row sums its own vector, at r = lam_1 + len(lam)
+        # the dimension row reads char_poly at r = lam_1 + len(lam)
         assert seen == [2, 3, 5]
         # still one row per listed r
         row = {"text": "\nr=2 ", "json": '"r":2,', "latex": "\\sigma_{2}"}[fmt]

@@ -265,20 +265,41 @@ class TestWorkBound:
         assert len(exp.b) == 61 and not any(exp.b[7:])
 
     def test_a_vector_counts_through_length(self, monkeypatch):
+        tableaux._record.cache_clear()
         calls = _counting(monkeypatch, "_b_vector")
         a = a_vector(Partition([30, 20, 10]))
         assert [h for *_, top in calls for h in range(top + 1)] == list(range(4))
         assert len(a) == 61 and not any(a[4:])
 
     def test_dimension_rows_use_a_vector(self, monkeypatch):
+        lam = Partition([30, 20, 10])
+        tableaux._record.cache_clear()
         calls = _counting(monkeypatch, "_b_vector")
-        dim_poly(Partition([30, 20, 10]))
-        latex_dimension_line(Partition([30, 20, 10]))
+        dim_poly(lam)
+        a_vector(lam)
+        latex_dimension_line(lam)
         for fmt in ("text", "json", "latex"):
             assert cli.main(["table", "--lambda", "30,20,10", "--r-list", "1", "--format", fmt]) == 0
-        # a_vector sums at r = 30 + 3; char_poly's r = 1 row reads the same kernel
-        dimension = [top for _, _, r, top in calls if r == 33]
-        assert [h for top in dimension for h in range(top + 1)] == list(range(4)) * 5
+        # one sum at r = 30 + 3 through h = len(lam), which every dimension
+        # row reads back from lam's record, and one for the r = 1 row
+        assert [(r, top) for *_, r, top in calls] == [(33, 3), (1, 4)]
+
+    def test_stable_vectors_are_dimension_coefficients(self, monkeypatch):
+        # from r = lam_1 + len(lam) on the one kernel gives the dimension
+        # vector, checked against a_coeff's skew counts, and sums only
+        # h <= len(lam)
+        tableaux._record.cache_clear()
+        calls = _counting(monkeypatch, "_b_vector")
+        pairs = 0
+        for k in range(9):
+            for lam in partitions_of(k):
+                stable = lam[0] + len(lam) if lam else 1
+                a = tuple(a_coeff(lam, h) for h in range(k + 1))
+                for r in range(stable, stable + 4):
+                    assert char_poly(lam, r).b == a, (lam, r)
+                    pairs += 1
+        assert len(calls) == pairs == 4 * 67
+        assert all(top <= len(lam) for lam, _, _, top in calls)
 
     def test_coefficient_recurrence_computes_each_coefficient_once(self, monkeypatch):
         # asking again at every corner of every lam would be 7,230 calls

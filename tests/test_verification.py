@@ -344,12 +344,12 @@ MUTANTS = {
     "b_vector_short_by_one": (
         [(stability, "_b_vector", _b_vector_short_by_one)],
         {
-            "main_oracle": (1561, "lam=[] r=1 n=1: poly 0 != mn 1"),
+            "main_oracle": (1848, "lam=[] r=1 n=1: poly 0 != mn 1"),
             "leading_coefficient": (6, "lam=[] r=1: b[0] = 0 != dim"),
-            "interpolation_route": (72, "lam=[] r=1: interpolated (1,) != ()"),
+            "interpolation_route": (77, "lam=[] r=1: interpolated (1,) != ()"),
             "frobenius_route": (322, "lam=[] n=2: poly 0 != frobenius 1"),
             "basis2_forms": (22, "case 1 k=0: char_poly b [0] != closed form [1]"),
-            "main_band": (150, "lam=[1] r=2 n=2: poly 0 != mn -1"),
+            "main_band": (168, "lam=[1] r=2 n=2: poly 0 != mn -1"),
         },
     ),
     "contains_ignoring_last_part": (
