@@ -42,7 +42,7 @@ import time
 from functools import cache
 from itertools import groupby, repeat
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import stability
 from .characters import CycleType, character_mn
@@ -288,26 +288,28 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def cmd_primaries(args) -> int:
-    # each row is written as it is made, and the memos of r_primary and
-    # its enumeration are bypassed, so memory does not grow with --max-h
-    rows = (
-        (h, stability._signed(*shape))
-        for h in range(args.max_h + 1)
-        for shape in stability._primaries.__wrapped__(args.r, h)
-    )
-    if args.format == "json":
-        import json
+def _stream_json(head: str, items: Iterable, tail: str) -> None:
+    """Print ``head``, the JSON array of ``items`` and ``tail``, one item at
+    a time: the bytes json.dumps gives for the whole document, without
+    holding it."""
+    import json
 
-        # the document json.dumps would give, one array item at a time
-        print(f'{{"r":{args.r},"max_h":{args.max_h},"primaries":[', end="")
-        sep = ""
-        for h, sp in rows:
-            item = {"h": h, "nu": list(sp.partition), "sign": sp.sign,
-                    "family": sp.family.value}
-            print(sep + json.dumps(item, separators=(",", ":")), end="")
-            sep = ","
-        print("]}")
+    print(head + "[", end="")
+    sep = ""
+    for item in items:
+        print(sep + json.dumps(item, separators=(",", ":")), end="")
+        sep = ","
+    print("]" + tail)
+
+
+def cmd_primaries(args) -> int:
+    # each row is written as it is made, and r_primary memoizes nothing,
+    # so memory does not grow with --max-h
+    rows = ((h, sp) for h in range(args.max_h + 1) for sp in stability.r_primary(args.r, h))
+    if args.format == "json":
+        items = ({"h": h, "nu": list(sp.partition), "sign": sp.sign, "family": sp.family.value}
+                 for h, sp in rows)
+        _stream_json(f'{{"r":{args.r},"max_h":{args.max_h},"primaries":', items, "}")
     elif args.format == "latex":
         for h, sp in rows:
             sign = "+1" if sp.sign > 0 else "-1"
@@ -393,16 +395,12 @@ def cmd_table(args) -> int:
     expansions = [stability.char_poly(lam, r) for r in r_list]
     with _exact_output():
         if args.format == "json":
-            import json
-
+            # row by row, as text and LaTeX are, so no document of
+            # len(r_list) vectors is held
             dim = stability.dim_poly(lam)
-            doc = {
-                "lambda": list(lam),
-                "k": k,
-                "rows": [_expansion_json(exp) for exp in expansions],
-                "dim": {"shift": dim.shift, "coeffs": list(dim.coeffs)},
-            }
-            print(json.dumps(doc, separators=(",", ":")))
+            _stream_json(f'{{"lambda":{_fmt_parts(lam)},"k":{k},"rows":',
+                         map(_expansion_json, expansions),
+                         f',"dim":{{"shift":{dim.shift},"coeffs":{_fmt_parts(dim.coeffs)}}}}}')
         elif args.format == "latex":
             collapsible = len(r_list) > 1 and all(a < b for a, b in zip(r_list, r_list[1:]))
             tail = stability.stable_tail_start(lam, expansions) if collapsible else None

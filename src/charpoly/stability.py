@@ -17,12 +17,17 @@ by term through the oracles' own memo of pair counts.
 Each count f(lam / nu) = f^lam s*_nu(lam) / (k)_h (Okounkov and
 Olshanski's dimension formula) is f^lam times one ``tableaux._Record.term``
 of lam's hook table over (k)_h.  ``char_poly`` is the one caller of that
-kernel: it adds up the terms of the primaries of each h, divides once per
-h, and keeps the finished vector on the shape's record, so asking again
-for the same shape and r costs one lookup and no pair is memoized.  The
-dimension vector is the kernel's stable limit: from r = lam_1 + len(lam)
-on each h <= len(lam) has one primary that fits, the column (1^h), so
-``a_vector`` and ``dim_poly`` read ``char_poly`` at that r.
+kernel: it adds up the terms of the primaries of each h that fit inside
+lam, walked by loop bounds of its own, divides once per h, and keeps the
+finished vector on the shape's record, so asking again for the same
+shape and r costs one lookup, and neither a pair nor a primary is
+memoized.  ``r_primary`` writes the three families out afresh on each
+call and shares no enumeration with the kernel, so a slip in the
+kernel's bounds or signs shows against ``coeff_b``, which sums over
+``r_primary``.  The dimension vector is the kernel's stable limit:
+from r = lam_1 + len(lam) on each h <= len(lam) has one primary that
+fits, the column (1^h), so ``a_vector`` and ``dim_poly`` read
+``char_poly`` at that r.
 
 Expansions sum only the coefficients that can be nonzero.  An r-primary
 partition of h has at least h - r parts, so none fits inside ``lam``
@@ -34,7 +39,6 @@ h <= len(lam) + r, and only for h <= len(lam) from there on.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
 from typing import NamedTuple
 
 from .binom_poly import BinomPoly
@@ -58,36 +62,6 @@ class SignedPartition(NamedTuple):
     family: Family
 
 
-@cache
-def _primaries(r: int, h: int) -> tuple[tuple[int, int, int, int, Family], ...]:
-    """The r-primary partitions of ``h`` as (sign, a, u, v, family): the
-    shape (a, 2^u, 1^v) with its r-sign, and a = 0 only for the empty
-    partition.  The one definition of the three families, which
-    ``r_primary`` builds partitions from and ``char_poly`` reads as hook
-    coordinates; memoized on (r, h), unchecked."""
-    out = []
-    if h <= r - 1:
-        # the column (1^h) is (1, 1^(h-1))
-        out.append((1, 1, 0, h - 1, Family.COLUMN) if h else (1, 0, 0, 0, Family.COLUMN))
-    u = h - r
-    if 0 <= u <= r - 2:
-        for v in range(r - 1 - u):
-            out.append(((-1) ** (r - u - v), r - u - v, u, v, Family.TYPE_TWO))
-    rem = h - r - 1
-    if rem >= 0:
-        for u in range(min(r - 1, rem) + 1):
-            out.append(((-1) ** (r - u), r + 1 - u, u, rem - u, Family.TYPE_THREE))
-    return tuple(out)
-
-
-def _signed(sign: int, a: int, u: int, v: int, family: Family) -> SignedPartition:
-    """One entry of ``_primaries`` as a SignedPartition."""
-    # the parts descend as built (a column of 1s, or a first part of at
-    # least 2 over 2s and 1s), so they need no check
-    return SignedPartition(_known_valid(([a] if a else []) + [2] * u + [1] * v), sign, family)
-
-
-@cache
 def r_primary(r: int, h: int) -> tuple[SignedPartition, ...]:
     """The r-primary partitions of ``h`` with their r-signs, as a tuple.
 
@@ -101,14 +75,27 @@ def r_primary(r: int, h: int) -> tuple[SignedPartition, ...]:
 
     Listed the column first, then the second family by increasing v, then
     the third by increasing u.  There are 1 of them for h < r, r - 1 for
-    r <= h < 2r, and r for h >= 2r.  Memoized on (r, h), since the
-    verify sweeps ask for them again and again.
+    r <= h < 2r, and r for h >= 2r.  Built afresh on each call, from the
+    families as written here; ``char_poly`` walks only the primaries that
+    fit inside its shape, with loops of its own.
     """
     if r < 1:
         raise ValueError(f"cycle length must be positive, got {r}")
     if h < 0:
         raise ValueError(f"size must be nonnegative, got {h}")
-    return tuple(_signed(*shape) for shape in _primaries(r, h))
+    # the parts descend as built (a column of 1s, or a first part of at
+    # least 2 over 2s and 1s), so they need no check
+    out = [SignedPartition(_known_valid([1] * h), 1, Family.COLUMN)] if h <= r - 1 else []
+    u = h - r
+    if 0 <= u <= r - 2:
+        out += (SignedPartition(_known_valid([r - u - v] + [2] * u + [1] * v),
+                                (-1) ** (r - u - v), Family.TYPE_TWO) for v in range(r - 1 - u))
+    rem = h - r - 1
+    if rem >= 0:
+        out += (SignedPartition(_known_valid([r + 1 - u] + [2] * u + [1] * (rem - u)),
+                                (-1) ** (r - u), Family.TYPE_THREE)
+                for u in range(min(r - 1, rem) + 1))
+    return tuple(out)
 
 
 class CharPolyExpansion(NamedTuple):
@@ -135,28 +122,45 @@ class CharPolyExpansion(NamedTuple):
 def _b_vector(lam: Partition, rec: _Record, r: int, top: int) -> tuple[int, ...]:
     """b[0..top] of the shift-r expansion for ``lam``, read off the hook
     table of its record ``rec``: b[h] is f^lam times the signed
-    ``rec.term`` of each primary of h, summed, over (k)_h.  The primary
-    (a, 2^u, 1^v) is the hook (a-1 | v) when u = 0 and otherwise
-    (a-1, 0 | u+v, u-1).
+    ``rec.term`` of each primary of h that fits, summed, over (k)_h.  The
+    primary (a, 2^u, 1^v) of ``r_primary``'s families is the hook
+    (a-1 | v) when u = 0 and otherwise (a-1, 0 | u+v, u-1).
 
-    A primary is skipped when its first row or first column is longer
-    than lam's.  In the record's orientation one of the two tests keeps
-    the row indices inside the table and the other extends the table only
-    for primaries that can fit.  Rows of 2 need no test: s*_nu(lam)
-    vanishes, and so does the minor, when nu does not fit.
+    Only the primaries whose first row and first column fit inside lam's
+    are walked, by the bounds of the loops: the column (1^h) for
+    h <= len(lam), the second family's v from r - u - lam_1 and below
+    len(lam) - u, and the third family's u from r + 1 - lam_1, once its
+    len(lam) rows fit.  In the record's orientation one of the two bounds
+    keeps the row indices inside the table and the other extends the
+    table only for primaries that can fit.  Rows of 2 need no bound:
+    s*_nu(lam) vanishes, and so does the minor, when nu does not fit.
     """
     width, height = (lam[0], len(lam)) if lam else (0, 0)
+    # the bounds are kept off the builtin max and min, whose calls cost
+    # more than the few terms of a small shape: u + v of the second family
+    # stays below r - 1 and len(lam), and the third family's first row,
+    # r + 1 - u, fits from this u on
+    below = r - 1 if r <= height else height
+    first_u = r + 1 - width if r >= width else 0
     b, falling = [], 1
     for h in range(top + 1):
-        total = 0
-        for sign, a, u, v, _ in _primaries(r, h):
-            if not a:  # the empty partition: no hook, and its minor is 1
-                total += sign
-            elif a <= width and u + v < height:
+        # the column (1^h) is (1, 1^(h-1)); the empty one has no hook, and its minor is 1
+        total = (rec.term((0,), (h - 1,)) if h else 1) if h < r and h <= height else 0
+        u = h - r
+        if 0 <= u <= r - 2:  # (r-u-v, 2^u, 1^v), sign (-1)^a
+            first_v = r - u - width
+            for v in range(first_v if first_v > 0 else 0, below - u):
+                a = r - u - v
                 term = rec.term((a - 1, 0), (u + v, u - 1)) if u else rec.term((a - 1,), (v,))
-                total += sign * term
-        count, rem = divmod(rec.dim * total, falling)
-        assert rem == 0, f"hook-table sum not integral for {lam} at r={r}, h={h}"
+                total += -term if a & 1 else term
+        rem = h - r - 1
+        if 0 <= rem < height:  # (r+1-u, 2^u, 1^(rem-u)), sign -(-1)^a
+            for u in range(first_u, (rem if rem < r - 1 else r - 1) + 1):
+                a = r + 1 - u
+                term = rec.term((a - 1, 0), (rem, u - 1)) if u else rec.term((a - 1,), (rem,))
+                total += term if a & 1 else -term
+        count, left = divmod(rec.dim * total, falling)
+        assert left == 0, f"hook-table sum not integral for {lam} at r={r}, h={h}"
         b.append(count)
         falling *= rec.size - h
     return tuple(b)

@@ -26,15 +26,15 @@ tests hold against Murnaghan--Nakayama; no suite runs it yet.
 
 The second derivations and helpers that only the suites use live here
 too, each next to its suite, each one plain function of its inputs: the
-coefficient b[h] by its definition, summed over the r-primaries through
-the pair memo of skew counts, the partitions of n and those inside a
-shape, a shape less each of its corners and plus each cell that grows
-it (branching rules, both at the outer shape and at the inner one for
-skew counts), hook lengths with each leg counted from the rows below,
-the strip step decoded into hooks, centralizer orders, interpolation
-and reshifting, the constant term from the r-signs and from vertical
-strips, the four transposition closed forms and the two-sided split of
-the transposition coefficients.
+coefficient b[h] by its definition, summed over the memoized r-primaries
+through the pair memo of skew counts, the partitions of n and those
+inside a shape, a shape less each of its corners and plus each cell that
+grows it (branching rules, both at the outer shape and at the inner one
+for skew counts), hook lengths with each leg counted from the rows
+below, the strip step decoded into hooks, centralizer orders,
+interpolation and reshifting, the constant term from the r-signs and
+from vertical strips, the four transposition closed forms and the
+two-sided split of the transposition coefficients.
 
 The sweeps build their inputs once, not once per check, and keep each
 only as long as a later check reads it again: the partitions of each
@@ -54,7 +54,12 @@ shape.  The suites that ask for a skew pair again (``coeff_b``, the
 counts of ``_count_if_fits``, the backtracking sweep and the dimension
 sweep) read it from one memo per (outer, inner) pair, ``_skew_count``,
 kept here: the library counts a pair with one read off its outer's hook
-table and memoizes no pair.
+table and memoizes no pair.  Likewise the r-primaries of one (r, h),
+which ``coeff_b``, the size law and the constant term ask for again, come
+from one memo per (r, h), ``_r_primary``: ``stability.r_primary`` writes
+the three families out afresh on each call, and ``char_poly`` walks only
+the primaries that fit with loops of its own, so the kernel and this
+oracle share no enumeration.
 """
 
 from __future__ import annotations
@@ -809,6 +814,15 @@ def check_main_oracle(bounds: Bounds, res: SuiteResult) -> None:
     _main_cases(res, bounds.max_k, bounds.max_r, window)
 
 
+# the sweeps ask for the r-primaries of one (r, h) again and again (16,781
+# calls on 151 keys at the default bounds), so the oracles keep them here;
+# ``stability.r_primary`` is looked up when a tuple is made, so a patched
+# one takes effect once the memo is cleared
+@cache
+def _r_primary(r: int, h: int) -> tuple[stability.SignedPartition, ...]:
+    return stability.r_primary(r, h)
+
+
 def coeff_b(lam: Partition, h: int, r: int) -> int:
     """Coefficient b[h] of the shift-r expansion for ``lam``: the signed
     sum of skew tableau counts over the r-primary partitions of h, the
@@ -821,7 +835,7 @@ def coeff_b(lam: Partition, h: int, r: int) -> int:
     lam = Partition(lam)
     b = 0
     # the primaries are built as Partitions, so the pair memo is asked directly
-    for nu, sign, _ in stability.r_primary(r, h):
+    for nu, sign, _ in _r_primary(r, h):
         if contains(lam, nu):
             b += sign * _skew_count(lam, nu)
     return b
@@ -898,7 +912,7 @@ def check_transpose_small_h(bounds: Bounds, res: SuiteResult) -> None:
 def check_gamma_size_law(bounds: Bounds, res: SuiteResult) -> None:
     for r in range(1, bounds.max_r + 3):
         for h in range(3 * r + 1):
-            gamma = stability.r_primary(r, h)
+            gamma = _r_primary(r, h)
             want = 1 if h < r else (r - 1 if h < 2 * r else r)
             if not res.check(len(gamma) == want):
                 res.fail(f"r={r} h={h}: |Gamma| = {len(gamma)} != {want}")
@@ -937,7 +951,7 @@ def constant_coeff(lam: Partition, r: int) -> int:
     """The constant-term coefficient b[k] for ``lam`` of k: the r-sign
     when ``lam`` is r-primary, else 0."""
     lam = Partition(lam)
-    return next((sp.sign for sp in stability.r_primary(r, lam.size) if sp.partition == lam), 0)
+    return next((sp.sign for sp in _r_primary(r, lam.size) if sp.partition == lam), 0)
 
 
 def constant_coeff_vertical_strip(lam: Partition, r: int) -> int:

@@ -103,8 +103,8 @@ class TestRPrimary:
             r_primary(2, -1)
 
     def test_unchanged_through_forty(self):
-        # the three families written out directly as validated partitions,
-        # not through the (sign, a, u, v) enumeration char_poly shares
+        # the three families written out again here, as validated
+        # partitions, apart from both r_primary and char_poly's own walk
         def reference(r, h):
             out = []
             if h <= r - 1:
@@ -258,11 +258,28 @@ def _counting(monkeypatch, name, module=stability):
 
 class TestWorkBound:
     def test_char_poly_sums_through_length_plus_r(self, monkeypatch):
-        # the primaries of each h are enumerated once, for h = 0..len + r
-        calls = _counting(monkeypatch, "_primaries")
+        # the primaries of each h are walked once, for h = 0..len + r
+        tableaux._record.cache_clear()
+        calls = _counting(monkeypatch, "_b_vector")
         exp = char_poly(Partition([30, 20, 10]), 3)
-        assert [h for _, h in calls] == list(range(7))
+        assert [h for *_, top in calls for h in range(top + 1)] == list(range(7))
         assert len(exp.b) == 61 and not any(exp.b[7:])
+
+    def test_tall_shape_at_large_r_stays_small(self):
+        # only the primaries that fit are walked, and none is memoized:
+        # at (2^600) and r = 601 each h past r has hundreds of primaries,
+        # of which at most a few fit
+        import tracemalloc
+
+        tableaux._record.cache_clear()
+        tracemalloc.start()
+        try:
+            char_poly(Partition([2] * 600), 601)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            tableaux._record.cache_clear()
+        assert peak < 4 * 2**20
 
     def test_a_vector_counts_through_length(self, monkeypatch):
         tableaux._record.cache_clear()

@@ -10,6 +10,7 @@ tautology, or a check that describes the wrong case, fails here.
 import ast
 import functools
 import operator
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,13 @@ import charpoly.stability as stability
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
 from charpoly.cli import main
-from charpoly.stability import Family
+from charpoly.stability import Family, SignedPartition
 from charpoly.verification import SUITES, Bounds
 
 _term = tableaux._Record.term
 _strips = partitions._strips
 _eval_poly = binom_poly.eval_poly
 _r_primary = stability.r_primary
-_primaries = stability._primaries
 _b_vector = stability._b_vector
 _peel = characters._peel
 _by_ratio = characters._by_ratio
@@ -43,7 +43,7 @@ _transpose = partitions.transpose
 def _clear_memos():
     # a mutant's values stay in these memos after it is undone
     for memo in (verification._skew_count, tableaux._record, tableaux._frobenius,
-                 _r_primary, _primaries, verification._fillings, verification._recpart,
+                 verification._r_primary, verification._fillings, verification._recpart,
                  verification._down_set):
         memo.cache_clear()
     characters._leaf_dims.clear()
@@ -63,10 +63,24 @@ def _eval_plus_one_at_13(p, x):
     return _eval_poly(p, x) + (x == 13)
 
 
-def _type_three_signs_flipped_at_4(r, h):
+def _type_three_part(lam, r, h):
+    return sum(sp.sign * _skew_syt_count(lam, sp.partition) for sp in _r_primary(r, h)
+               if sp.family is Family.TYPE_THREE)
+
+
+def _b_vector_type_three_flipped_at_4(lam, rec, r, top):
+    # the kernel's own walk of the third family, with its signs flipped at r = 4
+    b = _b_vector(lam, rec, r, top)
+    if r != 4:
+        return b
+    return tuple(bh - 2 * _type_three_part(lam, r, h) for h, bh in enumerate(b))
+
+
+def _r_primary_type_three_flipped_at_4(r, h):
     return tuple(
-        (-sign, *rest) if r == 4 and rest[-1] is Family.TYPE_THREE else (sign, *rest)
-        for sign, *rest in _primaries(r, h)
+        SignedPartition(sp.partition, -sp.sign, sp.family)
+        if r == 4 and sp.family is Family.TYPE_THREE else sp
+        for sp in _r_primary(r, h)
     )
 
 
@@ -200,14 +214,22 @@ MUTANTS = {
             "recpart_band": (55, "lam=[4] support=[] n=13: recpart 430 != mn 429"),
         },
     ),
+    # the kernel and r_primary walk the three families each on their own,
+    # so the same slip gets one row in each: the kernel's shows against MN
+    # and interpolation, r_primary's against the vertical-strip constant
     "type_three_signs_flipped_at_4": (
-        [(stability, "_primaries", _type_three_signs_flipped_at_4)],
+        [(stability, "_b_vector", _b_vector_type_three_flipped_at_4)],
         {
             "main_oracle": (175, "lam=[5] r=4 n=14: poly 53 != mn 51"),
             "interpolation_route": (
                 4, "lam=[5] r=4: interpolated (-1, 1, 0, 0, -1, 1) != (1, 1, 0, 0, -1, 1)"),
-            "constant_coeff_routes": (14, "lam=[5] r=4: primary -1, strips 1, main -1"),
             "main_band": (16, "lam=[5] r=4 n=10: poly -2 != mn -4"),
+        },
+    ),
+    "r_primary_type_three_flipped_at_4": (
+        [(stability, "r_primary", _r_primary_type_three_flipped_at_4)],
+        {
+            "constant_coeff_routes": (14, "lam=[5] r=4: primary -1, strips 1, main -1"),
         },
     ),
     "peel_unsigned_at_2": (
@@ -507,6 +529,43 @@ def test_library_bug_under_verify_exits_3_not_2(monkeypatch, capsys):
     code, out, err = _verify_under(patches, monkeypatch, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def _stability_reach(call):
+    """The ``charpoly.stability`` functions that ``call()`` enters, seen
+    with ``sys.setprofile`` only, from empty memos, so that nothing is
+    hidden behind a hit; a generator expression counts as the function
+    it is written in."""
+    for module in (stability, tableaux, verification):
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+    reached = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and frame.f_globals.get("__name__") == stability.__name__:
+            reached.add(getattr(code, "co_qualname", code.co_name).split(".")[0])
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return reached
+
+
+def test_char_poly_and_coeff_b_share_no_stability_function():
+    # the first entry of an oracle-independence ledger: the kernel and the
+    # definition it is checked against reach disjoint parts of stability,
+    # so a slip in one family cannot land on both sides of a suite
+    pairs = [(lam, r) for k in range(7) for lam in verification.partitions_of(k)
+             for r in range(1, 8)]
+    kernel = _stability_reach(lambda: [stability.char_poly(lam, r) for lam, r in pairs])
+    oracle = _stability_reach(lambda: [verification.coeff_b(lam, h, r) for lam, r in pairs
+                                       for h in range(lam.size + 1)])
+    assert "_b_vector" in kernel and "r_primary" in oracle
+    assert not kernel & oracle, kernel & oracle
 
 
 def test_vanishing_bound_asks_the_pair_memo_nothing():
