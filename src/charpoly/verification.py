@@ -50,16 +50,19 @@ of one outer in one bulk pass, as the containment sweep does; the
 coefficient recurrence reads each b[h] from one dict per shape of the
 previous size; and the peel-order sweep builds each size's cycle types
 once and peels each shared prefix of their increasing cycles once per
-shape.  The suites that ask for a skew pair again (``coeff_b``, the
-counts of ``_count_if_fits``, the backtracking sweep and the dimension
-sweep) read it from one memo per (outer, inner) pair, ``_skew_count``,
-kept here: the library counts a pair with one read off its outer's hook
-table and memoizes no pair.  Likewise the r-primaries of one (r, h),
-which ``coeff_b``, the size law and the constant term ask for again, come
-from one memo per (r, h), ``_r_primary``: ``stability.r_primary`` writes
-the three families out afresh on each call, and ``char_poly`` walks only
-the primaries that fit with loops of its own, so the kernel and this
-oracle share no enumeration.
+shape.  The containment sweep asks ``contains`` once per pair of shapes,
+keeping one ``bytes`` row per outer: the check at (lam, nu) compares it
+with contains(lam', nu'), which it reads off the row of lam' through the
+transpose permutation.  The suites that ask for a skew pair again
+(``coeff_b``, the counts of ``_count_if_fits``, the backtracking sweep
+and the dimension sweep) read it from one memo per (outer, inner) pair,
+``_skew_count``, kept here: the library counts a pair with one read off
+its outer's hook table and memoizes no pair.  Likewise the r-primaries
+of one (r, h), which ``coeff_b``, the size law and the constant term ask
+for again, come from one memo per (r, h), ``_r_primary``:
+``stability.r_primary`` writes the three families out afresh on each
+call, and ``char_poly`` walks only the primaries that fit with loops of
+its own, so the kernel and this oracle share no enumeration.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import time
 from functools import cache, lru_cache, wraps
 from itertools import compress, repeat
 from math import comb, factorial, perm, prod
-from operator import eq, not_
+from operator import eq, gt, itemgetter, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .binom_poly import BinomPoly, eval_poly
@@ -304,8 +307,10 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
     columns mu_i + 1 .. lam_{i+1}, so they touch along an edge iff
     lam_{i+1} >= mu_i + 1 and form a 2x2 block iff lam_{i+1} >= mu_i + 2;
     an empty row between non-empty ones cuts the shape.  So lam / mu is a
-    border strip iff its non-empty rows are consecutive and each meets the
-    next in exactly one column, lam_{i+1} = mu_i + 1.  Returns
+    border strip iff, from its first non-empty row to its last, each row
+    meets the next in exactly one column, lam_{i+1} = mu_i + 1: that rule
+    makes row i + 1 non-empty too (mu_{i+1} <= mu_i < lam_{i+1}), so the
+    non-empty rows are consecutive with no separate test.  Returns
     {r: {(leg length, mu)}} with a (possibly empty) set for each r in
     1..|lam|, the leg length being the number of rows the strip spans,
     minus one.
@@ -318,16 +323,25 @@ def _border_strips_over(lam: Partition, down: Iterable[Partition]) -> dict[int, 
     """``border_strips_bruteforce(lam)``, walking the partitions ``down``
     inside ``lam``: all of them, in any order."""
     found: dict[int, set[tuple]] = {r: set() for r in range(1, lam.size + 1)}
+    size, last = lam.size, len(lam) - 1
     for mu in down:
-        padded = mu + (0,) * (len(lam) - len(mu))
-        rows = [i for i, p in enumerate(lam) if p > padded[i]]
-        if not rows:
+        # top: the first row where mu_i < lam_i, none if mu is lam
+        m, top = len(mu), 0
+        while top < m and mu[top] == lam[top]:
+            top += 1
+        if top > last:
             continue
-        top, bottom = rows[0], rows[-1]
-        if bottom - top == len(rows) - 1 and all(
-            lam[i + 1] == padded[i] + 1 for i in range(top, bottom)
-        ):
-            found[lam.size - mu.size].add((bottom - top, mu))
+        # bottom: the last such row, lam's last when mu is shorter
+        bottom = last
+        if m > last:
+            while mu[bottom] == lam[bottom]:
+                bottom -= 1
+        # lam_{i+1} = mu_i + 1 for top <= i < bottom, mu_i = 0 past mu
+        i = top
+        while i < bottom and lam[i + 1] == (mu[i] if i < m else 0) + 1:
+            i += 1
+        if i == bottom:
+            found[size - mu.size].add((bottom - top, mu))
     return found
 
 
@@ -373,16 +387,25 @@ def check_partition_corner_count(bounds: Bounds, res: SuiteResult) -> None:
 
 @_suite
 def check_partition_contains_transpose(bounds: Bounds, res: SuiteResult) -> None:
-    shapes = [(lam, transpose(lam)) for lam in _shapes_upto(bounds.max_k + 4)]
-    for lam, lam_t in shapes:
+    nus = list(_shapes_upto(bounds.max_k + 4))
+    nus_t = list(map(transpose, nus))
+    for lam, lam_t in zip(nus, nus_t):
         if not res.check(transpose(lam_t) == lam):
             res.fail(f"lam={list(lam)}: transpose not an involution")
-    nus = [nu for nu, _ in shapes]
-    nus_t = [nu_t for _, nu_t in shapes]
+    # the check at (lam, nu) reads contains(lam', nu'), which the check at
+    # (lam', nu') reads too: ask contains once per pair of indexed shapes,
+    # the listed ones first, then each transpose off the list, one bytes
+    # row per outer, and read each second value through the transpose
+    at: dict[Partition, int] = {}
+    for nu in nus + nus_t:
+        at.setdefault(nu, len(at))
+    rows = [bytes(map(contains, repeat(lam), at)) for lam in at]
+    cols = [at[nu_t] for nu_t in nus_t]
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    flip = itemgetter(*cols) if len(cols) > 1 else lambda row: [row[j] for j in cols]
     # one row of checks per outer, each row in one bulk pass
-    for lam, lam_t in shapes:
-        agree = map(eq, map(contains, repeat(lam), nus), map(contains, repeat(lam_t), nus_t))
-        for j in res.check_each(agree):
+    for lam, row, col in zip(nus, rows, cols):
+        for j in res.check_each(map(eq, row, flip(rows[col]))):
             res.fail(f"lam={list(lam)} nu={list(nus[j])}: containment not transpose-invariant")
 
 
@@ -414,7 +437,7 @@ def check_skew_hook_bruteforce(bounds: Bounds, res: SuiteResult) -> None:
             hooks = skew_hooks(lam, r)
             for hook in hooks:
                 comp = hook.complement
-                rows = sum(p > (comp[i] if i < len(comp) else 0) for i, p in enumerate(lam))
+                rows = sum(map(gt, lam, comp)) + len(lam) - len(comp)
                 if not res.check(
                     comp.size == lam.size - r
                     and contains(lam, comp)

@@ -240,7 +240,8 @@ def _border_strips_by_cells(lam):
 
 
 def test_border_strips_by_rows_match_cell_search():
-    for n in range(11):
+    # every outer shape of the default sweep, max_k + 4 = 12 boxes
+    for n in range(13):
         for lam in partitions_of(n):
             assert border_strips_bruteforce(lam) == _border_strips_by_cells(lam), lam
 
@@ -381,6 +382,38 @@ def test_containment_sweep_catches_a_two_row_containment(monkeypatch):
         f"lam={lam} nu={nu}: containment not transpose-invariant"
         for lam, nu in (([3, 2], [3, 3]), ([2, 2, 1], [2, 2, 2]), ([4, 2], [3, 3]))
     ]
+
+
+def test_containment_sweep_asks_contains_once_per_pair(monkeypatch):
+    calls = 0
+
+    def counted(lam, nu):
+        nonlocal calls
+        calls += 1
+        return contains(lam, nu)
+
+    monkeypatch.setattr(verification, "contains", counted)
+    result = check_partition_contains_transpose(Bounds())
+    # 272 shapes of at most 12 boxes: the check at (lam, nu) and the one at
+    # (lam', nu') read the same two values, each asked once
+    assert calls == 272 * 272
+    assert (result.checks, result.disagreements) == (272 + 272 * 272, 0)
+
+
+def test_containment_sweep_over_one_shape_and_none():
+    # only the empty partition, then no shape at all: the transpose
+    # permutation of one index still reads a row of one check
+    assert check_partition_contains_transpose(Bounds(max_k=-4)).checks == 2
+    assert check_partition_contains_transpose(Bounds(max_k=-5)).checks == 0
+
+
+def test_shape_sweeps_beyond_the_reference_bounds():
+    # both sweeps depend on max_k alone: 508 shapes of at most 14 boxes
+    bounds = Bounds(max_k=10)
+    result = check_partition_contains_transpose(bounds)
+    assert (result.ok, result.checks) == (True, 258_572)
+    result = check_skew_hook_bruteforce(bounds)
+    assert (result.ok, result.checks) == (True, 11_698)
 
 
 def test_invariant_sweeps():

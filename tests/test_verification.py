@@ -166,6 +166,11 @@ def _contains_ignoring_last_part(lam, nu):
     return nu <= lam and len(nu) <= len(lam) and all(map(operator.le, nu[:-1], lam))
 
 
+def _transpose_pads_a_zero(lam):
+    # the conjugate with a trailing 0 part, a tuple off the list of shapes
+    return partitions._known_valid([*_transpose(lam), 0])
+
+
 _TRANSPOSE_SLIP = [(module, "transpose", _transpose_fixes_two_row_rectangles)
                    for module in (partitions, tableaux, characters, verification)]
 
@@ -398,6 +403,13 @@ MUTANTS = {
             "constant_coeff_routes": (4, "lam=[1, 1] r=3: primary 1, strips 1, main 0"),
             "main_band": (7, "lam=[1] r=2 n=2: poly -1 != mn 1"),
             "recpart_band": (1, "lam=[1] support=[2] n=2: recpart -1 != mn 1"),
+        },
+    ),
+    # counted, not a KeyError: the containment sweep indexes off-list transposes
+    "transpose_pads_a_zero": (
+        [(verification, "transpose", _transpose_pads_a_zero)],
+        {
+            "partition_contains_transpose": (272, "lam=[]: transpose not an involution"),
         },
     ),
 }
