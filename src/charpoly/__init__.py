@@ -10,6 +10,6 @@ from .binom_poly import BinomPoly
 from .characters import CycleType, SizeMismatch, character_mn
 from .partitions import NotWeaklyDecreasing, Partition
 from .stability import char_poly, dim_poly, r_primary
-from .tableaux import a_coeff, dim_syt, skew_syt_count
+from .tableaux import dim_syt, skew_syt_count
 
 __version__ = "0.1.0"

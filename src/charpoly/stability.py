@@ -221,16 +221,18 @@ def stable_tail_start(lam: Partition, expansions: list[CharPolyExpansion]) -> in
 
 
 def a_vector(lam: Partition) -> list[int]:
-    """The dimension coefficients a_coeff(lam, h) for h = 0..k: the stable
-    limit ``char_poly(lam, r).b`` at r = lam_1 + len(lam), where each
-    h <= len(lam) < r has one primary that fits, the column (1^h)."""
+    """The dimension coefficients a_h for h = 0..k, the standard tableaux
+    of ``lam`` whose entries 1..h start its first h rows: the stable limit
+    ``char_poly(lam, r).b`` at r = lam_1 + len(lam), where each
+    h <= len(lam) < r has one primary that fits, the column (1^h), so
+    a_h = f(lam / 1^h).  This is the library's one route to a_h."""
     lam = Partition(lam)
     return list(char_poly(lam, _stable_r(lam)).b)
 
 
 def dim_poly(lam: Partition) -> BinomPoly:
     """Dimension of (n - k, lam) as a polynomial in the plain binomial
-    basis: sum of (-1)^h a_coeff(lam, h) C(n, k - h), the stable
-    expansion of ``a_vector`` read at shift 0."""
+    basis: sum of (-1)^h a_h C(n, k - h) over the dimension coefficients
+    a_h, the stable expansion of ``a_vector`` read at shift 0."""
     lam = Partition(lam)
     return BinomPoly(0, char_poly(lam, _stable_r(lam)).poly.coeffs)

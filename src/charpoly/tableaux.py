@@ -259,13 +259,3 @@ def skew_syt_count(outer: Partition, inner: Partition) -> int:
     assert rem == 0, f"Aitken determinant not integral for {outer} / {inner}"
     return count
 
-
-def a_coeff(lam: Partition, h: int) -> int:
-    """Tableaux of shape ``lam`` whose entries 1..h start the first h rows.
-
-    Equals the skew count of ``lam`` minus a column of h boxes, and in
-    particular vanishes for h > length of ``lam``.
-    """
-    if h < 0:
-        raise ValueError(f"h must be nonnegative, got {h}")
-    return skew_syt_count(lam, Partition([1] * h))

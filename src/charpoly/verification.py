@@ -24,6 +24,17 @@ r-cycle (``character_residue``), in integer power series with f from
 the hook formula, is a third route for the paper's case that the tier-1
 tests hold against Murnaghan--Nakayama; no suite runs it yet.
 
+Three suites hold the kernel's vectors against ``coeff_b``, the
+definition summed over ``r_primary``: ``limit_stabilization`` checks
+every b[h] at r > h against the dimension row ``stability.a_vector``
+(``char_poly`` at r = lam_1 + len(lam), the library's one route to the
+dimension coefficients a_h), ``transpose_small_h`` checks b[h] at r = 2
+for h <= 3 against the conjugate's row, and ``constant_coeff_routes``
+checks the constant term b[k] of ``char_poly`` against the r-sign and
+the vertical strips.  The column removal difference stays an identity
+of skew counts, a_(h-1) - a_h = f(lam / (2, 1^(h-2))), each column
+count read from ``skew_syt_count``.
+
 The second derivations and helpers that only the suites use live here
 too, each next to its suite, each one plain function of its inputs: the
 coefficient b[h] by its definition, summed over the memoized r-primaries
@@ -86,7 +97,7 @@ from .characters import (
     recpart_poly,
 )
 from .partitions import Partition, _beta, _known_valid, _shape, _strips, contains, transpose
-from .tableaux import a_coeff, dim_syt, skew_syt_count
+from .tableaux import dim_syt, skew_syt_count
 from . import stability
 
 
@@ -482,7 +493,7 @@ def _grown(nu: Partition) -> list[Partition]:
 
 # the memo of skew counts per (outer, inner) pair for the suites that ask
 # a pair again: ``coeff_b``, ``_count_if_fits``, the backtracking sweep and
-# the dimension sweep (1,315 pairs at the default bounds); the skew
+# the dimension sweep (1,298 pairs at the default bounds); the skew
 # recursion reads each of its pairs once and keeps none.  Every caller
 # tests containment first, so no entry is a zero, and ``skew_syt_count``
 # is looked up when a count is made, so a patched one takes effect once
@@ -533,7 +544,9 @@ def check_skew_recursion(bounds: Bounds, res: SuiteResult) -> None:
 def check_column_removal_difference(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 2):
         for h in range(2, lam.length + 1):
-            lhs = a_coeff(lam, h - 1) - a_coeff(lam, h)
+            # a_(h-1) - a_h, as the counts of lam less a column of h - 1 and h boxes
+            short, tall = (skew_syt_count(lam, Partition([1] * j)) for j in (h - 1, h))
+            lhs = short - tall
             rhs = _count_if_fits(lam, Partition([2] + [1] * (h - 2)))
             if not res.check(lhs == rhs):
                 res.fail(f"lam={list(lam)} h={h}: {lhs} != {rhs}")
@@ -902,8 +915,9 @@ def check_vanishing_bound(bounds: Bounds, res: SuiteResult) -> None:
 @_suite
 def check_limit_stabilization(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k):
+        a = stability.a_vector(lam)
         for h in range(lam.size + 1):
-            want = a_coeff(lam, h)
+            want = a[h]
             for r in range(h + 1, bounds.max_r + 5):
                 got = coeff_b(lam, h, r)
                 if not res.check(got == want):
@@ -923,10 +937,10 @@ def check_leading_coefficient(bounds: Bounds, res: SuiteResult) -> None:
 @_suite
 def check_transpose_small_h(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k):
-        lam_t = transpose(lam)
+        a_t = [*stability.a_vector(transpose(lam)), 0, 0, 0]  # a_h = 0 past |lam|
         for h in range(4):
             got = coeff_b(lam, h, 2)
-            want = a_coeff(lam_t, h)
+            want = a_t[h]
             if not res.check(got == want):
                 res.fail(f"lam={list(lam)} h={h}: b2 {got} != transposed a {want}")
 
@@ -1004,7 +1018,7 @@ def check_constant_coeff_routes(bounds: Bounds, res: SuiteResult) -> None:
         for r in range(1, bounds.max_r + 1):
             via_primary = constant_coeff(lam, r)
             via_strips = constant_coeff_vertical_strip(lam, r)
-            via_main = coeff_b(lam, lam.size, r)
+            via_main = stability.char_poly(lam, r).b[-1]
             if not res.check(via_primary == via_strips == via_main):
                 res.fail(
                     f"lam={list(lam)} r={r}: primary {via_primary}, strips {via_strips}, "

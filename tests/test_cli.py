@@ -361,7 +361,7 @@ print(hasattr(charpoly.cli, "_stable_tail_start"))
         assert ast.literal_eval(proc.stdout) == [
             "BinomPoly", "CycleType", "NotWeaklyDecreasing", "Partition", "SizeMismatch",
             "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
-            "__package__", "__path__", "__spec__", "__version__", "a_coeff", "binom_poly",
+            "__package__", "__path__", "__spec__", "__version__", "binom_poly",
             "char_poly", "character_mn", "characters", "dim_poly", "dim_syt",
             "partitions", "r_primary", "skew_syt_count", "stability", "tableaux",
         ]

@@ -25,7 +25,7 @@ from charpoly.cli import (
     _latex_dimension_line as latex_dimension_line,
     _latex_expansion_line as latex_expansion_line,
 )
-from charpoly.tableaux import a_coeff, dim_syt, skew_syt_count
+from charpoly.tableaux import dim_syt, skew_syt_count
 from charpoly.verification import (
     Bounds,
     basis2_closed_forms,
@@ -256,6 +256,12 @@ def _counting(monkeypatch, name, module=stability):
     return calls
 
 
+def _column_counts(lam):
+    """The dimension coefficients a_h of ``lam`` for h = 0..|lam| by the
+    definition: the skew counts f(lam / 1^h) of ``lam`` less a column."""
+    return [skew_syt_count(lam, Partition([1] * h)) for h in range(lam.size + 1)]
+
+
 class TestWorkBound:
     def test_char_poly_sums_through_length_plus_r(self, monkeypatch):
         # the primaries of each h are walked once, for h = 0..len + r
@@ -303,7 +309,7 @@ class TestWorkBound:
 
     def test_stable_vectors_are_dimension_coefficients(self, monkeypatch):
         # from r = lam_1 + len(lam) on the one kernel gives the dimension
-        # vector, checked against a_coeff's skew counts, and sums only
+        # vector, checked against the column skew counts, and sums only
         # h <= len(lam)
         tableaux._record.cache_clear()
         calls = _counting(monkeypatch, "_b_vector")
@@ -311,7 +317,7 @@ class TestWorkBound:
         for k in range(9):
             for lam in partitions_of(k):
                 stable = lam[0] + len(lam) if lam else 1
-                a = tuple(a_coeff(lam, h) for h in range(k + 1))
+                a = tuple(_column_counts(lam))
                 for r in range(stable, stable + 4):
                     assert char_poly(lam, r).b == a, (lam, r)
                     pairs += 1
@@ -328,7 +334,7 @@ class TestWorkBound:
         for lam, r in SMALL_PAIRS:
             assert char_poly(lam, r).b == tuple(coeff_b(lam, h, r) for h in range(lam.size + 1))
         for lam in {lam for lam, _ in SMALL_PAIRS}:
-            assert a_vector(lam) == [a_coeff(lam, h) for h in range(lam.size + 1)]
+            assert a_vector(lam) == _column_counts(lam)
 
 
 def _tall_shapes():
@@ -413,18 +419,18 @@ def _shapes_upto(draw, n):
 
 class TestDimensionRow:
     """``a_vector``, read off the hook table at r = lam_1 + len(lam),
-    against ``a_coeff``, the column counts read one pair at a time."""
+    against the column counts f(lam / 1^h), read one pair at a time."""
 
     def test_every_shape_through_twelve(self):
         shapes = [lam for k in range(13) for lam in partitions_of(k)]
         assert len(shapes) == 272
         for lam in shapes:
-            assert a_vector(lam) == [a_coeff(lam, h) for h in range(lam.size + 1)], lam
+            assert a_vector(lam) == _column_counts(lam), lam
 
     @settings(max_examples=100, deadline=None)
     @given(_shapes_upto(25))
     def test_random_up_to_twenty_five(self, lam):
-        assert a_vector(lam) == [a_coeff(lam, h) for h in range(lam.size + 1)]
+        assert a_vector(lam) == _column_counts(lam)
 
     def test_table_asks_the_pair_memo_nothing(self, capsys, monkeypatch):
         pairs = _count_pairs(monkeypatch)

@@ -140,6 +140,13 @@ def _skew_count_plus_one_over_a_box(outer, inner):
     return count + (inner == (1,) and len(outer) >= 3 and count != 0)
 
 
+def _b_vector_off_past_max_r(lam, rec, r, top):
+    # b[1] one too large past verify's default max_r, where the dimension
+    # row of every shape with lam_1 + len(lam) >= 7 is read
+    b = _b_vector(lam, rec, r, top)
+    return (b[0], b[1] + 1, *b[2:]) if r >= 7 and len(b) > 1 else b
+
+
 def _b_vector_short_by_one(lam, rec, r, top):
     # the sum stops one h early, as range(top) would
     return _b_vector(lam, rec, r, top - 1) + (0,)
@@ -228,13 +235,14 @@ MUTANTS = {
             "main_oracle": (175, "lam=[5] r=4 n=14: poly 53 != mn 51"),
             "interpolation_route": (
                 4, "lam=[5] r=4: interpolated (-1, 1, 0, 0, -1, 1) != (1, 1, 0, 0, -1, 1)"),
+            "constant_coeff_routes": (14, "lam=[5] r=4: primary 1, strips 1, main -1"),
             "main_band": (16, "lam=[5] r=4 n=10: poly -2 != mn -4"),
         },
     ),
     "r_primary_type_three_flipped_at_4": (
         [(stability, "r_primary", _r_primary_type_three_flipped_at_4)],
         {
-            "constant_coeff_routes": (14, "lam=[5] r=4: primary -1, strips 1, main -1"),
+            "constant_coeff_routes": (14, "lam=[5] r=4: primary -1, strips 1, main 1"),
         },
     ),
     "peel_unsigned_at_2": (
@@ -333,7 +341,7 @@ MUTANTS = {
             "column_removal_difference": (103, "lam=[1, 1, 1] h=2: 1 != 0"),
             "skew_count_vs_backtracking": (42, "outer=[1, 1, 1] inner=[1]: counts differ"),
             "coefficient_recurrence": (140, "lam=[1, 1, 1] h=1 r=2: 2 != corner sum 1"),
-            "transpose_small_h": (38, "lam=[3] h=1: b2 1 != transposed a 2"),
+            "transpose_small_h": (42, "lam=[1, 1, 1] h=1: b2 2 != transposed a 1"),
         },
     ),
     "frobenius_first_parity_even": (
@@ -366,6 +374,15 @@ MUTANTS = {
                 24, "case 2 k=4: char_poly b [3, 3, -1, 0, 0] "
                     "!= closed form [3, 3, 1, 0, 0]"),
             "main_band": (100, "lam=[1, 1] r=3 n=3: poly -1 != mn 1"),
+        },
+    ),
+    # the dimension row is char_poly at r = lam_1 + len(lam), past max_r = 6
+    # for every shape with lam_1 + len(lam) >= 7, which coeff_b never reads
+    "stable_vector_off_past_max_r": (
+        [(stability, "_b_vector", _b_vector_off_past_max_r)],
+        {
+            "limit_stabilization": (324, "lam=[6] h=1 r=2: 1 != a_coeff 2"),
+            "transpose_small_h": (36, "lam=[6] h=1: b2 1 != transposed a 2"),
         },
     ),
     "b_vector_short_by_one": (
@@ -475,13 +492,17 @@ def test_residue_route_catches_beta_dim_without_mn(monkeypatch):
     assert (cases, len(bad), bad[0]) == (1_008, 68, (partitions.Partition([1] * 5), 1, 7))
 
 
-def _verify_under(patches, monkeypatch, capsys):
-    """(exit code, stdout, stderr) of a small ``verify`` with ``patches`` in place."""
+_SMALL_VERIFY = ["--max-k", "4", "--max-r", "3", "--n-window", "2"]
+
+
+def _verify_under(patches, monkeypatch, capsys, bounds=_SMALL_VERIFY):
+    """(exit code, stdout, stderr) of ``verify`` at ``bounds`` (small ones
+    by default) with ``patches`` in place."""
     _clear_memos()
     try:
         for module, name, fake in patches:
             monkeypatch.setattr(module, name, fake)
-        code = main(["verify", "--max-k", "4", "--max-r", "3", "--n-window", "2"])
+        code = main(["verify", *bounds])
     finally:
         monkeypatch.undo()
         _clear_memos()
@@ -498,6 +519,16 @@ def test_transpose_slip_fails_with_counterexamples(monkeypatch, capsys):
     assert verdict.startswith(f"FAIL {len(suites) - len(failed)}/{len(suites)} properties")
     assert failed[0].endswith("; first: lam=[2]: transpose not an involution")
     assert all("; first: " in line for line in failed)
+
+
+def test_stable_vector_slip_past_max_r_fails_verify(monkeypatch, capsys):
+    # the slip corrupts the dimension row of every table of a shape with
+    # lam_1 + len(lam) >= 7, so verify at its defaults must not pass it
+    patches = MUTANTS["stable_vector_off_past_max_r"][0]
+    code, out, err = _verify_under(patches, monkeypatch, capsys, bounds=[])
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert (code, err) == (1, "")
+    assert failed[:2] == ["limit_stabilization", "transpose_small_h"]
 
 
 def _contains_without_length_test(lam, nu):
@@ -580,6 +611,20 @@ def test_char_poly_and_coeff_b_share_no_stability_function():
     assert not kernel & oracle, kernel & oracle
 
 
+@pytest.mark.parametrize(
+    "suite", ["limit_stabilization", "transpose_small_h", "constant_coeff_routes"])
+def test_kernel_suites_reach_kernel_and_definition(suite):
+    # the next entry of the ledger: each of these suites holds the kernel
+    # (_b_vector, through char_poly or a_vector) against the definition
+    # (coeff_b or the r-sign, through r_primary), so neither side checks
+    # itself.  Outside stability both sides share tableaux._Record.term,
+    # as every kernel-versus-definition suite does: the kernel sums its
+    # terms off the hook table, and coeff_b reads each count through
+    # skew_syt_count, one term of the same table
+    reached = _stability_reach(lambda: dict(SUITES)[suite](Bounds(5, 4, 3)))
+    assert {"_b_vector", "r_primary"} <= reached, reached
+
+
 def test_vanishing_bound_asks_the_pair_memo_nothing():
     # past len(lam) + r no r-primary fits inside lam, and coeff_b skips a
     # primary that cannot fit before it asks the memo
@@ -609,7 +654,7 @@ def test_pair_memo_keeps_only_the_pairs_asked_again():
     _clear_memos()
     try:
         assert all(res.ok for res in verification.run_suites(Bounds()))
-        assert verification._skew_count.cache_info().currsize == 1_315
+        assert verification._skew_count.cache_info().currsize == 1_298
     finally:
         _clear_memos()
 
