@@ -6,19 +6,19 @@ coefficient} through the r-cell border strips with sign (-1)^leg.
 ``character_mn`` peels every non-trivial cycle but the last one so, and
 reads the last one off each shape of the layer before it as that
 shape's character at one r-cycle (``_at_cycle``).  Each leaf's f is
-read back from the memo of dimensions when it is there, and otherwise
+read back from MN's memo of dimensions when it is there, and otherwise
 counted from the shape's own f by the bead ratio, one bead moved by r
 (James--Kerber 1981, 2.7).  Every f in the memo is counted from its
 beads by the beta-number formula (``tableaux._beta_dim``), and only
-there, so the oracles in ``verification`` that sum the memo's entries
-never read a ratio.  Fixed points are never peeled: the cycle type
+there.  Fixed points are never peeled: the cycle type
 keeps them as a count, and a shape (n - k, lam) with n - r fixed points
 costs a few factors, not n, since its long top row is one short falling
 factorial.  A shape with more rows than columns is peeled as its
 conjugate, times the sign of the permutation, so a peel holds one bead
-per row or per column, whichever is fewer.  Frobenius's formula counts
-by the hook formula (``dim_syt``), so comparing the two checks one route
-against the other.
+per row or per column, whichever is fewer.  Frobenius's formula and the
+vertical-strip expansion count f by the hook formula (``dim_syt``) and
+never read the memo, so comparing them with MN checks one route against
+the other.
 
 * ``character_mn`` -- the Murnaghan--Nakayama rule, one layer per
   non-trivial cycle; the ground truth everything else is checked against.
@@ -42,7 +42,7 @@ from .partitions import (
     _beads,
     _beta,
     _known_valid,
-    _size,
+    _shape,
     _strips,
     transpose,
     vertical_strip_inners,
@@ -147,10 +147,10 @@ class _Dims(dict):
         return dim
 
 
-# the one memo of dimensions: peels end again and again on the same few
+# MN's memo of dimensions: peels end again and again on the same few
 # shapes.  Only ``_beta_dim`` writes it; the bead ratio reads it and never
-# writes it, so the oracles that sum its entries (recpart_poly here,
-# verification._mn_ascending) read no dimension the ratio produced
+# writes it, so a slip in the ratio stays one wrong value, a counterexample,
+# and never becomes a later parent's f, whose next ratio would not divide
 _leaf_dims = _Dims()
 
 
@@ -281,7 +281,7 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
     one key.  Each support cycle r is peeled or left out: the layer's
     r-strip peel is added to the layer.  The j-th coefficient sums the
     coefficients times f^shape over the final shapes of size j,
-    each size read off its beads.
+    each f counted by the hook formula of the decoded shape.
     Its value at n is the character for n >= max(k + lam_1, |support|).
     """
     lam, ct = Partition(lam), CycleType(support)
@@ -296,7 +296,8 @@ def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
             layer[mask] = layer.get(mask, 0) + c
     coeffs = [0] * (lam.size + 1)
     for mask, c in layer.items():
-        coeffs[_size(mask)] += c * _leaf_dims[mask]
+        shape = _shape(mask)
+        coeffs[shape.size] += c * dim_syt(shape)
     return BinomPoly(ct.n, coeffs)
 
 

@@ -116,14 +116,6 @@ def _beads(mask: int) -> list[int]:
     return beads
 
 
-def _size(mask: int) -> int:
-    """|lam| for the beta-set ``mask``, without decoding it: the bead
-    positions summed, less those of the empty partition with as many
-    beads (0, 1, ..., beads - 1)."""
-    beads = _beads(mask)
-    return sum(beads) - len(beads) * (len(beads) - 1) // 2
-
-
 def _strips(mask: int, r: int) -> Iterator[tuple[int, int]]:
     """(leg length, beta-set left) for each r-cell border strip of the
     beta-set ``mask``, by decreasing bead.  A strip is a bead at t + r

@@ -19,7 +19,10 @@ and, for characters and the stable-range polynomials,
 Murnaghan--Nakayama peeling every fixed point, the Frobenius and
 vertical-strip evaluators (the latter as one polynomial in n per
 support), interpolation of Murnaghan--Nakayama values and the
-peel-order and orthogonality laws.  Frobenius's residue formula at one
+peel-order and orthogonality laws.  None of them reads MN's memo of
+dimensions or its bead ratio: the vertical-strip polynomial counts each
+f by the hook formula, and the ascending peel ends on the empty shape,
+whose f is 1.  Frobenius's residue formula at one
 r-cycle (``character_residue``), in integer power series with f from
 the hook formula, is a third route for the paper's case that the tier-1
 tests hold against Murnaghan--Nakayama; no suite runs it yet.
@@ -89,7 +92,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .binom_poly import BinomPoly, eval_poly
 from .characters import (
     CycleType,
-    _leaf_dims,
     _mn,
     _peel,
     character_frobenius_transposition,
@@ -690,16 +692,17 @@ def _ascending_walk(cts: Iterable[Partition]) -> list[tuple[int, int, tuple[int,
 
 def _mn_ascending(mu: Partition, walk: list[tuple[int, int, tuple[int, ...]]]) -> list[int]:
     """``_mn(mu, reversed(ct))`` for each cycle type ct of ``walk``, by
-    index: every cycle is peeled, the 1s first, with the same peel step
-    and leaf-dimension sum, and a stack of layers keeps each shared prefix
-    peeled once."""
+    index: every cycle is peeled, the 1s first, with the same peel step,
+    and a stack of layers keeps each shared prefix peeled once.  The
+    cycles fill mu, so the last layer holds only the empty shape, whose
+    coefficient is the value: no dimension is read."""
     values = [0] * len(walk)
     layers = [{_beta(mu, len(mu)): 1}]
     for i, shared, rest in walk:
         del layers[shared + 1 :]
         for r in rest:
             layers.append(_peel(layers[-1], r))
-        values[i] = sum(c * _leaf_dims[mask] for mask, c in layers[-1].items())
+        values[i] = sum(layers[-1].values())
     return values
 
 
@@ -707,9 +710,9 @@ def _mn_ascending(mu: Partition, walk: list[tuple[int, int, tuple[int, ...]]]) -
 def check_mn_peel_order(bounds: Bounds, res: SuiteResult) -> None:
     """Murnaghan--Nakayama does not depend on the order of the cycles:
     ``character_mn`` peels the cycles of length >= 2 in decreasing order
-    and reads its last layer's leaves back from the memo or counts them by
-    the bead ratio, the ascending walk peels every cycle and sums the
-    memo's ``_beta_dim`` counts."""
+    and reads its last layer's leaves back from its memo or counts them by
+    the bead ratio, the ascending walk peels every cycle, fixed points
+    too, down to the empty shape and reads no dimension."""
     for n in range(bounds.max_k + 1):
         cts = _partitions(n)
         types = [CycleType(ct) for ct in cts]
@@ -921,7 +924,7 @@ def check_limit_stabilization(bounds: Bounds, res: SuiteResult) -> None:
             for r in range(h + 1, bounds.max_r + 5):
                 got = coeff_b(lam, h, r)
                 if not res.check(got == want):
-                    res.fail(f"lam={list(lam)} h={h} r={r}: {got} != a_coeff {want}")
+                    res.fail(f"lam={list(lam)} h={h} r={r}: {got} != a_vector {want}")
 
 
 @_suite

@@ -154,12 +154,13 @@ class TestMurnaghanNakayama:
             assert _mn(mu, tuple(ct)) == _mn(mu, tuple(reversed(ct)))
 
     def test_peel_order_catches_wrong_fixed_point_end(self, monkeypatch):
-        # the descending side ends at the hook formula, the ascending side
-        # peels every cycle: a wrong dimension must show as a peel-order fault
+        # the descending side ends at MN's f, the ascending side peels every
+        # cycle and reads none: a wrong dimension must show as a peel-order
+        # fault.  A sign flip, not a +1, which the bead ratio could not divide
         real = characters._beta_dim
         monkeypatch.setattr(
             characters, "_beta_dim",
-            lambda mask: real(mask) + (_shape(mask) == Partition([2, 1])),
+            lambda mask: -real(mask) if _shape(mask) == Partition([2, 1]) else real(mask),
         )
         characters._leaf_dims.clear()
         try:
@@ -272,7 +273,8 @@ class TestBeadRatio:
         assert leaves == 822
 
     def test_new_leaves_not_written_to_the_memo(self):
-        # the oracles read the memo, so it must hold only _beta_dim's counts
+        # a leaf the ratio counted wrong would otherwise be a later parent's f,
+        # and end in a non-integral ratio instead of a named counterexample
         characters._leaf_dims.clear()
         try:
             mu = _staircase(20)

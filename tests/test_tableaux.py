@@ -510,21 +510,27 @@ def test_skew_recursion_catches_rank_three_sign_flip(monkeypatch):
     assert "growth sum" in result.failures[0]
 
 
-def test_module_level_memos_are_pinned():
-    # every global memo in the package, so that a new one, or one that
-    # moves between modules, changes this set on purpose: the functions
-    # with ``cache_info`` where they are defined, and the dict of
-    # dimensions, which has none.  The library keeps its memos per shape;
-    # the ones per (outer, inner) pair and per (r, h) are the oracles' own
-    memos = {("characters", "_leaf_dims")}
+def module_level_memos():
+    """Every global memo in the package, by (module, name): the functions
+    with ``cache_info`` where they are defined, and MN's dict of
+    dimensions, which has none."""
+    memos = {("characters", "_leaf_dims"): characters._leaf_dims}
     for info in pkgutil.iter_modules(charpoly.__path__):
         module = importlib.import_module(f"charpoly.{info.name}")
         memos |= {
-            (info.name, name) for name, obj in vars(module).items()
+            (info.name, name): obj for name, obj in vars(module).items()
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
         }
+    return memos
+
+
+def test_module_level_memos_are_pinned():
+    # so that a new memo, or one that moves between modules, changes this
+    # set on purpose; the mutant tests clear the same set.  The library
+    # keeps its memos per shape; the ones per (outer, inner) pair and per
+    # (r, h) are the oracles' own
     assert isinstance(characters._leaf_dims, dict)
-    assert memos == {
+    assert set(module_level_memos()) == {
         ("characters", "_leaf_dims"),
         ("cli", "build_parser"),
         ("tableaux", "_frobenius"),

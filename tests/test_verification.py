@@ -24,6 +24,7 @@ import charpoly.verification as verification
 from charpoly.cli import main
 from charpoly.stability import Family, SignedPartition
 from charpoly.verification import SUITES, Bounds
+from test_tableaux import module_level_memos
 
 _term = tableaux._Record.term
 _strips = partitions._strips
@@ -38,15 +39,16 @@ _skew_syt_count = tableaux.skew_syt_count
 _beta_dim = tableaux._beta_dim
 _dim_syt = tableaux.dim_syt
 _transpose = partitions.transpose
+_shape = partitions._shape
 
 
 def _clear_memos():
-    # a mutant's values stay in these memos after it is undone
-    for memo in (verification._skew_count, tableaux._record, tableaux._frobenius,
-                 verification._r_primary, verification._fillings, verification._recpart,
-                 verification._down_set):
-        memo.cache_clear()
-    characters._leaf_dims.clear()
+    # a mutant's values stay in the memos after it is undone
+    for memo in module_level_memos().values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+        else:
+            memo.clear()
 
 
 def _det_negated_on_2x2(rec, alpha, beta):
@@ -105,7 +107,7 @@ def _at_cycle_unsigned_at_2(mask, r):
 def _leaf_dim_plus_one_at_4(mask, r):
     # f + 1 on each last-layer leaf of 4 boxes, under the leaf's sign
     return _at_cycle(mask, r) + sum(
-        -1 if leg & 1 else 1 for leg, rest in _strips(mask, r) if partitions._size(rest) == 4)
+        -1 if leg & 1 else 1 for leg, rest in _strips(mask, r) if _shape(rest).size == 4)
 
 
 def _mn_leaf_plus_one_at_4(mu, cycles):
@@ -127,7 +129,17 @@ def _ratio_sign_applied_twice(mask, r, leaves):
 # of the kernels that divide by it, and the suites crash instead of counting
 def _beta_dim_negated_at_5(mask):
     dim = _beta_dim(mask)
-    return -dim if partitions._size(mask) == 5 else dim
+    return -dim if _shape(mask).size == 5 else dim
+
+
+def _ratio_flipped_on_empty_leaves(mask, r, leaves):
+    # the sign of each empty leaf flipped, on shapes of 2 rows or more at r >= 3
+    flip = r >= 3 and len(_shape(mask)) >= 2
+    total = 0
+    for leaf in leaves:
+        dim = _by_ratio(mask, r, [leaf])
+        total += -dim if flip and not _shape(leaf) else dim
+    return total
 
 
 def _dim_syt_negated_at_5(mu):
@@ -201,12 +213,11 @@ MUTANTS = {
             "skew_hook_bruteforce": (
                 661, "lam=[3] r=3: malformed hook SkewHook(leg_length=1, complement=Partition())"),
             "recpart_vs_mn": (171, "lam=[] support=[3] n=9: recpart 1 != mn -1"),
-            "mn_peel_order": (
-                7, "mu=[4, 2, 1] ct=[3, 1, 1, 1, 1]: peel order changed value -1 -> 1"),
-            "main_oracle": (409, "lam=[] r=3 n=3: poly 1 != mn -1"),
-            "interpolation_route": (30, "lam=[] r=3: interpolated (-1,) != (1,)"),
-            "main_band": (63, "lam=[1] r=3 n=3: poly -1 != mn 1"),
-            "recpart_band": (186, "lam=[] support=[3] n=3: recpart 1 != mn -1"),
+            "mn_peel_order": (69, "mu=[3] ct=[3]: peel order changed value 1 -> -1"),
+            "main_oracle": (409, "lam=[] r=3 n=4: poly 1 != mn -1"),
+            "interpolation_route": (29, "lam=[1] r=3: interpolated (1, -1) != (-1, 1)"),
+            "main_band": (63, "lam=[2] r=3 n=5: poly -1 != mn 1"),
+            "recpart_band": (183, "lam=[] support=[3] n=4: recpart 1 != mn -1"),
         },
     ),
     "eval_plus_one_at_13": (
@@ -281,14 +292,14 @@ MUTANTS = {
         {
             "frobenius_vs_mn": (36, "mu=[2, 2]: frobenius 0 != mn 2"),
             "recpart_vs_mn": (159, "lam=[1, 1] support=[2] n=9: recpart 14 != mn 16"),
-            "mn_peel_order": (
-                19, "mu=[4, 1, 1] ct=[2, 1, 1, 1, 1]: peel order changed value 4 -> 2"),
-            "column_orthogonality": (2, "n=6 ct=[2, 1, 1, 1, 1]: 72 != centralizer order"),
-            "main_oracle": (490, "lam=[1, 1] r=2 n=6: poly 2 != mn 4"),
+            "mn_peel_order": (165, "mu=[2, 1] ct=[3]: peel order changed value 1 -> -1"),
+            "column_orthogonality": (1, "n=7 ct=[2, 1, 1, 1, 1, 1]: 360 != centralizer order"),
+            "main_oracle": (487, "lam=[1, 1] r=2 n=11: poly 27 != mn 29"),
             "interpolation_route": (
-                24, "lam=[1, 1] r=2: interpolated (-30, 13, -3) != (0, -1, 1)"),
-            "main_band": (29, "lam=[2, 1] r=3 n=7: poly -1 != mn 1"),
-            "recpart_band": (94, "lam=[1, 1] support=[2] n=6: recpart 2 != mn 4"),
+                22, "lam=[3, 1] r=4: interpolated (1231, -462, 143, -35, 7) "
+                    "!= (-1, 0, 1, -3, 3)"),
+            "main_band": (29, "lam=[1] r=3 n=3: poly -1 != mn 1"),
+            "recpart_band": (145, "lam=[1] support=[3] n=3: recpart -1 != mn 1"),
         },
     ),
     "beta_dim_negated_at_5": (
@@ -301,22 +312,30 @@ MUTANTS = {
             "mn_identity_is_dimension": (
                 7, "mu=[5]: MN peel 1, MN at identity -1, tableaux 1 differ"),
             "frobenius_vs_mn": (14, "mu=[3, 2]: frobenius 1 != mn -1"),
-            "recpart_vs_mn": (338, "lam=[] support=[2] n=7: recpart 1 != mn -1"),
-            "mn_peel_order": (
-                41, "mu=[5] ct=[1, 1, 1, 1, 1]: peel order changed value -1 -> 1"),
-            "column_orthogonality": (1, "n=7 ct=[2, 1, 1, 1, 1, 1]: 384 != centralizer order"),
-            "main_oracle": (330, "lam=[] r=1 n=5: poly 1 != mn -1"),
+            "recpart_vs_mn": (30, "lam=[] support=[2] n=7: recpart 1 != mn -1"),
+            "mn_peel_order": (47, "mu=[5] ct=[5]: peel order changed value -1 -> 1"),
+            "column_orthogonality": (1, "n=7 ct=[2, 1, 1, 1, 1, 1]: 440 != centralizer order"),
+            "main_oracle": (323, "lam=[] r=1 n=5: poly 1 != mn -1"),
             "coefficient_recurrence": (443, "lam=[5] h=0 r=1: -1 != corner sum 1"),
             "leading_coefficient": (42, "lam=[5] r=1: b[0] = -1 != dim"),
             "interpolation_route": (
-                46, "lam=[2] r=1: interpolated (-151, 50, -9) != (-1, 0, 1)"),
+                42, "lam=[2] r=1: interpolated (-151, 50, -9) != (-1, 0, 1)"),
             "frobenius_route": (47, "lam=[5] n=12: poly -117 != frobenius 117"),
             "constant_coeff_routes": (13, "lam=[5] r=4: primary 1, strips 1, main -1"),
             "basis2_forms": (
                 4, "case 1 k=5: char_poly b [-1, -1, 0, 0, 0, 0] "
                    "!= closed form [1, 1, 0, 0, 0, 0]"),
-            "main_band": (70, "lam=[3] r=2 n=7: poly 4 != mn -4"),
-            "recpart_band": (386, "lam=[] support=[] n=5: recpart 1 != mn -1"),
+            "main_band": (67, "lam=[3] r=2 n=7: poly 4 != mn -4"),
+            "recpart_band": (119, "lam=[] support=[] n=5: recpart 1 != mn -1"),
+        },
+    ),
+    # MN's last cycle counts the empty leaf by the ratio; no oracle hands it f
+    "ratio_flipped_on_empty_leaves": (
+        [(characters, "_by_ratio", _ratio_flipped_on_empty_leaves)],
+        {
+            "mn_peel_order": (60, "mu=[2, 1] ct=[3]: peel order changed value 1 -> -1"),
+            "main_band": (3, "lam=[1] r=3 n=3: poly -1 != mn 1"),
+            "recpart_band": (17, "lam=[1] support=[3] n=3: recpart -1 != mn 1"),
         },
     ),
     "dim_syt_negated_at_5": (
@@ -381,7 +400,7 @@ MUTANTS = {
     "stable_vector_off_past_max_r": (
         [(stability, "_b_vector", _b_vector_off_past_max_r)],
         {
-            "limit_stabilization": (324, "lam=[6] h=1 r=2: 1 != a_coeff 2"),
+            "limit_stabilization": (324, "lam=[6] h=1 r=2: 1 != a_vector 2"),
             "transpose_small_h": (36, "lam=[6] h=1: b2 1 != transposed a 2"),
         },
     ),
@@ -531,6 +550,17 @@ def test_stable_vector_slip_past_max_r_fails_verify(monkeypatch, capsys):
     assert failed[:2] == ["limit_stabilization", "transpose_small_h"]
 
 
+def test_ratio_slip_on_empty_leaves_fails_verify(monkeypatch, capsys):
+    # no oracle fills MN's memo, so MN counts each empty leaf by the
+    # ratio itself and the ascending peel, which reads no f, disagrees
+    patches = MUTANTS["ratio_flipped_on_empty_leaves"][0]
+    code, out, err = _verify_under(patches, monkeypatch, capsys, bounds=[])
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert (code, err) == (1, "")
+    assert failed[0].split()[1] == "mn_peel_order"
+    assert failed[0].endswith("; first: mu=[2, 1] ct=[3]: peel order changed value 1 -> -1")
+
+
 def _contains_without_length_test(lam, nu):
     return nu <= lam and all(map(operator.le, nu, lam))
 
@@ -574,21 +604,18 @@ def test_library_bug_under_verify_exits_3_not_2(monkeypatch, capsys):
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
-def _stability_reach(call):
-    """The ``charpoly.stability`` functions that ``call()`` enters, seen
-    with ``sys.setprofile`` only, from empty memos, so that nothing is
-    hidden behind a hit; a generator expression counts as the function
-    it is written in."""
-    for module in (stability, tableaux, verification):
-        for memo in vars(module).values():
-            if hasattr(memo, "cache_clear"):
-                memo.cache_clear()
+def _reach(module, call):
+    """The functions of ``module`` that ``call()`` enters, by qualified
+    name, seen with ``sys.setprofile`` only, from empty memos, so that
+    nothing is hidden behind a hit; a generator expression or a nested
+    function counts as the function it is written in."""
+    _clear_memos()
     reached = set()
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if event == "call" and frame.f_globals.get("__name__") == stability.__name__:
-            reached.add(getattr(code, "co_qualname", code.co_name).split(".")[0])
+        if event == "call" and frame.f_globals.get("__name__") == module.__name__:
+            reached.add(getattr(code, "co_qualname", code.co_name).split(".<locals>")[0])
 
     sys.setprofile(profile)
     try:
@@ -604,8 +631,8 @@ def test_char_poly_and_coeff_b_share_no_stability_function():
     # so a slip in one family cannot land on both sides of a suite
     pairs = [(lam, r) for k in range(7) for lam in verification.partitions_of(k)
              for r in range(1, 8)]
-    kernel = _stability_reach(lambda: [stability.char_poly(lam, r) for lam, r in pairs])
-    oracle = _stability_reach(lambda: [verification.coeff_b(lam, h, r) for lam, r in pairs
+    kernel = _reach(stability, lambda: [stability.char_poly(lam, r) for lam, r in pairs])
+    oracle = _reach(stability, lambda: [verification.coeff_b(lam, h, r) for lam, r in pairs
                                        for h in range(lam.size + 1)])
     assert "_b_vector" in kernel and "r_primary" in oracle
     assert not kernel & oracle, kernel & oracle
@@ -621,8 +648,38 @@ def test_kernel_suites_reach_kernel_and_definition(suite):
     # as every kernel-versus-definition suite does: the kernel sums its
     # terms off the hook table, and coeff_b reads each count through
     # skew_syt_count, one term of the same table
-    reached = _stability_reach(lambda: dict(SUITES)[suite](Bounds(5, 4, 3)))
+    reached = _reach(stability, lambda: dict(SUITES)[suite](Bounds(5, 4, 3)))
     assert {"_b_vector", "r_primary"} <= reached, reached
+
+
+def _recpart_polys():
+    for k in range(5):
+        for lam in verification.partitions_of(k):
+            for support in verification._cycle_supports(5):
+                verification._recpart(lam, support)
+
+
+def _ascending_values():
+    for n in range(7):
+        cts = list(verification.partitions_of(n))
+        walk = verification._ascending_walk(cts)
+        for mu in cts:
+            verification._mn_ascending(mu, walk)
+
+
+@pytest.mark.parametrize("oracle", [_recpart_polys, _ascending_values])
+def test_mn_oracles_reach_no_mn_dimension(oracle):
+    # the ledger's entry for the character oracles: the vertical-strip
+    # polynomial and the ascending peel share only the peel step (_peel,
+    # _strips) with character_mn, and never its memo of dimensions, the
+    # bead ratio or the beta-number count; so a slip in MN's f shows as a
+    # disagreement, not as a value the oracle handed MN
+    mn_only = {characters: {"_Dims.__missing__", "_at_cycle", "_by_ratio"},
+               tableaux: {"_beta_dim"}}
+    for module, names in mn_only.items():
+        reached = _reach(module, oracle)
+        assert not reached & names, reached & names
+    assert "_peel" in _reach(characters, oracle)
 
 
 def test_vanishing_bound_asks_the_pair_memo_nothing():
