@@ -27,7 +27,9 @@ the other.
 * ``character_recpart`` -- the vertical-strip expansion of the character
   of (n-k, lam) at an arbitrary permutation.  For a fixed lam and a fixed
   set of non-trivial cycles (the support) it is a polynomial in n, built
-  once by ``recpart_poly`` with the same peel and then evaluated at n.
+  by ``recpart_poly`` with the same peel and then evaluated at n;
+  ``recpart_polys`` builds those of many supports of one lam in one pass,
+  peeling each shared prefix of cycles once.
 """
 
 from __future__ import annotations
@@ -215,10 +217,13 @@ def _at_cycle(mask: int, r: int) -> int:
 
 def _mn(mu: Partition, cycles: Sequence[int]) -> int:
     # peel exactly ``cycles``, in order, one layer per cycle; the last cycle
-    # is read off each shape of the layer before it by ``_at_cycle``
+    # is read off each shape of the layer before it by ``_at_cycle``, and a
+    # lone cycle straight off mu
     mask = _beta(mu, len(mu))
     if not cycles:
         return _leaf_dims[mask]
+    if len(cycles) == 1:
+        return _at_cycle(mask, cycles[0])
     layer = {mask: 1}
     for r in cycles[:-1]:
         layer = _peel(layer, r)
@@ -241,15 +246,18 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
     conjugate, times the sign of the permutation (chi^mu' = sgn chi^mu),
     so its cost follows its columns, not its rows.
     """
-    mu = Partition(mu)
-    if sum(mu) != ct.n:
-        raise SizeMismatch(f"|mu| = {mu.size} but cycle type fills {ct.n}")
+    if type(mu) is not Partition:
+        mu = Partition(mu)
+    support, fixed = ct
+    moved = sum(support)
+    if sum(mu) != moved + fixed:
+        raise SizeMismatch(f"|mu| = {mu.size} but cycle type fills {moved + fixed}")
     if mu and len(mu) > mu[0]:
         # sgn = (-1)^(sum (c - 1)) over the cycles; a fixed point adds 0
-        odd = (sum(ct.support) - len(ct.support)) & 1
-        value = _mn(transpose(mu), ct.support)
+        odd = (moved - len(support)) & 1
+        value = _mn(transpose(mu), support)
         return -value if odd else value
-    return _mn(mu, ct.support)
+    return _mn(mu, support)
 
 
 # check-only; kept here because perfbench/checks.py imports it
@@ -270,35 +278,71 @@ def character_frobenius_transposition(mu: Partition) -> int:
 
 
 # check-only; kept here because perfbench/checks.py imports character_recpart
+def recpart_polys(
+    lam: Partition, supports: Iterable[Sequence[int]]
+) -> dict[Sequence[int], BinomPoly]:
+    """Character of shape (n - k, lam), k = |lam|, at each support's cycles
+    (all of length at least 2) plus n - |support| fixed points, as a
+    polynomial in n over the basis C(n - |support|, j): a map from each of
+    ``supports`` (hashable, in any order) to its ``BinomPoly``.
+
+    One layered strip pass per lam: the layer starts as the inner
+    partitions kappa whose complement in ``lam`` is a vertical strip, each
+    with sign (-1)^{|lam| - |kappa|} and len(lam) beads, so that equal
+    shapes share one key.  Each cycle r of a support, in decreasing order,
+    is peeled or left out: the layer of a support is the layer of its
+    prefix plus that layer's r-strip peel at its last cycle r, so a prefix
+    that several supports share is peeled once.  The j-th coefficient sums
+    the coefficients times f^shape over the final shapes of size j, each
+    f counted by the hook formula of the decoded shape, once per beta-set
+    in a call.  Its value at n is the character for
+    n >= max(k + lam_1, |support|).
+    """
+    lam = Partition(lam)
+    layers = {
+        (): {
+            _beta(kappa, len(lam)): -1 if (lam.size - kappa.size) % 2 else 1
+            for kappa in vertical_strip_inners(lam)
+        }
+    }
+    dims: dict[int, tuple[int, int]] = {}  # beta-set -> (size, f) of its shape
+    polys = {}
+    for support in supports:
+        ct = CycleType(support)
+        if ct.fixed:
+            raise ValueError(f"support must hold cycles of length >= 2, got {list(ct.cycles)}")
+        cycles = ct.support
+        done = len(cycles)
+        while cycles[:done] not in layers:
+            done -= 1
+        layer = layers[cycles[:done]]
+        for i in range(done, len(cycles)):
+            peeled = _peel(layer, cycles[i])
+            layer = dict(layer)
+            for mask, c in peeled.items():
+                layer[mask] = layer.get(mask, 0) + c
+            layers[cycles[: i + 1]] = layer
+        coeffs = [0] * (lam.size + 1)
+        for mask, c in layer.items():
+            size_dim = dims.get(mask)
+            if size_dim is None:
+                shape = _shape(mask)
+                size_dim = dims[mask] = shape.size, dim_syt(shape)
+            coeffs[size_dim[0]] += c * size_dim[1]
+        polys[support] = BinomPoly(ct.n, coeffs)
+    return polys
+
+
+# check-only; kept here because perfbench/checks.py imports character_recpart
 def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
     """Character of shape (n - k, lam), k = |lam|, at the cycles ``support``
     (all of length at least 2) plus n - |support| fixed points, as a
-    polynomial in n over the basis C(n - |support|, j).
-
-    One layered strip pass: the layer starts as the inner partitions
-    kappa whose complement in ``lam`` is a vertical strip, each with sign
-    (-1)^{|lam| - |kappa|} and len(lam) beads, so that equal shapes share
-    one key.  Each support cycle r is peeled or left out: the layer's
-    r-strip peel is added to the layer.  The j-th coefficient sums the
-    coefficients times f^shape over the final shapes of size j,
-    each f counted by the hook formula of the decoded shape.
-    Its value at n is the character for n >= max(k + lam_1, |support|).
+    polynomial in n over the basis C(n - |support|, j): ``recpart_polys``
+    for this one support.  Its value at n is the character for
+    n >= max(k + lam_1, |support|).
     """
-    lam, ct = Partition(lam), CycleType(support)
-    if ct.fixed:
-        raise ValueError(f"support must hold cycles of length >= 2, got {list(ct.cycles)}")
-    layer = {
-        _beta(kappa, len(lam)): -1 if (lam.size - kappa.size) % 2 else 1
-        for kappa in vertical_strip_inners(lam)
-    }
-    for r in ct.support:
-        for mask, c in _peel(layer, r).items():
-            layer[mask] = layer.get(mask, 0) + c
-    coeffs = [0] * (lam.size + 1)
-    for mask, c in layer.items():
-        shape = _shape(mask)
-        coeffs[shape.size] += c * dim_syt(shape)
-    return BinomPoly(ct.n, coeffs)
+    support = tuple(support)
+    return recpart_polys(lam, [support])[support]
 
 
 # check-only; kept here because perfbench/checks.py and perfbench/test_smoke.py import it

@@ -128,7 +128,7 @@ def _strips(mask: int, r: int) -> Iterator[tuple[int, int]]:
         yield (mask >> t + 1 & between).bit_count(), mask ^ (1 << t | 1 << t + r)
 
 
-# check-only (recpart_poly); kept here because perfbench/checks.py imports character_recpart
+# check-only (recpart_polys); kept here because perfbench/checks.py imports character_recpart
 def vertical_strip_inners(lam: Partition) -> list[Partition]:
     """All partitions obtained by removing at most one box per row of ``lam``.
 

@@ -182,7 +182,8 @@ def char_poly(lam: Partition, r: int) -> CharPolyExpansion:
     len(lam) on only b[0..len(lam)]; the rest are 0, since no r-primary
     partition of a larger h fits inside ``lam``.  The vector is kept on
     lam's record, one per r asked."""
-    lam = Partition(lam)
+    if type(lam) is not Partition:
+        lam = Partition(lam)
     if r < 1:
         raise ValueError(f"cycle length must be positive, got {r}")
     rec = _record(lam)

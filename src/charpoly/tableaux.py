@@ -249,7 +249,10 @@ def skew_syt_count(outer: Partition, inner: Partition) -> int:
 
     0 when ``inner`` is not contained in ``outer``, 1 when they coincide.
     """
-    outer, inner = Partition(outer), Partition(inner)
+    if type(outer) is not Partition:
+        outer = Partition(outer)
+    if type(inner) is not Partition:
+        inner = Partition(inner)
     if not contains(outer, inner):
         return 0
     rec = _record(outer)

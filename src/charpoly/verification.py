@@ -12,20 +12,21 @@ with the bands at its end.
 
 The oracles here recompute from definitions, independent of the
 library's formulas, and exist only for cross-checking: tableau
-enumeration memoized on the filled cells, one memo per outer shape that
-its inners share, for skew counts; border strips as connected skew
-shapes lam / mu with no 2x2 block, read row by row with no beta-sets;
-and, for characters and the stable-range polynomials,
-Murnaghan--Nakayama peeling every fixed point, the Frobenius and
-vertical-strip evaluators (the latter as one polynomial in n per
-support), interpolation of Murnaghan--Nakayama values and the
-peel-order and orthogonality laws.  None of them reads MN's memo of
-dimensions or its bead ratio: the vertical-strip polynomial counts each
-f by the hook formula, and the ascending peel ends on the empty shape,
-whose f is 1.  Frobenius's residue formula at one
-r-cycle (``character_residue``), in integer power series with f from
-the hook formula, is a third route for the paper's case that the tier-1
-tests hold against Murnaghan--Nakayama; no suite runs it yet.
+enumeration memoized on the filled cells, counted upward from the inner
+in one memo per inner shape that the outers around it share, for skew
+counts; border strips as connected skew shapes lam / mu with no 2x2
+block, read row by row with no beta-sets; and, for characters and the
+stable-range polynomials, Murnaghan--Nakayama peeling every fixed point,
+the Frobenius and vertical-strip evaluators (the latter as one
+polynomial in n per support, built for all supports of one lam in one
+pass), interpolation of Murnaghan--Nakayama values and the peel-order
+and orthogonality laws.  None of them reads MN's memo of dimensions or
+its bead ratio: the vertical-strip polynomial counts each f by the hook
+formula, and the ascending peel ends on the empty shape, whose f is 1.
+Frobenius's residue formula at one r-cycle (``character_residue``), in
+integer power series with f from the hook formula, is a third route for
+the paper's case that the tier-1 tests hold against Murnaghan--Nakayama;
+no suite runs it yet.
 
 Three suites hold the kernel's vectors against ``coeff_b``, the
 definition summed over ``r_primary``: ``limit_stabilization`` checks
@@ -53,30 +54,33 @@ two-sided split of the transposition coefficients.
 The sweeps build their inputs once, not once per check, and keep each
 only as long as a later check reads it again: the partitions of each
 size and the down-set of each outer shape (the partitions inside it, as
-the same objects) once per process, the cycle supports once per sweep,
-a cycle type with its fixed points once per (support, n), the recpart
-polynomial once per (lam, support) for both recpart suites and the
-stable shape (n - k, lam) once per (lam, n).  The skew recursion reads
-each count once, straight from the library, keeps the counts of two
-sizes of outer shape, one dict per outer keyed by its down-set, and the
-cells that grow an inner as one list per inner, and checks all inners
-of one outer in one bulk pass, as the containment sweep does; the
-coefficient recurrence reads each b[h] from one dict per shape of the
-previous size; and the peel-order sweep builds each size's cycle types
-once and peels each shared prefix of their increasing cycles once per
-shape.  The containment sweep asks ``contains`` once per pair of shapes,
-keeping one ``bytes`` row per outer: the check at (lam, nu) compares it
-with contains(lam', nu'), which it reads off the row of lam' through the
-transpose permutation.  The suites that ask for a skew pair again
-(``coeff_b``, the counts of ``_count_if_fits``, the backtracking sweep
-and the dimension sweep) read it from one memo per (outer, inner) pair,
-``_skew_count``, kept here: the library counts a pair with one read off
-its outer's hook table and memoizes no pair.  Likewise the r-primaries
-of one (r, h), which ``coeff_b``, the size law and the constant term ask
-for again, come from one memo per (r, h), ``_r_primary``:
-``stability.r_primary`` writes the three families out afresh on each
-call, and ``char_poly`` walks only the primaries that fit with loops of
-its own, so the kernel and this oracle share no enumeration.
+the same objects) once per process, the cycle supports once per sweep, a
+cycle type with its fixed points once per (support, n), the recpart
+polynomials of all supports in one batch per lam for both recpart suites
+and the stable shape (n - k, lam) once per (lam, n).  The backtracking
+sweep takes its pairs inner by inner, so that the oracle's one memo
+serves every outer of an inner, and checks them outer by outer.  The
+skew recursion reads each count once, straight from the library, keeps
+the counts of two sizes of outer shape, one dict per outer keyed by its
+down-set, and the cells that grow an inner as one list per inner, and
+checks all inners of one outer in one bulk pass, as the containment
+sweep does; the coefficient recurrence reads each b[h] from one dict per
+shape of the previous size; and the peel-order sweep builds each size's
+cycle types once and peels each shared prefix of their increasing cycles
+once per shape.  The containment sweep asks ``contains`` once per pair
+of shapes, keeping one ``bytes`` row per outer: the check at (lam, nu)
+compares it with contains(lam', nu'), which it reads off the row of lam'
+through the transpose permutation.  The suites that ask for a skew pair
+again (``coeff_b``, the counts of ``_count_if_fits``, the backtracking
+sweep and the dimension sweep) read it from one memo per (outer, inner)
+pair, ``_skew_count``, kept here: the library counts a pair with one
+read off its outer's hook table and memoizes no pair.  Likewise the
+r-primaries of one (r, h), which ``coeff_b``, the size law and the
+constant term ask for again, come from one memo per (r, h),
+``_r_primary``: ``stability.r_primary`` writes the three families out
+afresh on each call, and ``char_poly`` walks only the primaries that fit
+with loops of its own, so the kernel and this oracle share no
+enumeration.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ from .characters import (
     _peel,
     character_frobenius_transposition,
     character_mn,
-    recpart_poly,
+    recpart_polys,
 )
 from .partitions import Partition, _beta, _known_valid, _shape, _strips, contains, transpose
 from .tableaux import dim_syt, skew_syt_count
@@ -239,47 +243,57 @@ def syt_count_backtracking(outer: Partition, inner: Partition) -> int:
 
     The cells of ``inner`` start filled.  A value may be placed in a cell
     of ``outer`` once its left and upper neighbours are filled.  The count
-    from a set of filled cells depends only on that set, so it is
-    memoized on it, in one memo per outer shape that every inner of that
-    shape shares: this counts the linear extensions of the cell poset
-    over its down-sets, with no reference to the Young-lattice recursion,
-    Aitken's determinant, the hook formula or corner removal.
+    is taken upward from the inner: the number of ways to reach a set of
+    filled cells from the inner's depends only on that set, so it is
+    memoized on it, in one memo per inner shape that every outer around
+    that shape shares.  This counts the linear extensions of the cell
+    poset over its down-sets, with no reference to the Young-lattice
+    recursion, Aitken's determinant, the hook formula or corner removal.
     """
-    outer, inner = Partition(outer), Partition(inner)
+    if type(outer) is not Partition:
+        outer = Partition(outer)
+    if type(inner) is not Partition:
+        inner = Partition(inner)
     if not contains(outer, inner):
         return 0
-    return _fillings(outer)(frozenset(_cells(inner)))
+    start, memo = _fillings(inner)
+    cells = frozenset(_cells(outer))
+    count = memo.get(cells)
+    return _fill(start, memo, cells) if count is None else count
 
 
-def _cells(lam: Partition) -> Iterator[tuple[int, int]]:
-    return ((i, j) for i, p in enumerate(lam, 1) for j in range(1, p + 1))
+def _cells(lam: Partition) -> list[tuple[int, int]]:
+    return [(i, j) for i, p in enumerate(lam, 1) for j in range(1, p + 1)]
 
 
-# the last outer only: the sweeps ask for the inners of one outer in a row
+# the last inner only: the sweeps ask for the outers of one inner in a row
 @lru_cache(maxsize=1)
-def _fillings(outer: Partition) -> Callable[[frozenset], int]:
-    """The number of ways to fill the rest of ``outer`` from a set of
-    filled cells, memoized on that set (at most one entry per partition
-    inside ``outer``)."""
-    cells = list(_cells(outer))
+def _fillings(inner: Partition) -> tuple[frozenset, dict[frozenset, int]]:
+    """The cells of ``inner`` and the memo of ``_fill`` from them, keyed by
+    the set of filled cells (at most one entry per partition between
+    ``inner`` and the outers asked), which starts as the one way to reach
+    the inner's own cells.  A plain dict, not a memoized closure, which
+    would refer to itself: evicted, it is freed at once, not by the
+    collector."""
+    start = frozenset(_cells(inner))
+    return start, {start: 1}
 
-    @cache
-    def fill(filled: frozenset[tuple[int, int]]) -> int:
-        if len(filled) == len(cells):
-            return 1
-        total = 0
-        for c in cells:
-            if c in filled:
-                continue
-            i, j = c
-            if j > 1 and (i, j - 1) not in filled:
-                continue
-            if i > 1 and (i - 1, j) not in filled:
-                continue
-            total += fill(filled | {c})
-        return total
 
-    return fill
+def _fill(start: frozenset, memo: dict[frozenset, int], filled: frozenset) -> int:
+    """The number of ways to reach ``filled``, a down-set of the cell
+    poset not yet in ``memo``, from its subset ``start``: the last value
+    sits in a cell of ``filled`` outside ``start`` that holds neither its
+    right nor its lower neighbour."""
+    count = 0
+    for c in filled:
+        i, j = c
+        if c in start or (i, j + 1) in filled or (i + 1, j) in filled:
+            continue
+        rest = filled - {c}
+        known = memo.get(rest)
+        count += _fill(start, memo, rest) if known is None else known
+    memo[filled] = count
+    return count
 
 
 def subpartitions(lam: Partition) -> Iterator[Partition]:
@@ -556,10 +570,17 @@ def check_column_removal_difference(bounds: Bounds, res: SuiteResult) -> None:
 
 @_suite
 def check_skew_count_vs_backtracking(bounds: Bounds, res: SuiteResult) -> None:
-    for outer in _shapes_upto(bounds.max_k):
-        for inner in _down_set(outer):
-            if not res.check(_skew_count(outer, inner) == syt_count_backtracking(outer, inner)):
-                res.fail(f"outer={list(outer)} inner={list(inner)}: counts differ")
+    """Every pair is checked, and described, outer by outer; the oracle
+    keeps the memo of its last inner only, so the pairs are compared inner
+    by inner first, into one flag per pair."""
+    pairs = [(outer, inner) for outer in _shapes_upto(bounds.max_k) for inner in _down_set(outer)]
+    oks = [False] * len(pairs)
+    for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
+        outer, inner = pairs[i]
+        oks[i] = _skew_count(outer, inner) == syt_count_backtracking(outer, inner)
+    for i in res.check_each(oks):
+        outer, inner = pairs[i]
+        res.fail(f"outer={list(outer)} inner={list(inner)}: counts differ")
 
 
 @_suite
@@ -583,6 +604,8 @@ def _with_fixed_points(support: tuple[int, ...], n: int) -> CycleType:
 
 @_suite
 def check_mn_identity_is_dimension(bounds: Bounds, res: SuiteResult) -> None:
+    """MN at the identity, peeled and read off, against the backtracking
+    count over the empty inner, whose one memo serves every shape."""
     for mu in _shapes_upto(bounds.max_k + 2):
         # MN's strip step at every 1-cycle, down to the empty shape
         peeled = _mn(mu, (1,) * mu.size)
@@ -592,6 +615,9 @@ def check_mn_identity_is_dimension(bounds: Bounds, res: SuiteResult) -> None:
             res.fail(
                 f"mu={list(mu)}: MN peel {peeled}, MN at identity {got}, tableaux {want} differ"
             )
+    # that memo now holds every shape asked (915 at --max-k 14, 1.4 MB) and
+    # no later suite reads it
+    _fillings.cache_clear()
 
 
 @_suite
@@ -638,27 +664,29 @@ def character_residue(mu: Partition, r: int) -> int:
     return value
 
 
-# both recpart suites ask for every (lam, support) pair: 209 at the default
-# bounds.  ``recpart_poly`` is looked up when a polynomial is made, so a
-# patched one takes effect once the memo is cleared
+# both recpart suites ask for the polynomials of every support of each lam:
+# 19 batches of 209 polynomials in all at the default bounds.
+# ``recpart_polys`` is looked up when a batch is made, so a patched one
+# takes effect once the memo is cleared
 @cache
-def _recpart(lam: Partition, support: Partition) -> BinomPoly:
-    return recpart_poly(lam, support)
+def _recpart(lam: Partition, supports: tuple[Partition, ...]) -> dict[Partition, BinomPoly]:
+    return recpart_polys(lam, supports)
 
 
 def _recpart_cases(res: SuiteResult, bounds: Bounds, lo: int, hi: int) -> None:
     """Check recpart against MN into ``res`` at every n from
     max(k + lam_1 + lo, |support|) up to k + lam_1 + hi; the recpart
-    polynomial is built once per (lam, support) for both suites and the
-    shape (n - k, lam) once per (lam, n)."""
-    supports = [(sup, sup.size) for sup in _cycle_supports(bounds.max_r)]
+    polynomials of all supports are built in one batch per lam for both
+    suites and the shape (n - k, lam) once per (lam, n)."""
+    supports = tuple(_cycle_supports(bounds.max_r))
     for k in range(max(0, bounds.max_k - 3) + 1):
         for lam in _partitions(k):
             base = k + (lam[0] if lam else 0)
             shapes = {n: Partition([n - k] + list(lam)) for n in range(base + lo, base + hi)}
-            for sup, size in supports:
-                poly = _recpart(lam, sup)
-                for n in range(max(base + lo, size), base + hi):
+            polys = _recpart(lam, supports)
+            for sup in supports:
+                poly = polys[sup]
+                for n in range(max(base + lo, sup.size), base + hi):
                     ct = _with_fixed_points(sup, n)
                     got = eval_poly(poly, n)
                     want = character_mn(shapes[n], ct)
@@ -871,7 +899,8 @@ def coeff_b(lam: Partition, h: int, r: int) -> int:
     test.  A primary nu counts only if it fits inside ``lam``; the pair
     memo is asked only about the primaries that fit, so it holds no
     zeros."""
-    lam = Partition(lam)
+    if type(lam) is not Partition:
+        lam = Partition(lam)
     b = 0
     # the primaries are built as Partitions, so the pair memo is asked directly
     for nu, sign, _ in _r_primary(r, h):

@@ -16,6 +16,7 @@ from charpoly.characters import (
     character_mn,
     character_recpart,
     recpart_poly,
+    recpart_polys,
 )
 from charpoly.binom_poly import BinomPoly
 from charpoly.partitions import Partition, _beta, _shape, _strips
@@ -423,6 +424,23 @@ class TestRecpart:
     def test_poly_support_excludes_fixed_points(self):
         with pytest.raises(ValueError):
             recpart_poly(Partition([1]), (2, 1))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["prefixes_first", "prefixes_last"])
+    def test_batch_equals_each_support_alone(self, order):
+        # a batch peels each shared prefix of cycles once; no prefix's layer
+        # may leak into another support's, in either order of the supports
+        supports = verification._cycle_supports(6)[::order]
+        for lam in (lam for k in range(7) for lam in partitions_of(k)):
+            batch = recpart_polys(lam, supports)
+            assert list(batch) == supports
+            for support in supports:
+                assert batch[support] == recpart_polys(lam, [support])[support], (lam, support)
+
+    def test_batch_keys_each_support_as_given(self):
+        polys = recpart_polys(Partition([3, 1]), [(2, 3, 2), (3,), ()])
+        assert polys == {(2, 3, 2): recpart_poly(Partition([3, 1]), (3, 2, 2)),
+                         (3,): recpart_poly(Partition([3, 1]), (3,)),
+                         (): recpart_poly(Partition([3, 1]), ())}
 
 
 def test_invariant_sweeps():

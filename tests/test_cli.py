@@ -1390,24 +1390,24 @@ class TestVerify:
         assert code == 0 and f"at most {cap}" in " ".join(help_text.split())
 
     def test_band_disagreement_is_described_not_fatal(self, monkeypatch, capsys):
-        real_poly, real_eval = verification.recpart_poly, verification.eval_poly
+        real_polys, real_eval = verification.recpart_polys, verification.eval_poly
 
-        def marked_poly(lam, support):
-            # the recpart polynomial, tagged with the end of the band window
-            p = real_poly(lam, support)
-            return SimpleNamespace(shift=p.shift, coeffs=p.coeffs,
-                                   band_end=lam.size + (lam[0] if lam else 0) + 6)
+        def marked_polys(lam, supports):
+            # the recpart polynomials, each tagged with the end of the band window
+            end = lam.size + (lam[0] if lam else 0) + 6
+            return {sup: SimpleNamespace(shift=p.shift, coeffs=p.coeffs, band_end=end)
+                    for sup, p in real_polys(lam, supports).items()}
 
         def off_in_band(p, n):
             # wrong only below k + lam_1 + 6, the window of recpart_band
             value = real_eval(p, n)
             return value + 1 if n < getattr(p, "band_end", n) else value
 
-        # the suites share one recpart polynomial per (lam, support), made
+        # the suites share one batch of recpart polynomials per lam, made
         # when first asked, so the memo must not hold unmarked ones, nor keep
         # the marked ones afterwards
         verification._recpart.cache_clear()
-        monkeypatch.setattr(verification, "recpart_poly", marked_poly)
+        monkeypatch.setattr(verification, "recpart_polys", marked_polys)
         monkeypatch.setattr(verification, "eval_poly", off_in_band)
         try:
             code = main(["verify", "--max-k", "4", "--max-r", "3", "--n-window", "1",

@@ -653,10 +653,22 @@ def test_kernel_suites_reach_kernel_and_definition(suite):
 
 
 def _recpart_polys():
+    supports = tuple(verification._cycle_supports(5))
     for k in range(5):
         for lam in verification.partitions_of(k):
-            for support in verification._cycle_supports(5):
-                verification._recpart(lam, support)
+            verification._recpart(lam, supports)
+
+
+def test_backtracking_reaches_no_tableaux_function():
+    # the ledger's entry for the skew-count oracle: it fills cells and
+    # reads nothing of tableaux (no hook table, no hook formula, no
+    # beta-number count), so a slip there cannot land on both sides of
+    # skew_count_vs_backtracking or mn_identity_is_dimension
+    pairs = [(outer, inner) for k in range(7) for outer in verification.partitions_of(k)
+             for inner in verification.subpartitions(outer)]
+    sweep = lambda: [verification.syt_count_backtracking(*pair) for pair in pairs]
+    assert _reach(tableaux, sweep) == set()
+    assert {"_fillings", "_fill"} <= _reach(verification, sweep)
 
 
 def _ascending_values():
@@ -717,20 +729,62 @@ def test_pair_memo_keeps_only_the_pairs_asked_again():
 
 
 def test_recpart_polynomial_made_once_per_lam_and_support(monkeypatch):
-    made = []
+    # one batch per lam, which both suites share, makes each (lam, support)
+    # polynomial once
+    made, pairs = [], []
 
-    def recorded(lam, support):
-        made.append((lam, support))
-        return characters.recpart_poly(lam, support)
+    def recorded(lam, supports):
+        made.append(lam)
+        polys = characters.recpart_polys(lam, supports)
+        pairs.extend((lam, support) for support in polys)
+        return polys
 
-    monkeypatch.setattr(verification, "recpart_poly", recorded)
+    monkeypatch.setattr(verification, "recpart_polys", recorded)
     _clear_memos()
     try:
         for suite in (verification.check_recpart_vs_mn, verification.check_recpart_band):
             assert suite(Bounds()).checks > 0
     finally:
         _clear_memos()
-    assert len(made) == len(set(made)) == 209
+    assert len(made) == len(set(made)) == 19
+    assert len(pairs) == len(set(pairs)) == 209
+
+
+def test_recpart_counts_f_once_per_final_shape_of_a_lam(monkeypatch):
+    # the hook formula runs once per beta-set a batch ends on, not once
+    # per (support, shape): 1,042 counts when each support was built alone
+    counted = []
+
+    def recorded(shape):
+        counted.append(shape)
+        return _dim_syt(shape)
+
+    monkeypatch.setattr(characters, "dim_syt", recorded)
+    _clear_memos()
+    try:
+        for suite in (verification.check_recpart_vs_mn, verification.check_recpart_band):
+            assert suite(Bounds()).ok
+    finally:
+        _clear_memos()
+    assert len(counted) == 110
+
+
+def test_identity_sweep_fills_one_backtracking_memo(monkeypatch):
+    # every dimension is counted upward from the empty inner, so the 139
+    # shapes share one memo (one per shape when the memo was kept per
+    # outer), and the sweep, its last reader, drops it at its end
+    made = []
+
+    def recorded(inner):
+        made.append(memo := real(inner))
+        return memo
+
+    real = verification._fillings.__wrapped__
+    monkeypatch.setattr(verification, "_fillings", functools.lru_cache(maxsize=1)(recorded))
+    res = verification.check_mn_identity_is_dimension(Bounds())
+    assert res.ok and res.checks == 139
+    assert len(made) == 1 and len(made[0][1]) == 139
+    assert verification._fillings.cache_info().currsize == 0
 
 
 def test_down_sets_hold_the_shared_shape_objects():
