@@ -6,11 +6,11 @@ coefficient} through the r-cell border strips with sign (-1)^leg.
 ``character_mn`` peels every non-trivial cycle but the last one so, and
 reads the last one off each shape of the layer before it as that
 shape's character at one r-cycle (``_at_cycle``).  Each leaf's f is
-read back from MN's memo of dimensions when it is there, and otherwise
 counted from the shape's own f by the bead ratio, one bead moved by r
-(James--Kerber 1981, 2.7).  Every f in the memo is counted from its
-beads by the beta-number formula (``tableaux._beta_dim``), and only
-there.  Fixed points are never peeled: the cycle type
+(James--Kerber 1981, 2.7); the shape's f, and the f of a shape with no
+cycle to peel, come from MN's memo of dimensions (``_dim``), a cache of
+the beta-number formula (``tableaux._beta_dim``) that holds no leaf.
+Fixed points are never peeled: the cycle type
 keeps them as a count, and a shape (n - k, lam) with n - r fixed points
 costs a few factors, not n, since its long top row is one short falling
 factorial.  A shape with more rows than columns is peeled as its
@@ -27,14 +27,15 @@ the other.
 * ``character_recpart`` -- the vertical-strip expansion of the character
   of (n-k, lam) at an arbitrary permutation.  For a fixed lam and a fixed
   set of non-trivial cycles (the support) it is a polynomial in n, built
-  by ``recpart_poly`` with the same peel and then evaluated at n;
-  ``recpart_polys`` builds those of many supports of one lam in one pass,
-  peeling each shared prefix of cycles once.
+  with the same peel by ``recpart_polys``, which builds those of many
+  supports of one lam in one pass, peeling each shared prefix of cycles
+  once, and then evaluated at n.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import cache
 from math import comb, perm, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -137,23 +138,13 @@ class CycleType(namedtuple("CycleType", ("support", "fixed"))):
         return dict(counts)
 
 
-class _Dims(dict):
-    """f^shape per beta-set int, counted by ``_beta_dim`` the first time
-    it is asked for: ``dims[mask]`` counts a missing one, ``dims.get(mask)``
-    only reads."""
-
-    __slots__ = ()
-
-    def __missing__(self, mask: int) -> int:
-        dim = self[mask] = _beta_dim(mask)
-        return dim
-
-
-# MN's memo of dimensions: peels end again and again on the same few
-# shapes.  Only ``_beta_dim`` writes it; the bead ratio reads it and never
-# writes it, so a slip in the ratio stays one wrong value, a counterexample,
-# and never becomes a later parent's f, whose next ratio would not divide
-_leaf_dims = _Dims()
+# MN's memo of dimensions, per beta-set: the shapes MN reads its last
+# cycle off recur from call to call.  ``_beta_dim`` is looked up at each
+# miss, not bound here, so a patched ``characters._beta_dim`` takes effect
+@cache
+def _dim(mask: int) -> int:
+    """f of the shape with beta-set ``mask``, by ``_beta_dim``."""
+    return _beta_dim(mask)
 
 
 def _peel(layer: dict[int, int], r: int) -> dict[int, int]:
@@ -166,11 +157,11 @@ def _peel(layer: dict[int, int], r: int) -> dict[int, int]:
     return peeled
 
 
-def _by_ratio(mask: int, r: int, leaves: list[int]) -> int:
-    """The sum of (-1)^leg f^leaf over ``leaves``, r-strip leaves of the
-    beta-set ``mask``, each counted from f of ``mask`` (read from the memo)
-    by the bead ratio (James--Kerber 1981, 2.7).  A leaf moves one bead b
-    of the n-box shape to the gap b - r, so
+def _at_cycle(mask: int, r: int) -> int:
+    """The character of the shape with beta-set ``mask`` at one r-cycle
+    plus fixed points: the sum of (-1)^leg f^leaf over its r-strip leaves,
+    each counted from f of ``mask`` by the bead ratio (James--Kerber 1981,
+    2.7).  A leaf moves one bead b of the n-box shape to the gap b - r, so
 
         f^leaf = f (b)_r / (n)_r prod_(c != b) (b - r - c) / (b - c)
 
@@ -179,8 +170,12 @@ def _by_ratio(mask: int, r: int, leaves: list[int]) -> int:
     products stay small, and one exact division per leaf brings in f.
     As (b)_r / (n)_r = b! (n - r)! / ((b - r)! n!), it is taken as
     (m)_k / (n)_k with k = min(r, n - b) and m = min(b, n - r), so a bead
-    moved near the top of a long row builds no n!."""
-    f = _leaf_dims[mask]
+    moved near the top of a long row builds no n!.  A shape with no
+    r-strip counts no f."""
+    leaves = [rest for _, rest in _strips(mask, r)]
+    if not leaves:
+        return 0
+    f = _dim(mask)
     # the beads of zero parts, at the bottom, change no ratio
     zeros = (~mask & mask + 1).bit_length() - 1
     beads = _beads(mask >> zeros)
@@ -200,28 +195,13 @@ def _by_ratio(mask: int, r: int, leaves: list[int]) -> int:
     return total
 
 
-def _at_cycle(mask: int, r: int) -> int:
-    """The character of the shape with beta-set ``mask`` at one r-cycle
-    plus fixed points: its r-strip leaves' f, each with the sign (-1)^leg.
-    A leaf already in the memo is read back; the new ones are counted from
-    the shape's own f by ``_by_ratio``."""
-    total, new = 0, []
-    for leg, rest in _strips(mask, r):
-        dim = _leaf_dims.get(rest)
-        if dim is None:
-            new.append(rest)
-        else:
-            total += -dim if leg & 1 else dim
-    return total + _by_ratio(mask, r, new) if new else total
-
-
 def _mn(mu: Partition, cycles: Sequence[int]) -> int:
     # peel exactly ``cycles``, in order, one layer per cycle; the last cycle
     # is read off each shape of the layer before it by ``_at_cycle``, and a
     # lone cycle straight off mu
     mask = _beta(mu, len(mu))
     if not cycles:
-        return _leaf_dims[mask]
+        return _dim(mask)
     if len(cycles) == 1:
         return _at_cycle(mask, cycles[0])
     layer = {mask: 1}
@@ -237,7 +217,7 @@ def character_mn(mu: Partition, ct: CycleType) -> int:
 
     Only the cycles of length at least 2 are peeled, in weakly decreasing
     length order (the value is independent of that order), the last one
-    with each leaf's f read back or counted by the bead ratio; the fixed
+    with each leaf's f counted by the bead ratio; the fixed
     points are never peeled but counted, as f^shape, on each shape that
     is left.  There is no recursion: each cycle peels one layer of
     beta-sets, so the depth of the stack does not grow with the input.
@@ -333,30 +313,18 @@ def recpart_polys(
     return polys
 
 
-# check-only; kept here because perfbench/checks.py imports character_recpart
-def recpart_poly(lam: Partition, support: Iterable[int]) -> BinomPoly:
-    """Character of shape (n - k, lam), k = |lam|, at the cycles ``support``
-    (all of length at least 2) plus n - |support| fixed points, as a
-    polynomial in n over the basis C(n - |support|, j): ``recpart_polys``
-    for this one support.  Its value at n is the character for
-    n >= max(k + lam_1, |support|).
-    """
-    support = tuple(support)
-    return recpart_polys(lam, [support])[support]
-
-
 # check-only; kept here because perfbench/checks.py and perfbench/test_smoke.py import it
 def character_recpart(lam: Partition, ct: CycleType) -> int:
     """Character of shape (n - k, lam) at a permutation of cycle type ``ct``,
     where k = |lam| and n is the size of ``ct``.
 
-    Evaluates ``recpart_poly`` at the cycles of ``ct`` of length at least
-    2, at n.  Requires n >= k + lam_1 so that (n - k, lam) is a partition
-    in the stable range.
+    Evaluates the ``recpart_polys`` polynomial of the cycles of ``ct`` of
+    length at least 2 at n.  Requires n >= k + lam_1 so that (n - k, lam)
+    is a partition in the stable range.
     """
     lam, n = Partition(lam), ct.n
     need = lam.size + (lam[0] if lam else 0)
     if n < need:
         raise OutOfStableRange(f"need n >= {need} for lam = {lam}, got n = {n}")
-    return eval_poly(recpart_poly(lam, ct.support), n)
+    return eval_poly(recpart_polys(lam, [ct.support])[ct.support], n)
 

@@ -46,8 +46,8 @@ oracles keep their own memo of pair counts in ``verification``.
 ``_beta_dim`` counts f^lam from a beta-set by the beta-number formula
 (James--Kerber 1981, 2.7), with the long top row of a stable shape
 (n - k, lam) as one short falling factorial; it gives f^outer to each
-record and is the one writer of Murnaghan--Nakayama's memo of
-dimensions in ``characters``, from which its bead ratio starts.
+record and, through the cache ``characters._dim``, f of each shape that
+Murnaghan--Nakayama reads a cycle off.
 ``dim_syt`` stays the hook-run formula, a second route to the same
 numbers, and the one the oracles count f with.
 """

@@ -262,8 +262,10 @@ def syt_count_backtracking(outer: Partition, inner: Partition) -> int:
     return _fill(start, memo, cells) if count is None else count
 
 
-def _cells(lam: Partition) -> list[tuple[int, int]]:
-    return [(i, j) for i, p in enumerate(lam, 1) for j in range(1, p + 1)]
+# the cell (i, j) as the int i << 32 | j: a set of ints hashes faster than
+# one of tuples, and the right and lower neighbours are c + 1 and c + 2^32
+def _cells(lam: Partition) -> list[int]:
+    return [i << 32 | j for i, p in enumerate(lam, 1) for j in range(1, p + 1)]
 
 
 # the last inner only: the sweeps ask for the outers of one inner in a row
@@ -286,8 +288,7 @@ def _fill(start: frozenset, memo: dict[frozenset, int], filled: frozenset) -> in
     right nor its lower neighbour."""
     count = 0
     for c in filled:
-        i, j = c
-        if c in start or (i, j + 1) in filled or (i + 1, j) in filled:
+        if c in start or c + 1 in filled or c + (1 << 32) in filled:
             continue
         rest = filled - {c}
         known = memo.get(rest)

@@ -15,11 +15,10 @@ from charpoly.characters import (
     character_frobenius_transposition,
     character_mn,
     character_recpart,
-    recpart_poly,
     recpart_polys,
 )
 from charpoly.binom_poly import BinomPoly
-from charpoly.partitions import Partition, _beta, _shape, _strips
+from charpoly.partitions import Partition, _beta, _shape, _strips, transpose
 from charpoly.tableaux import dim_syt
 from charpoly.verification import (
     Bounds,
@@ -163,11 +162,11 @@ class TestMurnaghanNakayama:
             characters, "_beta_dim",
             lambda mask: -real(mask) if _shape(mask) == Partition([2, 1]) else real(mask),
         )
-        characters._leaf_dims.clear()
+        characters._dim.cache_clear()
         try:
             assert not check_mn_peel_order(Bounds(4, 3, 2)).ok
         finally:
-            characters._leaf_dims.clear()
+            characters._dim.cache_clear()
 
     def test_ascending_walk_matches_mn(self):
         # the shared-prefix walk against one ascending peel per cycle type
@@ -262,27 +261,61 @@ class TestBeadRatio:
             for mu in partitions_of(n):
                 mask = _beta(mu, len(mu))
                 for r in range(2, n + 1):
-                    for _, leaf in _strips(mask, r):
+                    asked.clear()
+                    characters._at_cycle(mask, r)
+                    # two falling factorials per leaf, the leaves in _strips order
+                    strips = list(_strips(mask, r))
+                    assert len(asked) == 2 * len(strips), (mu, r)
+                    for (_, leaf), ks in zip(strips, zip(*[iter(asked)] * 2)):
                         # the strip starts in the first row the leaf changes,
                         # and the bead b of row i is mu_i + len(mu) - 1 - i
                         i = next(i for i, p in enumerate(_shape(leaf) + (0,) * n) if p != mu[i])
                         b = mu[i] + len(mu) - 1 - i
-                        asked.clear()
-                        characters._by_ratio(mask, r, [leaf])
-                        assert asked and max(asked) <= min(r, n - b), (mu, r, leaf)
+                        assert max(ks) <= min(r, n - b), (mu, r, leaf)
                         leaves += 1
         assert leaves == 822
 
     def test_new_leaves_not_written_to_the_memo(self):
-        # a leaf the ratio counted wrong would otherwise be a later parent's f,
-        # and end in a non-integral ratio instead of a named counterexample
-        characters._leaf_dims.clear()
+        # the memo holds f of the shape the cycle is read off, and none of
+        # its leaves', which the ratio counts
+        characters._dim.cache_clear()
         try:
             mu = _staircase(20)
             character_mn(mu, _at_r_cycle(mu, 5))
-            assert list(characters._leaf_dims) == [_beta(mu, len(mu))]
+            assert characters._dim.cache_info().currsize == 1
         finally:
-            characters._leaf_dims.clear()
+            characters._dim.cache_clear()
+
+    def test_dim_asked_only_for_the_shapes_the_last_cycle_is_read_off(self, monkeypatch):
+        # never for a leaf, whose f the ratio counts, and never for a shape
+        # with no strip of the last cycle, whose value is 0 with no f
+        asked = []
+
+        def recorded(mask):
+            asked.append(mask)
+            return tableaux._beta_dim(mask)
+
+        monkeypatch.setattr(characters, "_dim", recorded)
+        pairs = stripless = 0
+        for n in range(9):
+            cts = list(partitions_of(n))
+            for mu in cts:
+                shape = transpose(mu) if mu and len(mu) > mu[0] else mu
+                mask = _beta(shape, len(shape))
+                for ct in cts:
+                    cycles = [c for c in ct if c > 1]
+                    read = [mask]
+                    if cycles:
+                        layer = {mask: 1}
+                        for r in cycles[:-1]:
+                            layer = characters._peel(layer, r)
+                        read = [m for m in layer if any(_strips(m, cycles[-1]))]
+                        stripless += len(layer) - len(read)
+                    asked.clear()
+                    character_mn(mu, CycleType(ct))
+                    assert asked == read, (mu, ct)
+                    pairs += 1
+        assert (pairs, stripless) == (919, 156)
 
 
 class TestConjugateRoute:
@@ -347,11 +380,11 @@ class TestWorkBound:
             return real(mask)
 
         monkeypatch.setattr(characters, "_beta_dim", counted)
-        characters._leaf_dims.clear()
+        characters._dim.cache_clear()
         try:
             assert character_mn(mu, _at_r_cycle(mu, 5)) == want
         finally:
-            characters._leaf_dims.clear()
+            characters._dim.cache_clear()
         assert len(calls) <= 1
 
 
@@ -419,11 +452,11 @@ class TestRecpart:
         ((3, 1), (2, 2, 3), BinomPoly(7, (1, -2, 3, -3, 3))),
     ])
     def test_poly_per_support(self, lam, support, want):
-        assert recpart_poly(Partition(lam), support) == want
+        assert recpart_polys(Partition(lam), [support])[support] == want
 
     def test_poly_support_excludes_fixed_points(self):
         with pytest.raises(ValueError):
-            recpart_poly(Partition([1]), (2, 1))
+            recpart_polys(Partition([1]), [(2, 1)])
 
     @pytest.mark.parametrize("order", [1, -1], ids=["prefixes_first", "prefixes_last"])
     def test_batch_equals_each_support_alone(self, order):
@@ -438,9 +471,9 @@ class TestRecpart:
 
     def test_batch_keys_each_support_as_given(self):
         polys = recpart_polys(Partition([3, 1]), [(2, 3, 2), (3,), ()])
-        assert polys == {(2, 3, 2): recpart_poly(Partition([3, 1]), (3, 2, 2)),
-                         (3,): recpart_poly(Partition([3, 1]), (3,)),
-                         (): recpart_poly(Partition([3, 1]), ())}
+        alone = {support: recpart_polys(Partition([3, 1]), [support])[support]
+                 for support in [(3, 2, 2), (3,), ()]}
+        assert polys == {(2, 3, 2): alone[(3, 2, 2)], (3,): alone[(3,)], (): alone[()]}
 
 
 def test_invariant_sweeps():

@@ -8,7 +8,7 @@ import charpoly.cli as cli
 import charpoly.stability as stability
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
-from charpoly.characters import CycleType, character_mn, recpart_poly
+from charpoly.characters import CycleType, character_mn, recpart_polys
 from charpoly.binom_poly import BinomPoly, eval_poly
 from charpoly.partitions import Partition
 from charpoly.stability import (
@@ -215,7 +215,8 @@ def _recpart_expansion(lam, r):
     """The character of (n - k, lam) at one r-cycle by the vertical-strip
     route, which uses no r-primary partitions and no Aitken determinant,
     rewritten in the shift-r basis of ``char_poly``."""
-    return reshift(recpart_poly(lam, (r,) if r > 1 else ()), r)
+    support = (r,) if r > 1 else ()
+    return reshift(recpart_polys(lam, [support])[support], r)
 
 
 SMALL_PAIRS = [(lam, r) for k in range(11) for lam in partitions_of(k) for r in range(1, 13)]

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import charpoly
-import charpoly.characters as characters
 import charpoly.tableaux as tableaux
 import charpoly.verification as verification
 from charpoly.binom_poly import eval_poly
@@ -512,9 +511,8 @@ def test_skew_recursion_catches_rank_three_sign_flip(monkeypatch):
 
 def module_level_memos():
     """Every global memo in the package, by (module, name): the functions
-    with ``cache_info`` where they are defined, and MN's dict of
-    dimensions, which has none."""
-    memos = {("characters", "_leaf_dims"): characters._leaf_dims}
+    with ``cache_info`` where they are defined."""
+    memos = {}
     for info in pkgutil.iter_modules(charpoly.__path__):
         module = importlib.import_module(f"charpoly.{info.name}")
         memos |= {
@@ -529,9 +527,11 @@ def test_module_level_memos_are_pinned():
     # set on purpose; the mutant tests clear the same set.  The library
     # keeps its memos per shape; the ones per (outer, inner) pair and per
     # (r, h) are the oracles' own
-    assert isinstance(characters._leaf_dims, dict)
-    assert set(module_level_memos()) == {
-        ("characters", "_leaf_dims"),
+    memos = module_level_memos()
+    assert all(hasattr(memo, "cache_info") and hasattr(memo, "cache_clear")
+               for memo in memos.values())
+    assert set(memos) == {
+        ("characters", "_dim"),
         ("cli", "build_parser"),
         ("tableaux", "_frobenius"),
         ("tableaux", "_record"),
