@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cache
-from math import comb, perm, prod
+from math import comb, perm
 from typing import Iterable, Mapping, Sequence
 
 from .binom_poly import BinomPoly, eval_poly

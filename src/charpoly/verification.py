@@ -344,15 +344,9 @@ def border_strips_bruteforce(lam: Partition) -> dict[int, set[tuple]]:
     minus one.
     """
     lam = Partition(lam)
-    return _border_strips_over(lam, subpartitions(lam))
-
-
-def _border_strips_over(lam: Partition, down: Iterable[Partition]) -> dict[int, set[tuple]]:
-    """``border_strips_bruteforce(lam)``, walking the partitions ``down``
-    inside ``lam``: all of them, in any order."""
     found: dict[int, set[tuple]] = {r: set() for r in range(1, lam.size + 1)}
     size, last = lam.size, len(lam) - 1
-    for mu in down:
+    for mu in subpartitions(lam):
         # top: the first row where mu_i < lam_i, none if mu is lam
         m, top = len(mu), 0
         while top < m and mu[top] == lam[top]:
@@ -460,7 +454,7 @@ def skew_hooks(lam: Partition, r: int) -> list[SkewHook]:
 @_suite
 def check_skew_hook_bruteforce(bounds: Bounds, res: SuiteResult) -> None:
     for lam in _shapes_upto(bounds.max_k + 4):
-        strips = _border_strips_over(lam, _down_set(lam))
+        strips = border_strips_bruteforce(lam)
         for r in range(1, lam.size + 1):
             hooks = skew_hooks(lam, r)
             for hook in hooks:
@@ -739,9 +733,9 @@ def _mn_ascending(mu: Partition, walk: list[tuple[int, int, tuple[int, ...]]]) -
 def check_mn_peel_order(bounds: Bounds, res: SuiteResult) -> None:
     """Murnaghan--Nakayama does not depend on the order of the cycles:
     ``character_mn`` peels the cycles of length >= 2 in decreasing order
-    and reads its last layer's leaves back from its memo or counts them by
-    the bead ratio, the ascending walk peels every cycle, fixed points
-    too, down to the empty shape and reads no dimension."""
+    and counts its last layer's leaves by the bead ratio, from the f of
+    the shape it peels them off; the ascending walk peels every cycle,
+    fixed points too, down to the empty shape and reads no dimension."""
     for n in range(bounds.max_k + 1):
         cts = _partitions(n)
         types = [CycleType(ct) for ct in cts]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charpoly import partitions, verification
-from charpoly.characters import CycleType
+from charpoly.characters import CycleType, character_mn
 from charpoly.partitions import (
     NotWeaklyDecreasing,
     Partition,
@@ -12,7 +12,8 @@ from charpoly.partitions import (
     transpose,
     vertical_strip_inners,
 )
-from charpoly.stability import r_primary
+from charpoly.stability import char_poly, r_primary
+from charpoly.tableaux import skew_syt_count
 from charpoly.verification import (
     Bounds,
     SkewHook,
@@ -22,10 +23,12 @@ from charpoly.verification import (
     check_partition_contains_transpose,
     check_partition_corner_count,
     check_skew_hook_bruteforce,
+    coeff_b,
     hook_lengths,
     partitions_of,
     skew_hooks,
     subpartitions,
+    syt_count_backtracking,
 )
 
 parts_st = st.lists(st.integers(1, 6), max_size=6).map(
@@ -426,3 +429,29 @@ def test_invariant_sweeps():
     ):
         result = suite(bounds)
         assert result.ok, result.failures
+
+
+def test_entry_points_read_any_sequence_of_parts():
+    # a tuple or a list is read as the partition it spells, and a sequence
+    # that is not one is refused, at each public entry point with a shape
+    # argument, here the shape (3, 2, 1)
+    on_shape = {
+        "character_mn": lambda lam: character_mn(lam, CycleType([3, 1, 1, 1])),
+        "char_poly": lambda lam: char_poly(lam, 2),
+        "skew_syt_count outer": lambda lam: skew_syt_count(lam, Partition([1])),
+        "skew_syt_count inner": lambda lam: skew_syt_count(Partition([4, 3, 2]), lam),
+        "syt_count_backtracking outer": lambda lam: syt_count_backtracking(lam, Partition([1])),
+        "syt_count_backtracking inner": lambda lam: syt_count_backtracking(
+            Partition([4, 3, 2]), lam),
+        "skew_hooks": lambda lam: skew_hooks(lam, 3),
+        "coeff_b": lambda lam: coeff_b(lam, 3, 2),
+        "border_strips_bruteforce": border_strips_bruteforce,
+    }
+    for entry, call in on_shape.items():
+        want = call(Partition([3, 2, 1]))
+        assert want, entry
+        assert call((3, 2, 1)) == want and call([3, 2, 1, 0]) == want, entry
+        with pytest.raises(NotWeaklyDecreasing):
+            call([1, 2, 3])
+    with pytest.raises(ValueError, match="hook size must be positive, got 0"):
+        skew_hooks(Partition([2, 1]), 0)

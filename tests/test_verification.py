@@ -39,6 +39,7 @@ _beta_dim = tableaux._beta_dim
 _dim_syt = tableaux.dim_syt
 _transpose = partitions.transpose
 _shape = partitions._shape
+_shrunk = verification._shrunk
 
 
 def _clear_memos():
@@ -135,6 +136,28 @@ def _ratio_flipped_on_empty_leaves(mask, r):
     return total
 
 
+def _r_primary_first_type_three_dropped(r, h):
+    # the third family's loop starts one u too late
+    gamma = _r_primary(r, h)
+    three = [sp for sp in gamma if sp.family is Family.TYPE_THREE]
+    return tuple(sp for sp in gamma if not three or sp is not three[0])
+
+
+def _ones_in_first_row(nu):
+    v = nu.count(1)
+    return partitions._known_valid([nu[0] + v, *nu[1:len(nu) - v]])
+
+
+def _r_primary_type_three_ones_in_first_row(r, h):
+    # (r+1-u+v, 2^u) for (r+1-u, 2^u, 1^v): of the right size, but short
+    # enough to fit inside shapes past the vanishing bound
+    return tuple(
+        SignedPartition(_ones_in_first_row(sp.partition), sp.sign, sp.family)
+        if sp.family is Family.TYPE_THREE else sp
+        for sp in _r_primary(r, h)
+    )
+
+
 def _dim_syt_negated_at_5(mu):
     dim = _dim_syt(mu)
     return -dim if sum(mu) == 5 else dim
@@ -181,6 +204,19 @@ def _contains_ignoring_last_part(lam, nu):
 def _transpose_pads_a_zero(lam):
     # the conjugate with a trailing 0 part, a tuple off the list of shapes
     return partitions._known_valid([*_transpose(lam), 0])
+
+
+def _shrunk_misses_last_row(lam):
+    return [nu for nu in _shrunk(lam) if len(nu) == len(lam)]
+
+
+def _interpolate_differences_backwards(values, shift):
+    # each difference taken as a - b, which negates the odd coefficients
+    diffs, coeffs = list(values), []
+    while diffs:
+        coeffs.append(diffs[0])
+        diffs = [a - b for a, b in zip(diffs, diffs[1:])]
+    return binom_poly.BinomPoly(shift, coeffs)
 
 
 _TRANSPOSE_SLIP = [(module, "transpose", _transpose_fixes_two_row_rectangles)
@@ -407,6 +443,26 @@ MUTANTS = {
             "main_band": (168, "lam=[1] r=2 n=2: poly 0 != mn -1"),
         },
     ),
+    # coeff_b and the size law read r_primary; the kernel walks the
+    # families with loops of its own, so no MN suite sees these two
+    "r_primary_first_type_three_dropped": (
+        [(stability, "r_primary", _r_primary_first_type_three_dropped)],
+        {
+            "transpose_small_h": (42, "lam=[3] h=3: b2 0 != transposed a 1"),
+            "gamma_size_law": (72, "r=1 h=2: |Gamma| = 0 != 1"),
+            "constant_coeff_routes": (33, "lam=[2] r=1: primary 0, strips -1, main -1"),
+            "transposition_split": (117, "lam=[3] h=3: 1 - 0 != b2 0"),
+        },
+    ),
+    "r_primary_type_three_ones_in_first_row": (
+        [(stability, "r_primary", _r_primary_type_three_ones_in_first_row)],
+        {
+            "vanishing_bound": (
+                132, "lam=[3] h=3 r=1: expected 0 past length+r, got -1"),
+            "constant_coeff_routes": (98, "lam=[3] r=1: primary -1, strips 0, main 0"),
+            "transposition_split": (127, "lam=[4] h=4: 0 - 0 != b2 1"),
+        },
+    ),
     "contains_ignoring_last_part": (
         [(module, "contains", _contains_ignoring_last_part)
          for module in (partitions, tableaux, verification)],
@@ -438,6 +494,31 @@ MUTANTS = {
         [(verification, "transpose", _transpose_pads_a_zero)],
         {
             "partition_contains_transpose": (272, "lam=[]: transpose not an involution"),
+        },
+    ),
+    # the suites' own corner list drops the corner that empties lam's
+    # last row
+    "shrunk_misses_last_row": (
+        [(verification, "_shrunk", _shrunk_misses_last_row)],
+        {
+            "partition_corner_count": (195, "lam=[1]: corners != distinct part values"),
+            "syt_branching": (195, "lam=[1]: dim 1 != corner sum 0"),
+            "skew_recursion": (
+                5011, "lam=[2, 1] nu=[]: count 2, corner sum 1, growth sum 2"),
+            "coefficient_recurrence": (1148, "lam=[1] h=0 r=1: 1 != corner sum 0"),
+        },
+    ),
+    # the interpolation the round-trip and difference suites read
+    "interpolate_differences_backwards": (
+        [(verification, "interpolate", _interpolate_differences_backwards)],
+        {
+            "binom_round_trip": (
+                36, "round trip failed for BinomPoly(shift=6, coeffs=(-8, 2, -9, 6, -8, 9))"),
+            "reshift_preserves_values": (
+                268, "reshift to -3 changed "
+                     "BinomPoly(shift=7, coeffs=(7, 7, -8, -9, -9, -1, -8, -2, -3))"),
+            "forward_difference_coeffs": (90, "coeff 1: 6 != forward difference -6"),
+            "interpolation_route": (116, "lam=[1] r=1: interpolated (4, 1) != (0, 1)"),
         },
     ),
 }
@@ -661,6 +742,21 @@ def test_backtracking_reaches_no_tableaux_function():
     sweep = lambda: [verification.syt_count_backtracking(*pair) for pair in pairs]
     assert _reach(tableaux, sweep) == set()
     assert {"_fillings", "_fill"} <= _reach(verification, sweep)
+
+
+def test_strip_oracle_reaches_no_beta_set_code():
+    # the ledger's entry for skew_hook_bruteforce: the oracle reads lam / mu
+    # row by row and never the beta-set codec or the strip step that
+    # skew_hooks decodes, so the suite never holds the strip step against
+    # itself
+    shapes = [lam for k in range(9) for lam in verification.partitions_of(k)]
+    beta_code = {"_beta", "_beads", "_shape", "_strips"}
+    oracle = _reach(partitions, lambda: [verification.border_strips_bruteforce(lam)
+                                         for lam in shapes])
+    checked = _reach(partitions, lambda: [verification.skew_hooks(lam, r) for lam in shapes
+                                          for r in range(1, lam.size + 1)])
+    assert not oracle & beta_code, oracle & beta_code
+    assert {"_beta", "_strips", "_shape"} <= checked, checked
 
 
 def _ascending_values():
